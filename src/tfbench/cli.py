@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import SampledSignal, WindowSpec, decimate
@@ -102,6 +103,9 @@ def _load_config(path) -> dict:
 
 
 def _window_from_dict(d: dict) -> WindowSpec:
+    for key in ("kind", "length_samples"):
+        if key not in d:
+            raise ValueError(f"window config lacks {key!r}")
     return WindowSpec(
         kind=d["kind"],
         length_samples=int(d["length_samples"]),
@@ -135,6 +139,9 @@ def _compare_config(doc: dict, band=None, order=None, profile: str = "x1") -> Co
     if band is not None:
         cfg.band_hz = band
     pct_doc = dict(doc.get("pct", {}))
+    unknown = sorted(set(pct_doc) - {f.name for f in fields(PCTConfig)})
+    if unknown:
+        raise ValueError(f"unknown pct parameters {unknown}")
     if "window" in pct_doc:
         pct_doc["window"] = _window_from_dict(pct_doc["window"])
     if "ridge_band_hz" in pct_doc:

@@ -20,6 +20,7 @@ from .tfd import (
     TFDGrid,
     next_pow2,
     psd_from_tfd,
+    pwvd,
     resolution_report,
     spwvd,
     stft,
@@ -142,8 +143,14 @@ def extract_ridge(
 
 
 def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
-    """Frequency of the global maximum of the grid's PSD within the band."""
+    """Frequency of the global maximum of the grid's PSD within the band.
+
+    An all-zero grid has no dominant frequency and raises
+    InsufficientDataError.
+    """
     p = psd_from_tfd(g)
+    if p.all_zero:
+        raise InsufficientDataError("grid is all zero; no dominant frequency")
     idx = _band_indices(p.freqs_hz, band_hz)
     return float(p.freqs_hz[idx][np.argmax(p.power[idx])])
 
@@ -328,8 +335,6 @@ def run_transform(x: SampledSignal, method: str, cfg: CompareConfig) -> TFDGrid:
     if method == "wvd":
         return wvd(x, wvd_fft)
     if method == "pwvd":
-        from .tfd import pwvd
-
         return pwvd(x, cfg.spwvd_freq_window, wvd_fft)
     if method == "spwvd":
         return spwvd(x, cfg.spwvd_time_window, cfg.spwvd_freq_window, wvd_fft)

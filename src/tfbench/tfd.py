@@ -27,11 +27,6 @@ from .core import ComplexSignal, SampledSignal, WindowSpec, analytic_signal, mak
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
-# imaginary residue of the lag-kernel DFT must stay below this fraction of
-# the grid peak before it is discarded
-_IMAG_RESIDUE_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class TFDGrid:
     """Time x frequency matrix of distribution values with explicit axes."""
@@ -160,73 +155,74 @@ def _window_meta(spec: WindowSpec) -> dict:
     return meta
 
 
-def _lag_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous autocorrelation q[lag, time] = z[n+m] conj(z[n-m]).
-
-    Lags run -M..M with M = (N-1)//2; products that would index outside the
-    signal are zero, which is the natural edge truncation.
-    """
-    n = z.size
-    m_max = (n - 1) // 2
-    lags = np.arange(-m_max, m_max + 1)
-    zp = np.concatenate([np.zeros(m_max, z.dtype), z, np.zeros(m_max, z.dtype)])
-    q = np.empty((lags.size, n), dtype=np.complex128)
-    for j, m in enumerate(lags):
-        q[j] = zp[m_max + m : m_max + m + n] * np.conj(zp[m_max - m : m_max - m + n])
-    return q, lags
-
-
-def _lag_window_on_grid(spec: WindowSpec, lags: np.ndarray) -> np.ndarray:
-    """Center a lag window on lag 0; lags beyond its half-span get weight 0."""
-    if spec.length_samples % 2 == 0:
-        raise ValueError("lag (frequency-smoothing) window length must be odd")
-    g = make_window(spec)
-    half = (spec.length_samples - 1) // 2
-    full = np.zeros(lags.size)
-    for j, m in enumerate(lags):
-        if abs(m) <= half:
-            full[j] = g[half + m]
-    return full
-
-
-def _wvd_core(
-    z: np.ndarray,
-    fs: float,
-    start_time_s: float,
-    nfft: int,
+def _wvd_family(
+    method: str,
+    x: SampledSignal | ComplexSignal,
+    fft_length: int,
+    use_analytic: bool,
     time_window: Optional[WindowSpec] = None,
-    lag_window: Optional[WindowSpec] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q, lags = _lag_kernel(z)
-    if time_window is not None and time_window.length_samples > 1:
-        if time_window.length_samples % 2 == 0:
-            raise ValueError("time-smoothing window length must be odd")
-        h = make_window(time_window)
-        h = h / h.sum()
-        q = fftconvolve(q, h[None, :], mode="same", axes=1)
-    if lag_window is not None:
-        q = q * _lag_window_on_grid(lag_window, lags)[:, None]
-    # scatter lags onto the DFT grid (negative lags wrap) and transform
-    acc = np.zeros((z.size, nfft), dtype=np.complex128)
-    for j, m in enumerate(lags):
-        acc[:, m % nfft] += q[j]
-    spectra = np.fft.fft(acc, axis=1)
-    peak = np.max(np.abs(spectra)) or 1.0
-    residue = np.max(np.abs(spectra.imag)) / peak
-    if residue > _IMAG_RESIDUE_TOL:
-        raise AssertionError(f"WVD imaginary residue {residue:.3e} exceeds tolerance")
-    values = spectra.real
-    times = start_time_s + np.arange(z.size) / fs
-    freqs = np.arange(nfft) * fs / (2.0 * nfft)
-    return times, freqs, values
+    freq_window: Optional[WindowSpec] = None,
+) -> TFDGrid:
+    """Separable-kernel WVD: time smoothing ``time_window``, lag taper
+    ``freq_window``; either may be absent.
 
-
-def _to_analytic_samples(x: SampledSignal | ComplexSignal, use_analytic: bool) -> tuple[np.ndarray, bool]:
+    The lag product q[n, m] = z[n+m] conj(z[n-m]) is Hermitian in m, and the
+    kernel is real and even in m, so only lags m = 0..L are built and the
+    distribution is 2 Re DFT(q) with lag 0 halved.  L = (N-1)//2, cut to the
+    lag window's half-span; products that index outside the signal are zero.
+    When L+1 exceeds ``fft_length`` the lags alias modulo it.
+    """
+    if len(x) < 4:
+        raise ValueError(f"{method} needs at least 4 samples")
+    if fft_length < 1:
+        raise ValueError("fft_length must be >= 1")
+    windows = {"time_window": time_window, "freq_window": freq_window}
+    for name, spec in windows.items():
+        if spec is not None and spec.length_samples % 2 == 0:
+            raise ValueError(f"{name} length must be odd")
+    if freq_window is not None and freq_window.periodic:
+        raise ValueError("freq_window must be symmetric: a periodic lag window is not even "
+                         "and would make the distribution complex")
     if np.iscomplexobj(x.samples):
-        return x.samples, True
-    if use_analytic:
-        return analytic_signal(x).samples, True
-    return x.samples.astype(np.complex128), False
+        z, analytic = x.samples, True
+    elif use_analytic:
+        z, analytic = analytic_signal(x).samples, True
+    else:
+        z, analytic = x.samples.astype(np.complex128), False
+
+    n = z.size
+    max_lag = (n - 1) // 2
+    if freq_window is not None:
+        max_lag = min(max_lag, (freq_window.length_samples - 1) // 2)
+    zp = np.concatenate([np.zeros(max_lag, z.dtype), z, np.zeros(max_lag, z.dtype)])
+    at = np.arange(max_lag, max_lag + n)[:, None]
+    lags = np.arange(max_lag + 1)[None, :]
+    q = zp[at + lags] * np.conj(zp[at - lags])
+    if time_window is not None:
+        h = make_window(time_window)
+        q = fftconvolve(q, (h / h.sum())[:, None], mode="same", axes=0)
+    if freq_window is not None:
+        g = make_window(freq_window)
+        q *= g[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
+    q[:, 0] *= 0.5
+    if max_lag + 1 > fft_length:
+        q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length)))
+        q = q.reshape(n, -1, fft_length).sum(axis=1)
+    values = 2.0 * np.fft.fft(q, n=fft_length, axis=1).real
+
+    fs = x.sample_rate_hz
+    times = x.start_time_s + np.arange(n) / fs
+    freqs = np.arange(fft_length) * fs / (2.0 * fft_length)
+    meta = {
+        "sample_rate_hz": fs,
+        "hop_samples": 1,
+        "fft_length": int(fft_length),
+        "analytic_input": analytic,
+        # real inputs fold at fs/4; the grid still spans [0, fs/2)
+        "folding_hz": fs / 2.0 if analytic else fs / 4.0,
+    }
+    meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
+    return TFDGrid(times, freqs, values, method, meta)
 
 
 def wvd(
@@ -239,14 +235,7 @@ def wvd(
     The input is replaced by its analytic associate unless ``use_analytic``
     is False; real inputs then fold above a quarter of the sample rate.
     """
-    if len(x) < 4:
-        raise ValueError("wvd needs at least 4 samples")
-    if fft_length < 1:
-        raise ValueError("fft_length must be >= 1")
-    z, analytic = _to_analytic_samples(x, use_analytic)
-    times, freqs, values = _wvd_core(z, x.sample_rate_hz, x.start_time_s, fft_length)
-    meta = _wvd_meta(x, fft_length, analytic)
-    return TFDGrid(times, freqs, values, "wvd", meta)
+    return _wvd_family("wvd", x, fft_length, use_analytic)
 
 
 def pwvd(
@@ -257,17 +246,7 @@ def pwvd(
 ) -> TFDGrid:
     """Pseudo-WVD: the lag product is tapered by ``freq_window`` before the
     DFT, smoothing the distribution along frequency."""
-    if len(x) < 4:
-        raise ValueError("pwvd needs at least 4 samples")
-    if freq_window.length_samples % 2 == 0:
-        raise ValueError("freq_window length must be odd")
-    z, analytic = _to_analytic_samples(x, use_analytic)
-    times, freqs, values = _wvd_core(
-        z, x.sample_rate_hz, x.start_time_s, fft_length, lag_window=freq_window
-    )
-    meta = _wvd_meta(x, fft_length, analytic)
-    meta["freq_window"] = _window_meta(freq_window)
-    return TFDGrid(times, freqs, values, "pwvd", meta)
+    return _wvd_family("pwvd", x, fft_length, use_analytic, freq_window=freq_window)
 
 
 def spwvd(
@@ -282,35 +261,7 @@ def spwvd(
     The lag product is averaged along time with ``time_window`` (normalized
     to unit sum) and tapered along lag with ``freq_window``.
     """
-    if len(x) < 4:
-        raise ValueError("spwvd needs at least 4 samples")
-    if time_window.length_samples % 2 == 0 or freq_window.length_samples % 2 == 0:
-        raise ValueError("smoothing window lengths must be odd")
-    z, analytic = _to_analytic_samples(x, use_analytic)
-    times, freqs, values = _wvd_core(
-        z,
-        x.sample_rate_hz,
-        x.start_time_s,
-        fft_length,
-        time_window=time_window,
-        lag_window=freq_window,
-    )
-    meta = _wvd_meta(x, fft_length, analytic)
-    meta["time_window"] = _window_meta(time_window)
-    meta["freq_window"] = _window_meta(freq_window)
-    return TFDGrid(times, freqs, values, "spwvd", meta)
-
-
-def _wvd_meta(x, fft_length: int, analytic: bool) -> dict:
-    fs = x.sample_rate_hz
-    return {
-        "sample_rate_hz": fs,
-        "hop_samples": 1,
-        "fft_length": int(fft_length),
-        "analytic_input": analytic,
-        # real inputs fold at fs/4; the grid still spans [0, fs/2)
-        "folding_hz": fs / 2.0 if analytic else fs / 4.0,
-    }
+    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window)
 
 
 def psd_from_tfd(g: TFDGrid) -> PSD:

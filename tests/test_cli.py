@@ -252,3 +252,39 @@ def test_config_file_errors(tmp_path):
         "analyze", str(csv_path), "--method", "stft",
         "--config", str(bad), "--out", str(tmp_path),
     ]) == EXIT_VALIDATION
+
+
+def test_analyze_rejects_periodic_lag_window(tmp_path, capsys):
+    csv_path, _ = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    window = {"kind": "hann", "length_samples": 63, "periodic": True}
+    cfg.write_text(json.dumps({"spwvd": {"freq_window": window}}))
+    out = tmp_path / "out"
+    rc = main([
+        "analyze", str(csv_path), "--method", "spwvd",
+        "--config", str(cfg), "--out", str(out),
+    ])
+    assert rc == EXIT_VALIDATION
+    assert "freq_window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"stft": {"window": {"kind": "hann"}}}, "length_samples"),
+        ({"pct": {"ridge_band": [5, 70]}}, "ridge_band"),
+    ],
+)
+def test_config_bad_keys_exit_validation(tmp_path, capsys, doc, key):
+    csv_path, _ = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main([
+        "analyze", str(csv_path), "--method", "stft",
+        "--config", str(cfg), "--out", str(out),
+    ])
+    assert rc == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not out.exists()

@@ -138,6 +138,14 @@ def test_dominant_frequency_of_tone():
     assert dominant_frequency(g, band_hz=(5.0, 80.0)) == pytest.approx(40.0, abs=0.625)
 
 
+def test_dominant_frequency_all_zero_grid_raises():
+    g = stft(SampledSignal(np.zeros(320), 320.0), WindowSpec("hann", 128), 4, 512)
+    with pytest.raises(InsufficientDataError):
+        dominant_frequency(g, band_hz=(5.0, 80.0))
+    row = compare_methods(SampledSignal(np.zeros(320), 320.0), methods=("stft",)).results[0]
+    assert row.dominant_freq_hz is None and "all zero" in row.error
+
+
 def test_compare_methods_on_x1():
     sig = gen_x1()
     report = compare_methods(sig.signal, sig.true_if, signal_id="x1")

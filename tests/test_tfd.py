@@ -137,6 +137,65 @@ def test_pwvd_rejects_even_window():
         pwvd(z, WindowSpec("hann", 32), 128)
 
 
+def test_wvd_family_rejects_periodic_lag_window():
+    z = analytic_tone(10.0, 64.0, 64)
+    periodic = WindowSpec("hann", 21, periodic=True)
+    with pytest.raises(ValueError, match="freq_window"):
+        pwvd(z, periodic, 128)
+    with pytest.raises(ValueError, match="freq_window"):
+        spwvd(z, WindowSpec("hann", 11), periodic, 128)
+    # the time window only averages real weights, so periodic stays allowed
+    g = spwvd(z, WindowSpec("hann", 11, periodic=True), WindowSpec("hann", 21), 128)
+    assert g.meta["time_window"]["periodic"] is True
+
+
+def _double_sum_wvd(z, nfft, time_window=None, freq_window=None):
+    """W[n,k] = sum over |m| <= (N-1)//2 of (h*q)[n,m] g[m] exp(-j2pi km/nfft),
+    with every term spelled out: q[n,m] = z[n+m] conj(z[n-m]), zero outside
+    the record; h is the unit-sum time window, g the lag window (0 beyond its
+    half-span).  Returned complex, so a non-real result shows."""
+    n = z.size
+    lags = np.arange(-((n - 1) // 2), (n - 1) // 2 + 1)
+    q = np.zeros((n, lags.size), dtype=complex)
+    for i in range(n):
+        for j, m in enumerate(lags):
+            if 0 <= i + m < n and 0 <= i - m < n:
+                q[i, j] = z[i + m] * np.conj(z[i - m])
+    if time_window is not None:
+        h = make_window(time_window)
+        h = h / h.sum()
+        c = h.size // 2
+        smoothed = np.zeros_like(q)
+        for i in range(n):
+            for k, w in enumerate(h):
+                if 0 <= i + c - k < n:
+                    smoothed[i] += w * q[i + c - k]
+        q = smoothed
+    g = np.ones(lags.size)
+    if freq_window is not None:
+        w, half = make_window(freq_window), freq_window.length_samples // 2
+        g = np.array([w[half + m] if abs(m) <= half else 0.0 for m in lags])
+    dft = np.exp(-2j * np.pi * np.outer(lags, np.arange(nfft)) / nfft)
+    return (q * g) @ dft
+
+
+@pytest.mark.parametrize("n", [33, 64])
+@pytest.mark.parametrize("nfft", [5, 128])  # below and above every lag count used
+@pytest.mark.parametrize("method", ["wvd", "pwvd", "spwvd"])
+def test_wvd_family_matches_double_sum(n, nfft, method):
+    rng = np.random.default_rng(n)
+    z = ComplexSignal(rng.normal(size=n) + 1j * rng.normal(size=n), 64.0)
+    tw, fw = WindowSpec("hamming", 9), WindowSpec("gaussian", 15)
+    if method == "wvd":
+        got, want = wvd(z, nfft), _double_sum_wvd(z.samples, nfft)
+    elif method == "pwvd":
+        got, want = pwvd(z, fw, nfft), _double_sum_wvd(z.samples, nfft, freq_window=fw)
+    else:
+        got, want = spwvd(z, tw, fw, nfft), _double_sum_wvd(z.samples, nfft, tw, fw)
+    assert got.values.shape == (n, nfft)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_spwvd_degenerate_equals_wvd():
     rng = np.random.default_rng(1)
     z = ComplexSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
