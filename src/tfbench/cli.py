@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .core import SampledSignal, WindowSpec, decimate
+from .core import SampledSignal, decimate
 from .evaluate import (
     DEFAULT_METHODS,
+    METHODS,
     CompareConfig,
     compare_methods,
     default_config,
@@ -32,7 +34,19 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-METHOD_CHOICES = ("stft", "wvd", "pwvd", "spwvd", "pct")
+# config-file section -> {key: CompareConfig field}; "config" is the top
+# level, whose "pct", "synth" and "signal_profile" keys are read separately
+_COMPARE_KEYS = {
+    "stft": {"window": "stft_window", "hop_samples": "stft_hop", "fft_length": "stft_fft"},
+    "wvd": {"fft_length": "wvd_fft"},
+    "spwvd": {"time_window": "spwvd_time_window", "freq_window": "spwvd_freq_window"},
+    "config": {k: k for k in ("band_hz", "amp_threshold_frac", "score_component")},
+}
+
+_JSON_TYPES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    tuple: "a list of two numbers",
+}
 
 
 def _band(text: str) -> tuple:
@@ -67,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="compute one TFD grid for a signal file")
     p_an.add_argument("input", help="signal file (.csv with time_s,amplitude header, or .wav)")
-    p_an.add_argument("--method", choices=METHOD_CHOICES, required=True)
+    p_an.add_argument("--method", choices=METHODS, required=True)
     p_an.add_argument("--band", type=_band, help="ridge/PSD band as lo:hi (Hz)")
     p_an.add_argument("--order", type=int, help="polynomial order for pct")
     p_an.add_argument("--config", help="JSON file with per-method parameters")
@@ -79,11 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="score several methods on one signal")
     p_cmp.add_argument("input", help="signal file (.csv or .wav)")
     p_cmp.add_argument("--truth", help="ground-truth JSON written by synth")
-    p_cmp.add_argument("--methods", help=f"comma-separated subset of {','.join(METHOD_CHOICES)}")
+    p_cmp.add_argument("--methods", help=f"comma-separated subset of {','.join(METHODS)}")
     p_cmp.add_argument("--band", type=_band, help="ridge/PSD band as lo:hi (Hz)")
     p_cmp.add_argument("--order", type=int, help="polynomial order for pct")
     p_cmp.add_argument("--config", help="JSON file with per-method parameters")
-    p_cmp.add_argument("--seed", type=int, help="accepted for script symmetry; unused here")
     p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
@@ -102,55 +115,65 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _window_from_dict(d: dict) -> WindowSpec:
-    for key in ("kind", "length_samples"):
-        if key not in d:
-            raise ValueError(f"window config lacks {key!r}")
-    return WindowSpec(
-        kind=d["kind"],
-        length_samples=int(d["length_samples"]),
-        alpha=float(d.get("alpha", 2.5)),
-        periodic=bool(d.get("periodic", False)),
-    )
+def _typed(value, hint, where: str):
+    """Check one JSON value against a field annotation.  Integers widen to
+    float; a bare ``tuple`` is a band, two numbers kept as given."""
+    if type(None) in get_args(hint):  # Optional[X]
+        if value is None:
+            return None
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    if is_dataclass(hint):
+        return _from_dict(hint, value, where)
+    number = (int, float)
+    if hint is tuple:
+        if isinstance(value, list) and len(value) == 2 and all(type(v) in number for v in value):
+            return tuple(value)
+    elif hint is float:
+        if type(value) in number:
+            return float(value)
+    elif type(value) is hint:  # so true/false is not an integer
+        return value
+    raise ValueError(f"{where} must be {_JSON_TYPES[hint]}, got {value!r}")
+
+
+def _from_dict(cls, doc, where: str, keys=None, under=None):
+    """Build dataclass ``cls`` from the JSON object ``doc``.
+
+    ``keys`` maps each accepted key to a field (default: the field names);
+    ``under`` holds field values that ``doc`` may override.  Unknown keys,
+    missing required fields and wrongly typed values raise ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    keys = keys or {f.name: f.name for f in fields(cls)}
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}")
+    hints = get_type_hints(cls)
+    values = dict(under or {})
+    for key, value in doc.items():
+        values[keys[key]] = _typed(value, hints[keys[key]], f"{where}.{key}")
+    missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{where} lacks {missing}")
+    return cls(**values)
 
 
 def _compare_config(doc: dict, band=None, order=None, profile: str = "x1") -> CompareConfig:
-    cfg = default_config(doc.get("signal_profile", profile))
-    stft_doc = doc.get("stft", {})
-    if "window" in stft_doc:
-        cfg.stft_window = _window_from_dict(stft_doc["window"])
-    if "hop_samples" in stft_doc:
-        cfg.stft_hop = int(stft_doc["hop_samples"])
-    if "fft_length" in stft_doc:
-        cfg.stft_fft = int(stft_doc["fft_length"])
-    if "fft_length" in doc.get("wvd", {}):
-        cfg.wvd_fft = int(doc["wvd"]["fft_length"])
-    spwvd_doc = doc.get("spwvd", {})
-    if "time_window" in spwvd_doc:
-        cfg.spwvd_time_window = _window_from_dict(spwvd_doc["time_window"])
-    if "freq_window" in spwvd_doc:
-        cfg.spwvd_freq_window = _window_from_dict(spwvd_doc["freq_window"])
-    if "band_hz" in doc:
-        cfg.band_hz = tuple(doc["band_hz"])
-    if "amp_threshold_frac" in doc:
-        cfg.amp_threshold_frac = float(doc["amp_threshold_frac"])
-    if "score_component" in doc:
-        cfg.score_component = doc["score_component"]
+    profile = _typed(doc.get("signal_profile", profile), str, "config.signal_profile")
+    cfg = default_config(profile)
+    skip = {"pct", "synth", "signal_profile", *_COMPARE_KEYS}
+    top = {k: v for k, v in doc.items() if k not in skip}
+    for section, keys in _COMPARE_KEYS.items():
+        part = top if section == "config" else doc.get(section, {})
+        cfg = _from_dict(CompareConfig, part, section, keys, vars(cfg))
     if band is not None:
         cfg.band_hz = band
-    pct_doc = dict(doc.get("pct", {}))
-    unknown = sorted(set(pct_doc) - {f.name for f in fields(PCTConfig)})
-    if unknown:
-        raise ValueError(f"unknown pct parameters {unknown}")
-    if "window" in pct_doc:
-        pct_doc["window"] = _window_from_dict(pct_doc["window"])
-    if "ridge_band_hz" in pct_doc:
-        pct_doc["ridge_band_hz"] = tuple(pct_doc["ridge_band_hz"])
-    pct_doc.setdefault("ridge_band_hz", cfg.band_hz)
-    pct_doc.setdefault("amp_threshold_frac", cfg.amp_threshold_frac)
-    if order is not None:
-        pct_doc["order"] = order
-    cfg.pct = PCTConfig(**pct_doc)
+    pct_doc = doc.get("pct", {})
+    if order is not None and isinstance(pct_doc, dict):
+        pct_doc = {**pct_doc, "order": order}
+    under = {"ridge_band_hz": cfg.band_hz, "amp_threshold_frac": cfg.amp_threshold_frac}
+    cfg.pct = _from_dict(PCTConfig, pct_doc, "pct", under=under)
     return cfg
 
 
@@ -176,7 +199,9 @@ def cmd_synth(args) -> int:
 
     doc = _load_config(args.config)
     generator = GENERATORS[args.signal_id]
-    kwargs = dict(doc.get("synth", {}))
+    kwargs = doc.get("synth", {})
+    if not isinstance(kwargs, dict):
+        raise ValueError(f"synth must be a JSON object, got {kwargs!r}")
     for flag, param in (
         (args.rate, "sample_rate_hz"),
         (args.duration, "duration_s"),
@@ -215,7 +240,7 @@ def cmd_analyze(args) -> int:
     grid = run_transform(x, args.method, cfg)
     if factor is not None:
         grid.meta["decimation_factor"] = factor
-    band = args.band if args.band is not None else cfg.band_hz
+    band = cfg.band_hz
     folding = resolution_report(grid).folding_hz
     if band is not None and band[1] > folding:
         grid.meta.setdefault("warnings", []).append(
@@ -259,17 +284,19 @@ def cmd_compare(args) -> int:
     x, _ = _maybe_decimate(x)
     if args.methods:
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        unknown = [m for m in methods if m not in METHOD_CHOICES]
+        unknown = [m for m in methods if m not in METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; valid: {METHOD_CHOICES}")
-        if not methods:
-            raise ValueError("at least one method must be requested")
+            raise ValueError(f"unknown methods {unknown}; valid: {tuple(METHODS)}")
     else:
         methods = DEFAULT_METHODS
     signal_id = truth_meta.get("signal_id") or Path(args.input).stem
     doc = _load_config(args.config)
     cfg = _compare_config(doc, band=args.band, order=args.order, profile=signal_id)
     report = compare_methods(x, truth, methods, cfg, signal_id=signal_id)
+    if all(r.error is not None for r in report.results):
+        raise ValueError(
+            "every method failed: " + "; ".join(f"{r.method}: {r.error}" for r in report.results)
+        )
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

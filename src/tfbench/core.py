@@ -20,9 +20,11 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled real-valued time series.
+    """Uniformly sampled time series, real or complex.
 
-    Sample i sits at time ``start_time_s + i / sample_rate_hz``.
+    Samples are stored as complex128 when the input is complex and as
+    float64 otherwise.  Sample i sits at time
+    ``start_time_s + i / sample_rate_hz``.
     """
 
     samples: np.ndarray
@@ -30,11 +32,15 @@ class SampledSignal:
     start_time_s: float = 0.0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        dtype = np.complex128 if np.iscomplexobj(samples) else np.float64
+        samples = samples.astype(dtype, copy=False)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if samples.size == 0:
             raise ValueError("samples must be non-empty")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite (no NaN or infinity)")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "samples", samples)
@@ -53,35 +59,9 @@ class SampledSignal:
         return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class ComplexSignal:
-    """Complex-valued time series; same sampling contract as SampledSignal."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-    start_time_s: float = 0.0
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if samples.size == 0:
-            raise ValueError("samples must be non-empty")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        object.__setattr__(self, "start_time_s", float(self.start_time_s))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-    def times(self) -> np.ndarray:
-        return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
+def ComplexSignal(samples, sample_rate_hz: float, start_time_s: float = 0.0) -> SampledSignal:
+    """A SampledSignal with its samples cast to complex128."""
+    return SampledSignal(np.asarray(samples, dtype=np.complex128), sample_rate_hz, start_time_s)
 
 
 WINDOW_KINDS = ("rectangular", "hann", "hamming", "gaussian")
@@ -133,7 +113,7 @@ def make_window(spec: WindowSpec) -> np.ndarray:
     return np.exp(-0.5 * (spec.alpha * n / (denom / 2.0)) ** 2)
 
 
-def analytic_signal(x: SampledSignal) -> ComplexSignal:
+def analytic_signal(x: SampledSignal) -> SampledSignal:
     """Analytic associate of a real signal via the frequency-domain method.
 
     The negative-frequency bins of the DFT are zeroed, the positive bins
@@ -141,6 +121,8 @@ def analytic_signal(x: SampledSignal) -> ComplexSignal:
     transform is the discrete Hilbert transform.  The real part of the result
     is the input, bit for bit.
     """
+    if np.iscomplexobj(x.samples):
+        raise ValueError("analytic_signal needs a real signal")
     n = len(x)
     if n < 2:
         raise ValueError("analytic_signal needs at least 2 samples")
@@ -154,7 +136,7 @@ def analytic_signal(x: SampledSignal) -> ComplexSignal:
         gain[1 : (n + 1) // 2] = 2.0
     z = np.fft.ifft(spectrum * gain)
     # rebuild from the original samples so the real part round-trips exactly
-    return ComplexSignal(x.samples + 1j * z.imag, x.sample_rate_hz, x.start_time_s)
+    return SampledSignal(x.samples + 1j * z.imag, x.sample_rate_hz, x.start_time_s)
 
 
 def decimate(x: SampledSignal, factor: int) -> SampledSignal:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
+from .core import InsufficientDataError, SampledSignal, WindowSpec
 from .tfd import (
     WVD_METHODS,
     ResolutionReport,
@@ -293,13 +293,7 @@ def compare_methods(
     if len(methods) == 0:
         raise ValueError("at least one method must be requested")
     cfg = config if config is not None else CompareConfig()
-    known = set(DEFAULT_METHODS) | {"pwvd"}
-    results = []
-    for method in methods:
-        if method not in known:
-            results.append(MethodResult(method=method, error=f"unknown method {method!r}"))
-            continue
-        results.append(_run_method(x, truth, method, cfg))
+    results = [_run_method(x, truth, method, cfg) for method in methods]
     return ComparisonReport(signal_id=signal_id, results=results)
 
 
@@ -322,27 +316,43 @@ def _run_method(
             result.rmse_hz, result.nrmse, result.n_scored = _score(
                 ridge, truth, cfg.score_component
             )
-    except Exception as exc:
+    except ValueError as exc:
+        # bad data or parameters (InsufficientDataError and LinAlgError
+        # included); any other exception is a bug and propagates
         result.error = str(exc)
     return result
 
 
+def _wvd_fft(x: SampledSignal, cfg: CompareConfig) -> int:
+    return cfg.wvd_fft if cfg.wvd_fft is not None else next_pow2(4 * len(x))
+
+
+def _pct(x: SampledSignal, cfg: CompareConfig) -> TFDGrid:
+    pct_cfg = cfg.pct if cfg.pct is not None else PCTConfig(
+        ridge_band_hz=cfg.band_hz, amp_threshold_frac=cfg.amp_threshold_frac
+    )
+    return pct_auto(x, pct_cfg)
+
+
+# method name -> grid builder.  Builders look the transforms up as module
+# globals when called, so a wrapped or patched transform is the one that runs.
+METHODS = {
+    "stft": lambda x, cfg: stft(x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft),
+    "wvd": lambda x, cfg: wvd(x, _wvd_fft(x, cfg)),
+    "pwvd": lambda x, cfg: pwvd(x, cfg.spwvd_freq_window, _wvd_fft(x, cfg)),
+    "spwvd": lambda x, cfg: spwvd(
+        x, cfg.spwvd_time_window, cfg.spwvd_freq_window, _wvd_fft(x, cfg)
+    ),
+    "pct": _pct,
+}
+
+
 def run_transform(x: SampledSignal, method: str, cfg: CompareConfig) -> TFDGrid:
     """Build the grid for one named method from a CompareConfig."""
-    wvd_fft = cfg.wvd_fft if cfg.wvd_fft is not None else next_pow2(4 * len(x))
-    if method == "stft":
-        return stft(x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft)
-    if method == "wvd":
-        return wvd(x, wvd_fft)
-    if method == "pwvd":
-        return pwvd(x, cfg.spwvd_freq_window, wvd_fft)
-    if method == "spwvd":
-        return spwvd(x, cfg.spwvd_time_window, cfg.spwvd_freq_window, wvd_fft)
-    if method == "pct":
-        from .pct import PCTConfig, pct_auto
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method](x, cfg)
 
-        pct_cfg = cfg.pct if cfg.pct is not None else PCTConfig(
-            ridge_band_hz=cfg.band_hz, amp_threshold_frac=cfg.amp_threshold_frac
-        )
-        return pct_auto(x, pct_cfg)
-    raise ValueError(f"unknown method {method!r}")
+
+# pct imports extract_ridge from this module, so it is imported last
+from .pct import PCTConfig, pct_auto  # noqa: E402

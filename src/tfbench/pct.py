@@ -24,14 +24,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import (
-    ComplexSignal,
-    InsufficientDataError,
-    SampledSignal,
-    WindowSpec,
-    analytic_signal,
-    make_window,
-)
+from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal, make_window
 from .evaluate import _band_indices, extract_ridge
 from .tfd import TFDGrid, _frame_starts, _short_time_power, _window_meta
 
@@ -104,11 +97,7 @@ class PCTConfig:
             raise ValueError("amp_threshold_frac must lie in [0, 1)")
 
 
-def pct_transform(
-    z: SampledSignal | ComplexSignal,
-    kernel: PolynomialKernel,
-    cfg: PCTConfig,
-) -> TFDGrid:
+def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) -> TFDGrid:
     """Polynomial chirplet transform, squared magnitudes.
 
     Grid conventions (frame centers, frequency axis, hop) match ``stft``;
@@ -123,8 +112,7 @@ def pct_transform(
         )
     fs = z.sample_rate_hz
     t = z.times()
-    samples = np.asarray(z.samples, dtype=np.complex128)
-    rotated = samples * np.exp(-2j * np.pi * kernel.trend_phase(t))
+    rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(t))
 
     wlen = cfg.window.length_samples
     starts = _frame_starts(len(z), wlen, cfg.hop_samples)
@@ -194,9 +182,7 @@ def _fit_ridge_poly(
     return coeffs, residual, n_valid
 
 
-def estimate_kernel(
-    z: SampledSignal | ComplexSignal, cfg: Optional[PCTConfig] = None
-) -> KernelFit:
+def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> KernelFit:
     """Alternate transform, ridge extraction, and polynomial fitting.
 
     Starts from a zero kernel (plain STFT view).  Converged when the fitted
@@ -238,7 +224,7 @@ def estimate_kernel(
     )
 
 
-def pct_auto(x: SampledSignal | ComplexSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:
+def pct_auto(x: SampledSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:
     """Analytic conversion, kernel estimation, final transform in one call."""
     cfg = cfg if cfg is not None else PCTConfig()
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)

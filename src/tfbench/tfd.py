@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .core import ComplexSignal, SampledSignal, WindowSpec, analytic_signal, make_window
+from .core import SampledSignal, WindowSpec, analytic_signal, make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
@@ -110,12 +110,7 @@ def _short_time_power(
     return np.abs(spectra) ** 2
 
 
-def stft(
-    x: SampledSignal | ComplexSignal,
-    window: WindowSpec,
-    hop_samples: int,
-    fft_length: int,
-) -> TFDGrid:
+def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int) -> TFDGrid:
     """Short-time Fourier transform, squared magnitudes.
 
     Frame k covers samples ``[k*hop, k*hop + window length)``; each frame is
@@ -157,7 +152,7 @@ def _window_meta(spec: WindowSpec) -> dict:
 
 def _wvd_family(
     method: str,
-    x: SampledSignal | ComplexSignal,
+    x: SampledSignal,
     fft_length: int,
     use_analytic: bool,
     time_window: Optional[WindowSpec] = None,
@@ -225,11 +220,7 @@ def _wvd_family(
     return TFDGrid(times, freqs, values, method, meta)
 
 
-def wvd(
-    x: SampledSignal | ComplexSignal,
-    fft_length: int,
-    use_analytic: bool = True,
-) -> TFDGrid:
+def wvd(x: SampledSignal, fft_length: int, use_analytic: bool = True) -> TFDGrid:
     """Wigner-Ville distribution at per-sample time resolution (hop 1).
 
     The input is replaced by its analytic associate unless ``use_analytic``
@@ -239,7 +230,7 @@ def wvd(
 
 
 def pwvd(
-    x: SampledSignal | ComplexSignal,
+    x: SampledSignal,
     freq_window: WindowSpec,
     fft_length: int,
     use_analytic: bool = True,
@@ -250,7 +241,7 @@ def pwvd(
 
 
 def spwvd(
-    x: SampledSignal | ComplexSignal,
+    x: SampledSignal,
     time_window: WindowSpec,
     freq_window: WindowSpec,
     fft_length: int,

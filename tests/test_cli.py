@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tfbench.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from tfbench.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _compare_config, main
 from tfbench.io import read_signal_csv, read_truth_json, write_signal_csv, write_wav
-from tfbench.core import SampledSignal
+from tfbench.core import SampledSignal, WindowSpec
+from tfbench.evaluate import default_config
+from tfbench.pct import PCTConfig
 
 
 def synth(tmp_path, signal_id="x1", *extra):
@@ -274,6 +276,19 @@ def test_analyze_rejects_periodic_lag_window(tmp_path, capsys):
     [
         ({"stft": {"window": {"kind": "hann"}}}, "length_samples"),
         ({"pct": {"ridge_band": [5, 70]}}, "ridge_band"),
+        ({"stft": {"window": 5}}, "stft.window"),
+        ({"wvd": 5}, "wvd"),
+        ({"band_hz": 5}, "band_hz"),
+        ({"band_hz": "5:80"}, "band_hz"),
+        ({"pct": {"order": "2"}}, "pct.order"),
+        ({"pct": {"window": 3}}, "pct.window"),
+        ({"stft": {"hop": 8}}, "hop"),
+        ({"band": [5, 60]}, "band"),
+        ({"stft": {"hop_samples": 4.7}}, "stft.hop_samples"),
+        ({"spwvd": {"freq_window": {"kind": "hann", "length_samples": 63, "periodic": "false"}}},
+         "periodic"),
+        ({"score_component": True}, "score_component"),
+        ({"signal_profile": 2}, "signal_profile"),
     ],
 )
 def test_config_bad_keys_exit_validation(tmp_path, capsys, doc, key):
@@ -286,5 +301,83 @@ def test_config_bad_keys_exit_validation(tmp_path, capsys, doc, key):
         "--config", str(cfg), "--out", str(out),
     ])
     assert rc == EXIT_VALIDATION
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+def test_config_every_key_reaches_its_field():
+    window = {"kind": "gaussian", "length_samples": 33, "alpha": 3, "periodic": False}
+    doc = {
+        "stft": {"window": window, "hop_samples": 2, "fft_length": 256},
+        "wvd": {"fft_length": 1024},
+        "spwvd": {"time_window": {"kind": "hamming", "length_samples": 21},
+                  "freq_window": {"kind": "hann", "length_samples": 41}},
+        "pct": {"order": 3, "max_iterations": 4, "ridge_band_hz": [10, 60],
+                "convergence_tol_hz": 0.5, "window": {"kind": "hann", "length_samples": 32},
+                "hop_samples": 2, "fft_length": 512, "amp_threshold_frac": 0.1},
+        "band_hz": [6, 70.5],
+        "amp_threshold_frac": 0.2,
+        "score_component": 1,
+        "signal_profile": "x2",
+        "synth": {"seed": 3},
+    }
+    cfg = _compare_config(doc)
+    assert cfg.stft_window == WindowSpec("gaussian", 33, 3.0)
+    assert type(cfg.stft_window.alpha) is float
+    assert (cfg.stft_hop, cfg.stft_fft, cfg.wvd_fft) == (2, 256, 1024)
+    assert cfg.spwvd_time_window == WindowSpec("hamming", 21)
+    assert cfg.spwvd_freq_window == WindowSpec("hann", 41)
+    assert cfg.band_hz == (6, 70.5)
+    assert (cfg.amp_threshold_frac, cfg.score_component) == (0.2, 1)
+    assert cfg.pct == PCTConfig(3, 4, (10, 60), 0.5, WindowSpec("hann", 32), 2, 512, 0.1)
+
+
+def test_config_defaults_and_flags():
+    cfg = _compare_config({}, profile="x2")
+    expected = default_config("x2")
+    expected.pct = PCTConfig(ridge_band_hz=(5.0, 80.0), amp_threshold_frac=0.05)
+    assert cfg == expected
+    # flags win over the file; pct inherits the band and threshold
+    cfg = _compare_config({"band_hz": [5, 60], "pct": {"order": 1}}, band=(8.0, 50.0), order=3)
+    assert cfg.band_hz == (8.0, 50.0)
+    assert cfg.pct.order == 3 and cfg.pct.ridge_band_hz == (8.0, 50.0)
+    assert _compare_config({"wvd": {"fft_length": None}, "score_component": None}).wvd_fft is None
+
+
+def test_synth_config_section_must_be_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": 5}))
+    out = tmp_path / "out"
+    assert main(["synth", "x1", "--out", str(out), "--config", str(cfg)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_compare_rejects_non_finite_sample(tmp_path, capsys):
+    csv_path, _ = synth(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    time_s = lines[100].split(",")[0]
+    lines[100] = f"{time_s},nan"
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--out", str(out)]) == EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_exits_validation_when_every_method_fails(tmp_path, capsys):
+    write_signal_csv(tmp_path / "zero.csv", SampledSignal(np.zeros(320), 320.0))
+    out = tmp_path / "out"
+    assert main(["compare", str(tmp_path / "zero.csv"), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: every method failed")
+    assert all(m in err for m in ("stft", "pct", "wvd", "spwvd"))
+    assert not out.exists()
+
+
+def test_compare_has_no_seed_flag(tmp_path):
+    csv_path, _ = synth(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(csv_path), "--seed", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2

@@ -30,6 +30,27 @@ def test_sampled_signal_validation():
         SampledSignal([1.0], -5.0)
 
 
+def test_sampled_signal_keeps_complex_samples():
+    z = SampledSignal(np.array([1.0 + 2.0j, -1.0j]), 4.0)
+    assert z.samples.dtype == np.complex128
+    np.testing.assert_array_equal(z.samples.imag, [2.0, -1.0])
+    assert SampledSignal([1, 2], 4.0).samples.dtype == np.float64
+    assert SampledSignal(np.arange(3, dtype=np.float32), 4.0).samples.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_sampled_signal_rejects_non_finite(bad):
+    samples = np.zeros(8, dtype=type(bad))
+    samples[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledSignal(samples, 8.0)
+
+
+def test_analytic_signal_rejects_complex_input():
+    with pytest.raises(ValueError, match="real"):
+        analytic_signal(ComplexSignal([1.0, 2.0, 3.0], 8.0))
+
+
 def test_complex_signal_dtype():
     z = ComplexSignal([1.0, 2.0], 4.0)
     assert z.samples.dtype == np.complex128

@@ -15,6 +15,7 @@ from tfbench.evaluate import (
     rmse,
     run_transform,
 )
+from tfbench import evaluate
 from tfbench.synth import gen_x1
 from tfbench.tfd import TFDGrid, stft
 
@@ -225,3 +226,21 @@ def test_report_serialization():
     table = report.format_table()
     assert "stft" in table and "bogus" in table
     assert table.endswith("\n")
+
+
+def test_method_table_names_every_method():
+    assert set(evaluate.DEFAULT_METHODS) <= set(evaluate.METHODS)
+    assert set(evaluate.METHODS) == {"stft", "wvd", "pwvd", "spwvd", "pct"}
+
+
+def test_compare_methods_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the transform")
+
+    monkeypatch.setattr(evaluate, "stft", broken)
+    sig = gen_x1()
+    with pytest.raises(TypeError, match="bug in the transform"):
+        compare_methods(sig.signal, sig.true_if, methods=("stft",))
+    # data and parameter errors still become error rows
+    row = compare_methods(SampledSignal(np.zeros(320), 320.0), methods=("wvd",)).results[0]
+    assert "all zero" in row.error
