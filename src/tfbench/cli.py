@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -195,8 +195,6 @@ def _maybe_decimate(x: SampledSignal) -> tuple:
 
 
 def cmd_synth(args) -> int:
-    import inspect
-
     doc = _load_config(args.config)
     generator = GENERATORS[args.signal_id]
     kwargs = doc.get("synth", {})
@@ -212,14 +210,20 @@ def cmd_synth(args) -> int:
             kwargs[param] = flag
     # a shared config may carry parameters for the other generator; keep only
     # what this one accepts, but reject keys unknown to every generator
-    valid_anywhere = set().union(
-        *(inspect.signature(g).parameters for g in GENERATORS.values())
-    )
+    valid_anywhere = set().union(*(get_type_hints(g) for g in GENERATORS.values())) - {"return"}
     unknown = sorted(set(kwargs) - valid_anywhere)
     if unknown:
         raise ValueError(f"unknown synth parameters {unknown}")
-    accepted = set(inspect.signature(generator).parameters)
-    kwargs = {k: v for k, v in kwargs.items() if k in accepted}
+    hints = get_type_hints(generator)
+    kwargs = {k: v for k, v in kwargs.items() if k in hints}
+    # values are checked, then passed on as written so truth.json keeps them
+    for key, value in kwargs.items():
+        if key == "chirp_coeffs":
+            if not (isinstance(value, list) and len(value) == 3
+                    and all(type(v) in (int, float) for v in value)):
+                raise ValueError(f"synth.chirp_coeffs must be a list of three numbers, got {value!r}")
+        else:
+            _typed(value, hints[key], f"synth.{key}")
     sig = generator(**kwargs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -238,19 +242,18 @@ def cmd_analyze(args) -> int:
     doc = _load_config(args.config)
     cfg = _compare_config(doc, band=args.band, order=args.order)
     grid = run_transform(x, args.method, cfg)
-    if factor is not None:
-        grid.meta["decimation_factor"] = factor
+    extra = {} if factor is None else {"decimation_factor": factor}
     band = cfg.band_hz
     folding = resolution_report(grid).folding_hz
     if band is not None and band[1] > folding:
-        grid.meta.setdefault("warnings", []).append(
+        extra["warnings"] = [
             f"band top {band[1]} Hz exceeds folding frequency {folding} Hz; "
             "content above it is aliased"
-        )
+        ]
     pgm_payload = None
     if args.pgm:
-        pgm_payload, render_info = tfio.render_pgm(grid, db=args.db)
-        grid.meta["render"] = render_info
+        pgm_payload, extra["render"] = tfio.render_pgm(grid, db=args.db)
+    grid = replace(grid, meta={**grid.meta, **extra})
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

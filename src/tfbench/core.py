@@ -173,6 +173,8 @@ def add_white_noise(x: SampledSignal, snr: float, seed: int, db: bool = False) -
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
+    if np.iscomplexobj(x.samples):
+        raise ValueError("add_white_noise needs real samples; the noise is real")
     ratio = 10.0 ** (snr / 10.0) if db else float(snr)
     if math.isinf(ratio):
         return SampledSignal(x.samples.copy(), x.sample_rate_hz, x.start_time_s)

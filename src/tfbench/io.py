@@ -27,12 +27,19 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _real_samples(x: SampledSignal, where: str) -> np.ndarray:
+    if np.iscomplexobj(x.samples):
+        raise ValueError(f"{where} needs real samples; pass the part to keep, e.g. the real part")
+    return x.samples
+
+
 def write_signal_csv(path, x: SampledSignal) -> None:
+    samples = _real_samples(x, "signal CSV")
     t = x.times()
     with open(path, "w", newline="") as fh:
         fh.write("time_s,amplitude\n")
         for i in range(len(x)):
-            fh.write(f"{_fmt(t[i])},{_fmt(x.samples[i])}\n")
+            fh.write(f"{_fmt(t[i])},{_fmt(samples[i])}\n")
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -62,16 +69,17 @@ def read_signal_csv(path) -> SampledSignal:
 
 def write_wav(path, x: SampledSignal, dtype: str = "float32") -> None:
     """Single-channel WAV; dtype 'float32' or 'int16' (values scaled by 2^15)."""
+    samples = _real_samples(x, "WAV")
     rate = x.sample_rate_hz
     if abs(rate - round(rate)) > 1e-9:
         raise ValueError(f"WAV requires an integer sample rate, got {rate}")
     if dtype == "float32":
-        data = x.samples.astype(np.float32)
+        data = samples.astype(np.float32)
     elif dtype == "int16":
-        peak = float(np.max(np.abs(x.samples))) or 1.0
+        peak = float(np.max(np.abs(samples))) or 1.0
         if peak > 1.0:
             raise ValueError("int16 WAV needs samples within [-1, 1]")
-        data = np.round(x.samples * 32767.0).astype(np.int16)
+        data = np.round(samples * 32767.0).astype(np.int16)
     else:
         raise ValueError(f"unsupported WAV dtype {dtype!r}")
     wavfile.write(path, int(round(rate)), data)

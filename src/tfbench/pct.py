@@ -18,15 +18,15 @@ polynomial fitting until the fitted IF stops moving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal, make_window
+from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
 from .evaluate import _band_indices, extract_ridge
-from .tfd import TFDGrid, _frame_starts, _short_time_power, _window_meta
+from .tfd import TFDGrid, _short_time
 
 
 @dataclass(frozen=True)
@@ -100,40 +100,25 @@ class PCTConfig:
 def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) -> TFDGrid:
     """Polynomial chirplet transform, squared magnitudes.
 
-    Grid conventions (frame centers, frequency axis, hop) match ``stft``;
-    meaningful concentration requires an analytic input, since the rotation
-    operator would defocus a real signal's mirrored spectrum.
+    The STFT framing of the rotated signal, each frame shifted by the
+    kernel's IF at its center, so axes and meta keys match ``stft`` plus
+    ``kernel_coeffs``.  Meaningful concentration requires an analytic input,
+    since the rotation operator would defocus a real signal's mirrored
+    spectrum.
     """
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
-    if cfg.window.length_samples > len(z):
-        raise ValueError(
-            f"window ({cfg.window.length_samples}) longer than signal ({len(z)})"
-        )
-    fs = z.sample_rate_hz
-    t = z.times()
-    rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(t))
-
-    wlen = cfg.window.length_samples
-    starts = _frame_starts(len(z), wlen, cfg.hop_samples)
-    centers = z.start_time_s + (starts + (wlen - 1) / 2.0) / fs
-    frame_times = t[starts[:, None] + np.arange(wlen)[None, :]]
-    shift = np.exp(2j * np.pi * kernel.local_if(centers)[:, None] * frame_times)
-
-    win = make_window(cfg.window)
-    values = _short_time_power(
-        rotated, win, cfg.hop_samples, cfg.fft_length, frame_multiplier=shift
+    rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
+    return _short_time(
+        "pct",
+        SampledSignal(rotated, z.sample_rate_hz, z.start_time_s),
+        cfg.window,
+        cfg.hop_samples,
+        cfg.fft_length,
+        kernel.local_if,
+        analytic_input=bool(np.iscomplexobj(z.samples)),
+        kernel_coeffs=list(kernel.coeffs),
     )
-    freqs = np.arange(cfg.fft_length // 2 + 1) * fs / cfg.fft_length
-    meta = {
-        "sample_rate_hz": fs,
-        "window": _window_meta(cfg.window),
-        "hop_samples": int(cfg.hop_samples),
-        "fft_length": int(cfg.fft_length),
-        "analytic_input": bool(np.iscomplexobj(z.samples)),
-        "kernel_coeffs": list(kernel.coeffs),
-    }
-    return TFDGrid(centers, freqs, values, "pct", meta)
 
 
 @dataclass(frozen=True)
@@ -212,9 +197,8 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
         prev_fitted = fitted
         kernel = PolynomialKernel(tuple(coeffs[1:]))
     final_kernel, if_coeffs = best
-    final_grid = pct_transform(z, final_kernel, cfg)
-    final_grid.meta["iterations"] = iterations
-    final_grid.meta["converged"] = converged
+    grid = pct_transform(z, final_kernel, cfg)
+    final_grid = replace(grid, meta={**grid.meta, "iterations": iterations, "converged": converged})
     return KernelFit(
         kernel=final_kernel,
         grid=final_grid,

@@ -53,6 +53,7 @@ class TFDGrid:
         object.__setattr__(self, "times_s", times)
         object.__setattr__(self, "freqs_hz", freqs)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def n_times(self) -> int:
@@ -84,30 +85,50 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-def _frame_starts(n_samples: int, window_length: int, hop: int) -> np.ndarray:
-    return np.arange(0, n_samples - window_length + 1, hop)
+def _short_time(
+    method: str,
+    x: SampledSignal,
+    window: WindowSpec,
+    hop_samples: int,
+    fft_length: int,
+    shift_hz=None,
+    **meta,
+) -> TFDGrid:
+    """The framing ``stft`` documents, as a grid named ``method``.
 
-
-def _short_time_power(
-    samples: np.ndarray,
-    window: np.ndarray,
-    hop: int,
-    nfft: int,
-    frame_multiplier: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Squared-magnitude short-time spectra, frames along axis 0.
-
-    ``frame_multiplier`` (same shape as the frame matrix) is applied before
-    windowing; the polynomial chirplet transform uses it for its rotation and
-    shift operators.
+    ``shift_hz`` maps frame centers to Hz; when given, frame k is multiplied
+    by exp(2j*pi*shift_hz(center_k)*t) at its sample times t before
+    windowing.  ``meta`` adds or overrides grid meta keys.
     """
-    wlen = window.size
-    starts = _frame_starts(samples.size, wlen, hop)
-    frames = samples[starts[:, None] + np.arange(wlen)[None, :]]
-    if frame_multiplier is not None:
-        frames = frames * frame_multiplier
-    spectra = np.fft.fft(frames * window[None, :], n=nfft, axis=1)[:, : nfft // 2 + 1]
-    return np.abs(spectra) ** 2
+    if hop_samples < 1:
+        raise ValueError("hop_samples must be >= 1")
+    wlen = window.length_samples
+    if wlen > fft_length:
+        raise ValueError("window must not be longer than fft_length")
+    if wlen > len(x):
+        raise ValueError(f"window ({wlen}) longer than signal ({len(x)})")
+    fs = x.sample_rate_hz
+    starts = np.arange(0, len(x) - wlen + 1, hop_samples)
+    frame_index = starts[:, None] + np.arange(wlen)[None, :]
+    times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
+    frames = x.samples[frame_index]
+    if shift_hz is not None:
+        # named, not inlined: numpy may compute an inlined temporary's
+        # product as shift * frames, which rounds differently on large grids
+        shift = np.exp(2j * np.pi * shift_hz(times)[:, None] * x.times()[frame_index])
+        frames = frames * shift
+    spectra = np.fft.fft(frames * make_window(window)[None, :], n=fft_length, axis=1)
+    values = np.abs(spectra[:, : fft_length // 2 + 1]) ** 2
+    freqs = np.arange(fft_length // 2 + 1) * fs / fft_length
+    meta = {
+        "sample_rate_hz": fs,
+        "window": _window_meta(window),
+        "hop_samples": int(hop_samples),
+        "fft_length": int(fft_length),
+        "analytic_input": bool(np.iscomplexobj(x.samples)),
+        **meta,
+    }
+    return TFDGrid(times, freqs, values, method, meta)
 
 
 def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int) -> TFDGrid:
@@ -117,28 +138,7 @@ def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int
     windowed, zero-padded to ``fft_length`` and transformed.  The time stamp
     of a frame is the center of its window.
     """
-    if hop_samples < 1:
-        raise ValueError("hop_samples must be >= 1")
-    if window.length_samples > fft_length:
-        raise ValueError("window must not be longer than fft_length")
-    if window.length_samples > len(x):
-        raise ValueError(
-            f"window ({window.length_samples}) longer than signal ({len(x)})"
-        )
-    win = make_window(window)
-    values = _short_time_power(x.samples, win, hop_samples, fft_length)
-    fs = x.sample_rate_hz
-    starts = _frame_starts(len(x), window.length_samples, hop_samples)
-    times = x.start_time_s + (starts + (window.length_samples - 1) / 2.0) / fs
-    freqs = np.arange(fft_length // 2 + 1) * fs / fft_length
-    meta = {
-        "sample_rate_hz": fs,
-        "window": _window_meta(window),
-        "hop_samples": int(hop_samples),
-        "fft_length": int(fft_length),
-        "analytic_input": bool(np.iscomplexobj(x.samples)),
-    }
-    return TFDGrid(times, freqs, values, "stft", meta)
+    return _short_time("stft", x, window, hop_samples, fft_length)
 
 
 def _window_meta(spec: WindowSpec) -> dict:

@@ -64,6 +64,37 @@ def test_synth_config_file(tmp_path):
     assert rc == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "synth_doc, key",
+    [
+        ({"seed": "3"}, "synth.seed"),
+        ({"snr": "10"}, "synth.snr"),
+        ({"chirp_coeffs": [1, 2]}, "synth.chirp_coeffs"),
+        ({"chirp_coeffs": [1, 2, "3"]}, "synth.chirp_coeffs"),
+        ({"snr_is_db": 1}, "synth.snr_is_db"),
+        ({"sample_rate_hz": "320"}, "synth.sample_rate_hz"),
+    ],
+)
+def test_synth_config_bad_values_exit_validation(tmp_path, capsys, synth_doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": synth_doc}))
+    out = tmp_path / "out"
+    assert main(["synth", "x2", "--out", str(out), "--config", str(cfg)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
+
+
+def test_synth_config_values_pass_as_written(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"sample_rate_hz": 400, "duration_s": 1,
+                                         "chirp_coeffs": [870, -215.0, 20]}}))
+    rc = main(["synth", "x2", "--out", str(tmp_path), "--config", str(cfg)])
+    assert rc == EXIT_OK
+    params = json.loads((tmp_path / "x2.truth.json").read_text())["params"]
+    assert type(params["sample_rate_hz"]) is int and type(params["duration_s"]) is int
+    assert params["chirp_phase_coeffs"] == [870, -215.0, 20]
+
+
 def test_synth_config_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"synth": {"wavelet_order": 3}}))

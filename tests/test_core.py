@@ -227,3 +227,9 @@ def test_add_white_noise_deterministic_and_inf():
     np.testing.assert_array_equal(c.samples, x.samples)
     with pytest.raises(ValueError):
         add_white_noise(x, 0.0, seed=1)
+
+
+def test_add_white_noise_rejects_complex_samples():
+    z = ComplexSignal(np.exp(2j * np.pi * np.arange(64) / 8), 8.0)
+    with pytest.raises(ValueError, match="real samples"):
+        add_white_noise(z, 5.0, seed=1)

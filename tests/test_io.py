@@ -95,6 +95,23 @@ def test_wav_validation(tmp_path):
         read_wav(stereo)
 
 
+def test_signal_csv_rejects_complex_samples(tmp_path):
+    z = SampledSignal(np.exp(2j * np.pi * np.arange(8) / 8), 8.0)
+    path = tmp_path / "z.csv"
+    with pytest.raises(ValueError, match="real samples"):
+        write_signal_csv(path, z)
+    assert not path.exists()
+
+
+def test_wav_rejects_complex_samples(tmp_path):
+    z = SampledSignal(0.5 * np.exp(2j * np.pi * np.arange(8) / 8), 8.0)
+    path = tmp_path / "z.wav"
+    for dtype in ("float32", "int16"):
+        with pytest.raises(ValueError, match="real samples"):
+            write_wav(path, z, dtype=dtype)
+    assert not path.exists()
+
+
 def test_truth_json_roundtrip(tmp_path):
     sig = gen_x2(seed=4)
     p = tmp_path / "x2.truth.json"

@@ -1,7 +1,19 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tfbench.core import ComplexSignal, InsufficientDataError, SampledSignal, WindowSpec
+from tfbench.core import (
+    WINDOW_KINDS,
+    ComplexSignal,
+    InsufficientDataError,
+    SampledSignal,
+    WindowSpec,
+    analytic_signal,
+    make_window,
+)
 from tfbench.pct import (
     PCTConfig,
     PolynomialKernel,
@@ -80,6 +92,77 @@ def test_zero_kernel_equals_stft():
     assert np.max(np.abs(g_pct.values - g_stft.values)) <= 1e-12 * scale
     np.testing.assert_array_equal(g_pct.times_s, g_stft.times_s)
     np.testing.assert_array_equal(g_pct.freqs_hz, g_stft.freqs_hz)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    kind=st.sampled_from(WINDOW_KINDS),
+    periodic=st.booleans(),
+    wlen=st.integers(1, 48),
+    extra_samples=st.integers(0, 150),
+    hop=st.integers(1, 7),
+    extra_fft=st.integers(0, 40),
+    analytic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_kernel_equals_stft_property(kind, periodic, wlen, extra_samples, hop, extra_fft,
+                                          analytic, seed):
+    rng = np.random.default_rng(seed)
+    x = SampledSignal(rng.normal(size=wlen + extra_samples), 100.0, start_time_s=rng.uniform(-1, 1))
+    z = analytic_signal(x) if analytic and len(x) >= 2 else x
+    window = WindowSpec(kind, wlen, periodic=periodic)
+    cfg = PCTConfig(order=2, window=window, hop_samples=hop, fft_length=wlen + extra_fft)
+    g_pct = pct_transform(z, PolynomialKernel.zero(2), cfg)
+    g_stft = stft(z, window, hop, cfg.fft_length)
+    np.testing.assert_array_equal(g_pct.times_s, g_stft.times_s)
+    np.testing.assert_array_equal(g_pct.freqs_hz, g_stft.freqs_hz)
+    assert np.max(np.abs(g_pct.values - g_stft.values)) <= 1e-12 * g_stft.values.max()
+    assert g_pct.meta == {**g_stft.meta, "kernel_coeffs": [0.0, 0.0]}
+
+
+def pct_by_loops(z, coeffs, window, hop, nfft):
+    """Brute-force PCT: rotate every sample by the integrated IF model, shift
+    each frame by the model IF at its center, window, then a direct DFT sum."""
+    fs = z.sample_rate_hz
+    wlen = window.length_samples
+    win = make_window(window)
+    rotated = []
+    for i, sample in enumerate(z.samples):
+        t = z.start_time_s + i / fs
+        trend = sum(a * t ** (k + 1) / (k + 1) for k, a in enumerate(coeffs, start=1))
+        rotated.append(sample * cmath.exp(-2j * cmath.pi * trend))
+    rows = []
+    for start in range(0, len(z) - wlen + 1, hop):
+        center = z.start_time_s + (start + (wlen - 1) / 2) / fs
+        shift_hz = sum(a * center**k for k, a in enumerate(coeffs, start=1))
+        frame = []
+        for i in range(wlen):
+            t = z.start_time_s + (start + i) / fs
+            frame.append(win[i] * rotated[start + i] * cmath.exp(2j * cmath.pi * shift_hz * t))
+        row = []
+        for m in range(nfft // 2 + 1):
+            acc = sum(v * cmath.exp(-2j * cmath.pi * m * i / nfft) for i, v in enumerate(frame))
+            row.append(abs(acc) ** 2)
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [33, 64])
+@pytest.mark.parametrize("coeffs", [(25.0,), (-30.0, 90.0)])
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize("hop", [1, 3])
+def test_pct_matches_per_frame_loops(n, coeffs, analytic, hop):
+    fs = 64.0
+    t = 0.3 + np.arange(n) / fs
+    x = SampledSignal(np.cos(2 * np.pi * (6.0 * t + 4.0 * t * t)) + 0.3 * np.sin(2 * np.pi * 19.0 * t),
+                      fs, start_time_s=0.3)
+    z = analytic_signal(x) if analytic else x
+    window = WindowSpec("hann", 15)
+    cfg = PCTConfig(order=len(coeffs), window=window, hop_samples=hop, fft_length=24)
+    g = pct_transform(z, PolynomialKernel(coeffs), cfg)
+    expected = pct_by_loops(z, coeffs, window, hop, cfg.fft_length)
+    assert g.values.shape == expected.shape
+    assert np.max(np.abs(g.values - expected)) <= 1e-12 * expected.max()
 
 
 def test_matched_kernel_concentrates_chirp():

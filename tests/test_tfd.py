@@ -37,6 +37,14 @@ def test_tfd_grid_validation():
         TFDGrid([0.0, 1.0], [1.0, 1.0], np.zeros((2, 2)), "stft")
 
 
+def test_tfd_grid_keeps_its_own_meta():
+    meta = {"sample_rate_hz": 10.0}
+    g = TFDGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), "stft", meta)
+    meta["sample_rate_hz"] = 20.0
+    meta["warnings"] = ["added later"]
+    assert g.meta == {"sample_rate_hz": 10.0}
+
+
 def test_stft_grid_axes():
     sig = SampledSignal(np.zeros(320), 320.0)
     g = stft(sig, WindowSpec("hann", 128), 4, 512)
