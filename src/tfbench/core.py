@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import filtfilt, firwin
+from scipy.signal import firwin, lfilter
 
 
 class InsufficientDataError(ValueError):
@@ -159,8 +159,17 @@ def decimate(x: SampledSignal, factor: int) -> SampledSignal:
     cutoff_hz = 0.8 * (new_rate / 2.0)
     taps = 64 * factor + 1  # odd length keeps the FIR symmetric
     b = firwin(taps, cutoff_hz, window="hamming", fs=x.sample_rate_hz)
-    padlen = min(3 * taps, len(x) - 1)
-    filtered = filtfilt(b, [1.0], x.samples, padlen=padlen)
+    # scipy's filtfilt(b, [1.0], x, padlen=pad), written out: odd extension,
+    # then forward and backward passes started from the step-response steady
+    # state.  For an FIR filter that state is the reversed cumulative sum of
+    # b[1:], which filtfilt would get from a dense (taps-1)-square solve.
+    pad = min(3 * taps, len(x) - 1)
+    s = x.samples
+    ext = np.concatenate((2 * s[:1] - s[pad:0:-1], s, 2 * s[-1:] - s[-2 : -pad - 2 : -1]))
+    zi = np.cumsum(b[:0:-1])[::-1]
+    y, _ = lfilter(b, [1.0], ext, zi=zi * ext[:1])
+    y, _ = lfilter(b, [1.0], y[::-1], zi=zi * y[-1:])
+    filtered = y[::-1][pad:-pad]
     return SampledSignal(filtered[::factor], new_rate, x.start_time_s)
 
 

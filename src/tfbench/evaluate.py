@@ -18,8 +18,8 @@ from .tfd import (
     WVD_METHODS,
     ResolutionReport,
     TFDGrid,
+    _band_indices,
     next_pow2,
-    psd_from_tfd,
     pwvd,
     resolution_report,
     spwvd,
@@ -104,16 +104,12 @@ def nrmse(actual: IFTrajectory, estimated: IFTrajectory) -> float:
     return float(np.sqrt(np.mean(d * d))) / mean_actual
 
 
-def _band_indices(freqs_hz: np.ndarray, band_hz: Optional[tuple]) -> np.ndarray:
-    if band_hz is None:
-        return np.arange(freqs_hz.size)
-    lo, hi = band_hz
-    if lo > hi:
-        raise ValueError(f"band low {lo} exceeds band high {hi}")
-    idx = np.nonzero((freqs_hz >= lo) & (freqs_hz <= hi))[0]
-    if idx.size == 0:
-        raise ValueError(f"band {band_hz} contains no grid frequencies")
-    return idx
+def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> tuple:
+    """(slice, columns) of the grid inside ``band_hz``; WVD-family columns by
+    absolute value, so negative lobes count by magnitude."""
+    band = _band_indices(g.freqs_hz, band_hz)
+    vals = g.values[:, band]
+    return band, np.abs(vals) if g.method in WVD_METHODS else vals
 
 
 def extract_ridge(
@@ -130,8 +126,7 @@ def extract_ridge(
     """
     if not 0.0 <= amp_threshold_frac < 1.0:
         raise ValueError("amp_threshold_frac must lie in [0, 1)")
-    idx = _band_indices(g.freqs_hz, band_hz)
-    vals = np.abs(g.values[:, idx]) if g.method in WVD_METHODS else g.values[:, idx]
+    band, vals = _band_magnitudes(g, band_hz)
     arg = np.argmax(vals, axis=1)
     peaks = vals[np.arange(vals.shape[0]), arg]
     global_peak = float(peaks.max(initial=0.0))
@@ -139,20 +134,22 @@ def extract_ridge(
         valid = np.zeros(g.n_times, dtype=bool)
     else:
         valid = peaks >= amp_threshold_frac * global_peak
-    return IFTrajectory(g.times_s.copy(), g.freqs_hz[idx][arg], valid)
+    return IFTrajectory(g.times_s.copy(), g.freqs_hz[band][arg], valid)
 
 
 def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
-    """Frequency of the global maximum of the grid's PSD within the band.
+    """Frequency of the maximum of the grid's PSD within the band.
 
-    An all-zero grid has no dominant frequency and raises
-    InsufficientDataError.
+    The PSD is the time mean of the band's columns, by absolute value for
+    WVD-family grids as in ``psd_from_tfd``; only its argmax matters, so it
+    is not normalized.  A band that is all zero has no dominant frequency
+    and raises InsufficientDataError.
     """
-    p = psd_from_tfd(g)
-    if p.all_zero:
-        raise InsufficientDataError("grid is all zero; no dominant frequency")
-    idx = _band_indices(p.freqs_hz, band_hz)
-    return float(p.freqs_hz[idx][np.argmax(p.power[idx])])
+    band, vals = _band_magnitudes(g, band_hz)
+    power = vals.mean(axis=0)
+    if not power.any():
+        raise InsufficientDataError("grid is all zero in the band; no dominant frequency")
+    return float(g.freqs_hz[band][np.argmax(power)])
 
 
 @dataclass
@@ -305,7 +302,7 @@ def _run_method(
 ) -> MethodResult:
     result = MethodResult(method=method)
     try:
-        grid = run_transform(x, method, cfg)
+        grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
         if method == "pct":
             result.converged = grid.meta.get("converged")
         result.resolution = resolution_report(grid)
@@ -334,24 +331,32 @@ def _pct(x: SampledSignal, cfg: CompareConfig) -> TFDGrid:
     return pct_auto(x, pct_cfg)
 
 
-# method name -> grid builder.  Builders look the transforms up as module
-# globals when called, so a wrapped or patched transform is the one that runs.
+# method name -> grid builder (x, cfg, band_hz).  Only the WVD family builds
+# a band grid; the others ignore the band.  Builders look the transforms up as
+# module globals when called, so a wrapped or patched transform is the one
+# that runs.
 METHODS = {
-    "stft": lambda x, cfg: stft(x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft),
-    "wvd": lambda x, cfg: wvd(x, _wvd_fft(x, cfg)),
-    "pwvd": lambda x, cfg: pwvd(x, cfg.spwvd_freq_window, _wvd_fft(x, cfg)),
-    "spwvd": lambda x, cfg: spwvd(
-        x, cfg.spwvd_time_window, cfg.spwvd_freq_window, _wvd_fft(x, cfg)
+    "stft": lambda x, cfg, band: stft(x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft),
+    "wvd": lambda x, cfg, band: wvd(x, _wvd_fft(x, cfg), band_hz=band),
+    "pwvd": lambda x, cfg, band: pwvd(x, cfg.spwvd_freq_window, _wvd_fft(x, cfg), band_hz=band),
+    "spwvd": lambda x, cfg, band: spwvd(
+        x, cfg.spwvd_time_window, cfg.spwvd_freq_window, _wvd_fft(x, cfg), band_hz=band
     ),
-    "pct": _pct,
+    "pct": lambda x, cfg, band: _pct(x, cfg),
 }
 
 
-def run_transform(x: SampledSignal, method: str, cfg: CompareConfig) -> TFDGrid:
-    """Build the grid for one named method from a CompareConfig."""
+def run_transform(
+    x: SampledSignal, method: str, cfg: CompareConfig, band_hz: Optional[tuple] = None
+) -> TFDGrid:
+    """Build the grid for one named method from a CompareConfig.
+
+    ``band_hz`` lets the WVD family build only the bins inside it; STFT and
+    PCT grids always span [0, fs/2].
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return METHODS[method](x, cfg)
+    return METHODS[method](x, cfg, band_hz)
 
 
 # pct imports extract_ridge from this module, so it is imported last

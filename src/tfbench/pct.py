@@ -25,8 +25,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
-from .evaluate import _band_indices, extract_ridge
-from .tfd import TFDGrid, _short_time
+from .evaluate import extract_ridge
+from .tfd import TFDGrid, _band_indices, _short_time
 
 
 @dataclass(frozen=True)

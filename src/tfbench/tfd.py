@@ -13,6 +13,10 @@ Conventions
   bilinear kernel oscillates at twice the signal frequency in lag.  Real
   (non-analytic) inputs consequently fold above a quarter of the sample
   rate; analytic inputs are clean up to half.
+* ``wvd``, ``pwvd`` and ``spwvd`` take ``band_hz=(lo, hi)`` to keep only the
+  bins of that frequency axis with lo <= f <= hi (edges included).  Those
+  columns, their axis and the meta are bit-identical to the full grid's;
+  only the grid is narrower.  ``None`` (the default) keeps [0, fs/2).
 """
 
 from __future__ import annotations
@@ -21,11 +25,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from .core import SampledSignal, WindowSpec, analytic_signal, make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
+
+# complex output of one row chunk of the WVD-family lag FFT, in bytes
+_LAG_FFT_CHUNK_BYTES = 1 << 24
+
 
 @dataclass(frozen=True)
 class TFDGrid:
@@ -83,6 +92,21 @@ class PSD:
 
 def next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
+
+
+def _band_indices(freqs_hz: np.ndarray, band_hz: Optional[tuple]) -> slice:
+    """The bins of a strictly increasing axis with lo <= f <= hi, as a slice;
+    every bin when ``band_hz`` is None."""
+    if band_hz is None:
+        return slice(0, freqs_hz.size)
+    lo, hi = band_hz
+    if lo > hi:
+        raise ValueError(f"band low {lo} exceeds band high {hi}")
+    start = int(np.searchsorted(freqs_hz, lo, side="left"))
+    stop = int(np.searchsorted(freqs_hz, hi, side="right"))
+    if start >= stop or np.isnan(lo) or np.isnan(hi):
+        raise ValueError(f"band {band_hz} contains no grid frequencies")
+    return slice(start, stop)
 
 
 def _short_time(
@@ -157,15 +181,18 @@ def _wvd_family(
     use_analytic: bool,
     time_window: Optional[WindowSpec] = None,
     freq_window: Optional[WindowSpec] = None,
+    band_hz: Optional[tuple] = None,
 ) -> TFDGrid:
     """Separable-kernel WVD: time smoothing ``time_window``, lag taper
-    ``freq_window``; either may be absent.
+    ``freq_window``; either may be absent.  ``band_hz`` keeps only the
+    bins inside it; an empty band raises ValueError.
 
     The lag product q[n, m] = z[n+m] conj(z[n-m]) is Hermitian in m, and the
     kernel is real and even in m, so only lags m = 0..L are built and the
     distribution is 2 Re DFT(q) with lag 0 halved.  L = (N-1)//2, cut to the
     lag window's half-span; products that index outside the signal are zero.
-    When L+1 exceeds ``fft_length`` the lags alias modulo it.
+    When L+1 exceeds ``fft_length`` the lags alias modulo it.  The lag FFT
+    runs over row chunks, so only the kept bins of every row are stored.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
@@ -178,6 +205,9 @@ def _wvd_family(
     if freq_window is not None and freq_window.periodic:
         raise ValueError("freq_window must be symmetric: a periodic lag window is not even "
                          "and would make the distribution complex")
+    fs = x.sample_rate_hz
+    freqs = np.arange(fft_length) * fs / (2.0 * fft_length)
+    band = _band_indices(freqs, band_hz)
     if np.iscomplexobj(x.samples):
         z, analytic = x.samples, True
     elif use_analytic:
@@ -203,11 +233,13 @@ def _wvd_family(
     if max_lag + 1 > fft_length:
         q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length)))
         q = q.reshape(n, -1, fft_length).sum(axis=1)
-    values = 2.0 * np.fft.fft(q, n=fft_length, axis=1).real
+    rows = max(1, _LAG_FFT_CHUNK_BYTES // (16 * fft_length))
+    values = np.empty((n, band.stop - band.start))
+    for r in range(0, n, rows):
+        spectra = sp_fft.fft(q[r : r + rows], n=fft_length, axis=1)
+        values[r : r + rows] = 2.0 * spectra[:, band].real
 
-    fs = x.sample_rate_hz
     times = x.start_time_s + np.arange(n) / fs
-    freqs = np.arange(fft_length) * fs / (2.0 * fft_length)
     meta = {
         "sample_rate_hz": fs,
         "hop_samples": 1,
@@ -217,16 +249,22 @@ def _wvd_family(
         "folding_hz": fs / 2.0 if analytic else fs / 4.0,
     }
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
-    return TFDGrid(times, freqs, values, method, meta)
+    return TFDGrid(times, freqs[band], values, method, meta)
 
 
-def wvd(x: SampledSignal, fft_length: int, use_analytic: bool = True) -> TFDGrid:
+def wvd(
+    x: SampledSignal,
+    fft_length: int,
+    use_analytic: bool = True,
+    band_hz: Optional[tuple] = None,
+) -> TFDGrid:
     """Wigner-Ville distribution at per-sample time resolution (hop 1).
 
     The input is replaced by its analytic associate unless ``use_analytic``
     is False; real inputs then fold above a quarter of the sample rate.
+    ``band_hz`` keeps only the bins inside it (see the module notes).
     """
-    return _wvd_family("wvd", x, fft_length, use_analytic)
+    return _wvd_family("wvd", x, fft_length, use_analytic, band_hz=band_hz)
 
 
 def pwvd(
@@ -234,10 +272,14 @@ def pwvd(
     freq_window: WindowSpec,
     fft_length: int,
     use_analytic: bool = True,
+    band_hz: Optional[tuple] = None,
 ) -> TFDGrid:
     """Pseudo-WVD: the lag product is tapered by ``freq_window`` before the
-    DFT, smoothing the distribution along frequency."""
-    return _wvd_family("pwvd", x, fft_length, use_analytic, freq_window=freq_window)
+    DFT, smoothing the distribution along frequency.  ``band_hz`` as in
+    ``wvd``."""
+    return _wvd_family(
+        "pwvd", x, fft_length, use_analytic, freq_window=freq_window, band_hz=band_hz
+    )
 
 
 def spwvd(
@@ -246,13 +288,17 @@ def spwvd(
     freq_window: WindowSpec,
     fft_length: int,
     use_analytic: bool = True,
+    band_hz: Optional[tuple] = None,
 ) -> TFDGrid:
     """Smoothed pseudo-WVD with a separable kernel.
 
     The lag product is averaged along time with ``time_window`` (normalized
-    to unit sum) and tapered along lag with ``freq_window``.
+    to unit sum) and tapered along lag with ``freq_window``.  ``band_hz``
+    as in ``wvd``.
     """
-    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window)
+    return _wvd_family(
+        "spwvd", x, fft_length, use_analytic, time_window, freq_window, band_hz
+    )
 
 
 def psd_from_tfd(g: TFDGrid) -> PSD:
@@ -272,12 +318,24 @@ def psd_from_tfd(g: TFDGrid) -> PSD:
 
 
 def resolution_report(g: TFDGrid) -> ResolutionReport:
-    """Axis spacings plus Nyquist and folding frequency for a grid."""
-    if g.n_times < 2 or g.n_freqs < 2:
+    """Axis spacings plus Nyquist and folding frequency for a grid.
+
+    The frequency spacing comes from ``fft_length`` in the meta when it is
+    there, so a band grid reports the bits of its full grid; otherwise it is
+    the difference of the first two bins.
+    """
+    nfft = g.meta.get("fft_length")
+    if g.n_times < 2 or (g.n_freqs < 2 and nfft is None):
         raise ValueError("resolution_report needs at least 2 points per axis")
     fs = g.meta.get("sample_rate_hz")
     if fs is None:
         raise ValueError("grid meta lacks sample_rate_hz")
+    if nfft is None:
+        df = g.freqs_hz[1] - g.freqs_hz[0]
+    elif g.method in WVD_METHODS:
+        df = fs / (2.0 * nfft)
+    else:
+        df = fs / nfft
     nyquist = fs / 2.0
     if g.method in WVD_METHODS:
         folding = nyquist if g.meta.get("analytic_input", True) else nyquist / 2.0
@@ -285,7 +343,7 @@ def resolution_report(g: TFDGrid) -> ResolutionReport:
         folding = nyquist
     return ResolutionReport(
         temporal_resolution_ms=1000.0 * (g.times_s[1] - g.times_s[0]),
-        spectral_resolution_hz=float(g.freqs_hz[1] - g.freqs_hz[0]),
+        spectral_resolution_hz=float(df),
         nyquist_hz=nyquist,
         folding_hz=folding,
     )

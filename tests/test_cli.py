@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from tfbench import evaluate
 from tfbench.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _compare_config, main
 from tfbench.io import read_signal_csv, read_truth_json, write_signal_csv, write_wav
 from tfbench.core import SampledSignal, WindowSpec
 from tfbench.evaluate import default_config
 from tfbench.pct import PCTConfig
+from tfbench.tfd import next_pow2, wvd
 
 
 def synth(tmp_path, signal_id="x1", *extra):
@@ -270,6 +272,25 @@ def test_compare_band_flag(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["compare", str(csv_path), "--band", "60:10", "--out", str(tmp_path)])
+
+
+def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
+    # at 1000/3 Hz the first two bins of a 5-80 Hz band are not fs/(2 nfft)
+    # apart to the last bit, so spectral_resolution_hz must come from the meta
+    csv_path, truth_path = synth(tmp_path, "x1", "--rate", str(1000.0 / 3.0))
+    x = read_signal_csv(csv_path)
+    band = wvd(x, next_pow2(4 * len(x)), band_hz=(5.0, 80.0))
+    assert band.freqs_hz[1] - band.freqs_hz[0] != x.sample_rate_hz / (2.0 * band.meta["fft_length"])
+    argv = ["compare", str(csv_path), "--truth", str(truth_path),
+            "--methods", "stft,wvd,pwvd,spwvd,pct"]
+    assert main([*argv, "--out", str(tmp_path / "band")]) == EXIT_OK
+
+    full_grids = evaluate.run_transform
+    monkeypatch.setattr(evaluate, "run_transform",
+                        lambda x, method, cfg, band_hz=None: full_grids(x, method, cfg))
+    assert main([*argv, "--out", str(tmp_path / "full")]) == EXIT_OK
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "band" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_config_file_errors(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import filtfilt, firwin
 
 from tfbench.core import (
     ComplexSignal,
@@ -195,6 +196,22 @@ def test_decimate_rejects_out_of_band_tone():
     out_power = np.mean(y.samples[32:-32] ** 2)
     # stopband suppression well past 40 dB
     assert out_power < in_power * 1e-4
+
+
+@pytest.mark.parametrize(
+    "fs, factor, n",
+    [(1600.0, 2, 3200), (1000.5, 3, 2001), (1600.0, 5, 6400), (4000.0, 12, 4000),
+     # padlen = N - 1; below N = taps the passes' initial state reaches the output
+     (1600.0, 5, 400), (1600.0, 5, 200), (1600.0, 12, 100)],
+)
+def test_decimate_equals_filtfilt_bit_for_bit(fs, factor, n):
+    x = SampledSignal(np.random.default_rng(factor).normal(size=n), fs, start_time_s=0.5)
+    taps = 64 * factor + 1
+    b = firwin(taps, 0.8 * (fs / factor / 2.0), window="hamming", fs=fs)
+    padlen = min(3 * taps, n - 1)
+    y = decimate(x, factor)
+    assert np.array_equal(y.samples, filtfilt(b, [1.0], x.samples, padlen=padlen)[::factor])
+    assert y.sample_rate_hz == fs / factor and y.start_time_s == 0.5
 
 
 def test_add_white_noise_power_calibration():

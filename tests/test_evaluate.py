@@ -17,7 +17,8 @@ from tfbench.evaluate import (
 )
 from tfbench import evaluate
 from tfbench.synth import gen_x1
-from tfbench.tfd import TFDGrid, stft
+from tfbench.evaluate import _band_indices
+from tfbench.tfd import TFDGrid, spwvd, stft, wvd
 
 
 def traj(freqs, valid=None, times=None):
@@ -145,6 +146,53 @@ def test_dominant_frequency_all_zero_grid_raises():
         dominant_frequency(g, band_hz=(5.0, 80.0))
     row = compare_methods(SampledSignal(np.zeros(320), 320.0), methods=("stft",)).results[0]
     assert row.dominant_freq_hz is None and "all zero" in row.error
+
+
+@pytest.mark.parametrize(
+    "freqs",
+    [np.arange(2048) * 320.0 / 4096.0, np.arange(257) * (1000.0 / 3.0) / 512, np.array([7.5])],
+)
+@pytest.mark.parametrize(
+    "band",
+    [None, (5.0, 80.0), (0.0, 160.0), (-1.0, 0.0), (7.5, 7.5), (10.0, 10.01),
+     (10.0, 10.1), (79.9, 1e9), (-np.inf, np.inf), (200.0, 300.0), (np.nan, 80.0),
+     (5.0, np.nan)],
+)
+def test_band_indices_slice_selects_the_band_mask(freqs, band):
+    if band is None:
+        assert np.array_equal(np.arange(freqs.size)[_band_indices(freqs, band)],
+                              np.arange(freqs.size))
+        return
+    mask = (freqs >= band[0]) & (freqs <= band[1])
+    if not mask.any():
+        with pytest.raises(ValueError, match="contains no grid frequencies"):
+            _band_indices(freqs, band)
+        return
+    band_slice = _band_indices(freqs, band)
+    assert isinstance(band_slice, slice)
+    assert np.array_equal(np.arange(freqs.size)[band_slice], np.nonzero(mask)[0])
+
+
+def test_dominant_frequency_judges_the_band_only():
+    # power outside the band, none inside: no in-band dominant frequency
+    g = grid_from_rows([[0.0, 0.0, 5.0], [0.0, 0.0, 4.0]], [10.0, 20.0, 30.0])
+    with pytest.raises(InsufficientDataError, match="all zero"):
+        dominant_frequency(g, band_hz=(10.0, 20.0))
+    assert dominant_frequency(g, band_hz=(10.0, 30.0)) == 30.0
+    w = grid_from_rows([[0.0, -3.0, 2.0], [0.0, -1.0, 1.0]], [10.0, 20.0, 30.0], "wvd")
+    assert dominant_frequency(w, band_hz=(5.0, 25.0)) == 20.0  # by magnitude
+
+
+def test_band_grids_give_the_full_grids_ridge_and_dominant_frequency():
+    sig = gen_x1().signal
+    band = (5.0, 80.0)
+    tw, fw = WindowSpec("hann", 31), WindowSpec("hann", 63)
+    for build in (lambda **kw: wvd(sig, 1280, **kw), lambda **kw: spwvd(sig, tw, fw, 1280, **kw)):
+        full, limited = build(), build(band_hz=band)
+        assert limited.n_freqs < full.n_freqs
+        assert dominant_frequency(limited, band) == dominant_frequency(full, band)
+        a, b = extract_ridge(full, band, 0.05), extract_ridge(limited, band, 0.05)
+        assert np.array_equal(a.freqs_hz, b.freqs_hz) and np.array_equal(a.valid, b.valid)
 
 
 def test_compare_methods_on_x1():

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tfbench import tfd
 from tfbench.core import ComplexSignal, SampledSignal, WindowSpec, make_window
 from tfbench.tfd import (
     TFDGrid,
@@ -290,3 +295,80 @@ def test_resolution_report_errors():
     g2 = TFDGrid([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2)), "stft", {})
     with pytest.raises(ValueError):
         resolution_report(g2)
+
+
+def _wvd_method(method, x, nfft, tlen, flen, **kw):
+    if method == "wvd":
+        return wvd(x, nfft, **kw)
+    if method == "pwvd":
+        return pwvd(x, WindowSpec("hann", flen), nfft, **kw)
+    return spwvd(x, WindowSpec("hamming", tlen), WindowSpec("gaussian", flen), nfft, **kw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    method=st.sampled_from(["wvd", "pwvd", "spwvd"]),
+    n=st.integers(4, 90),
+    nfft=st.integers(1, 160),
+    rows=st.integers(1, 40),
+    kind=st.sampled_from(["real", "complex", "real, use_analytic=False"]),
+    tlen=st.integers(0, 10),
+    flen=st.integers(0, 60),
+    bins=st.tuples(st.integers(0, 159), st.integers(0, 159)),
+    between=st.tuples(st.booleans(), st.booleans()),
+    limited=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wvd_family_band_grid_equals_full_grid_columns(
+    method, n, nfft, rows, kind, tlen, flen, bins, between, limited, seed
+):
+    rng = np.random.default_rng(seed)
+    fs = 100.0
+    if kind == "complex":
+        x = ComplexSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs, start_time_s=0.25)
+    else:
+        x = SampledSignal(rng.normal(size=n), fs, start_time_s=0.25)
+    kw = {"use_analytic": False} if kind.endswith("False") else {}
+    tlen, flen = 2 * tlen + 1, 2 * flen + 1
+    # one chunk: the lag FFT as a single call over every row
+    full = _wvd_method(method, x, nfft, tlen, flen, **kw)
+    f = full.freqs_hz
+    lo_k, hi_k = sorted(min(b, nfft - 1) for b in bins)
+    # a band edge on a bin, or halfway to the next one
+    lo = f[lo_k] + (fs / (4.0 * nfft) if between[0] else 0.0)
+    hi = f[hi_k] + (fs / (4.0 * nfft) if between[1] else 0.0)
+    band_hz = (lo, hi) if limited else None
+    keep = (f >= lo) & (f <= hi) if limited else np.ones(f.size, dtype=bool)
+    # `rows` rows per chunk: N below, at and across chunk boundaries
+    with mock.patch.object(tfd, "_LAG_FFT_CHUNK_BYTES", rows * 16 * nfft):
+        if not keep.any():
+            with pytest.raises(ValueError, match="band"):
+                _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
+            return
+        got = _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
+    assert np.array_equal(got.values, full.values[:, keep])
+    assert np.array_equal(got.freqs_hz, f[keep])
+    assert np.array_equal(got.times_s, full.times_s)
+    assert got.meta == full.meta and got.method == full.method
+
+
+def test_wvd_family_empty_band_raises():
+    z = analytic_tone(40.0, 320.0, 64)
+    df = 320.0 / (2 * 128)
+    for band in [(200.0, 300.0), (10.2 * df, 10.7 * df), (-5.0, -1.0), (60.0, 50.0)]:
+        for method in ("wvd", "pwvd", "spwvd"):
+            with pytest.raises(ValueError, match="band"):
+                _wvd_method(method, z, 128, 11, 21, band_hz=band)
+
+
+def test_resolution_report_band_grid_keeps_full_grid_spacing():
+    fs = 1000.0 / 3.0
+    x = SampledSignal(np.cos(2 * np.pi * 40.0 * np.arange(333) / fs), fs)
+    full, band = wvd(x, 2048), wvd(x, 2048, band_hz=(5.0, 80.0))
+    # the premise: the first two band bins are not fs/(2 nfft) apart to the bit
+    assert band.freqs_hz[1] - band.freqs_hz[0] != full.freqs_hz[1] - full.freqs_hz[0]
+    assert resolution_report(band) == resolution_report(full)
+    assert resolution_report(full).spectral_resolution_hz == full.freqs_hz[1] - full.freqs_hz[0]
+    one_bin = wvd(x, 2048, band_hz=(full.freqs_hz[300], full.freqs_hz[300]))
+    assert one_bin.n_freqs == 1
+    assert resolution_report(one_bin) == resolution_report(full)
