@@ -15,6 +15,8 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from .core import SampledSignal, decimate
 from .evaluate import (
     DEFAULT_METHODS,
@@ -283,6 +285,15 @@ def cmd_compare(args) -> int:
             raise ValueError(
                 f"truth length {truth_meta.get('n_samples')} does not match "
                 f"signal length {len(x)}"
+            )
+        t = x.times()
+        # to a millionth of a sample: a rate inferred from CSV time stamps is
+        # only close to the one the file was written with
+        if any(len(tr) != len(t) or np.max(np.abs(tr.times_s - t)) * x.sample_rate_hz > 1e-6
+               for tr in truth):
+            raise ValueError(
+                "truth times_s do not match the signal's sample times "
+                f"({x.sample_rate_hz:g} Hz from {x.start_time_s:g} s)"
             )
     x, _ = _maybe_decimate(x)
     if args.methods:

@@ -23,48 +23,58 @@ from .tfd import TFDGrid
 _UNIFORMITY_TOL = 1e-6
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _real_samples(x: SampledSignal, where: str) -> np.ndarray:
     if np.iscomplexobj(x.samples):
         raise ValueError(f"{where} needs real samples; pass the part to keep, e.g. the real part")
     return x.samples
 
 
-def write_signal_csv(path, x: SampledSignal) -> None:
-    samples = _real_samples(x, "signal CSV")
-    t = x.times()
+def _write_table(path, header: str, times: np.ndarray, columns: np.ndarray) -> None:
+    """CSV of one header line, then per row its time and its ``columns`` row."""
     with open(path, "w", newline="") as fh:
-        fh.write("time_s,amplitude\n")
-        for i in range(len(x)):
-            fh.write(f"{_fmt(t[i])},{_fmt(samples[i])}\n")
+        fh.write(header + "\n")
+        for t, row in zip(times.tolist(), columns.tolist()):
+            fh.write(",".join(map(repr, [t, *row])) + "\n")
+
+
+def _read_table(path, leading: list, expected: str) -> tuple:
+    """(header cells, float matrix) of a CSV whose header starts with the
+    ``leading`` cells; empty lines are skipped and every other row must be
+    as wide as the header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header[: len(leading)]] != leading:
+            raise ValueError(f"{path}: expected {expected}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
+            rows.append([float(v) for v in row])
+    return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+
+
+def write_signal_csv(path, x: SampledSignal) -> None:
+    _write_table(path, "time_s,amplitude", x.times(), _real_samples(x, "signal CSV")[:, None])
 
 
 def read_signal_csv(path) -> SampledSignal:
     """Read a `time_s,amplitude` CSV; the rate is inferred from the time
-    column, which must be uniformly spaced."""
-    times = []
-    amps = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["time_s", "amplitude"]:
-            raise ValueError(f"{path}: expected header 'time_s,amplitude'")
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            amps.append(float(row[1]))
-    if len(times) < 2:
+    column, which must be uniformly spaced.  Further columns are ignored."""
+    _, table = _read_table(path, ["time_s", "amplitude"], "header 'time_s,amplitude'")
+    if len(table) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
-    t = np.asarray(times)
+    t = table[:, 0]
     dt = np.diff(t)
     mean_dt = float(dt.mean())
     if mean_dt <= 0 or np.max(np.abs(dt - mean_dt)) > _UNIFORMITY_TOL * mean_dt:
         raise ValueError(f"{path}: time column is not uniformly sampled")
-    return SampledSignal(np.asarray(amps), 1.0 / mean_dt, start_time_s=t[0])
+    return SampledSignal(np.ascontiguousarray(table[:, 1]), 1.0 / mean_dt, start_time_s=t[0])
 
 
 def write_wav(path, x: SampledSignal, dtype: str = "float32") -> None:
@@ -121,24 +131,25 @@ def write_truth_json(path, sig: SyntheticSignal) -> None:
             for traj in sig.true_if
         ],
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_truth_json(path) -> tuple[list, dict]:
     """Returns (trajectories, meta) where meta holds everything else."""
     with open(path) as fh:
         doc = json.load(fh)
-    times = np.asarray(doc["times_s"], dtype=np.float64)
-    trajectories = [
-        IFTrajectory(
-            times,
-            np.asarray(c["freqs_hz"], dtype=np.float64),
-            np.asarray(c["valid"], dtype=bool),
-        )
-        for c in doc["components"]
-    ]
+    try:
+        times = np.asarray(doc["times_s"], dtype=np.float64)
+        trajectories = [
+            IFTrajectory(
+                times,
+                np.asarray(c["freqs_hz"], dtype=np.float64),
+                np.asarray(c["valid"], dtype=bool),
+            )
+            for c in doc["components"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed truth file ({type(exc).__name__}: {exc})") from None
     meta = {k: v for k, v in doc.items() if k not in ("times_s", "components")}
     return trajectories, meta
 
@@ -146,27 +157,12 @@ def read_truth_json(path) -> tuple[list, dict]:
 def write_grid_csv(path, g: TFDGrid) -> None:
     """Matrix CSV: first row is the frequency axis, first column the time
     axis, corner cell empty."""
-    with open(path, "w", newline="") as fh:
-        fh.write("," + ",".join(_fmt(f) for f in g.freqs_hz) + "\n")
-        for i in range(g.n_times):
-            fh.write(_fmt(g.times_s[i]) + "," + ",".join(map(_fmt, g.values[i])) + "\n")
+    _write_table(path, "," + ",".join(map(repr, g.freqs_hz.tolist())), g.times_s, g.values)
 
 
 def read_grid_csv(path, method: str = "stft", meta: Optional[dict] = None) -> TFDGrid:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "":
-            raise ValueError(f"{path}: expected an empty corner cell in the header row")
-        freqs = np.asarray([float(v) for v in header[1:]])
-        times = []
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            times.append(float(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    return TFDGrid(np.asarray(times), freqs, np.asarray(rows), method, meta or {})
+    header, table = _read_table(path, [""], "an empty corner cell in the header row")
+    return TFDGrid(table[:, 0], [float(v) for v in header[1:]], table[:, 1:], method, meta or {})
 
 
 def grid_meta_dict(g: TFDGrid) -> dict:

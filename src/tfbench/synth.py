@@ -16,7 +16,7 @@ estimators can be scored against ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -111,31 +111,18 @@ def true_if(sig: SyntheticSignal, component: int) -> IFTrajectory:
     return sig.true_if[component]
 
 
-def _burst_segments(
-    bursts: Sequence[tuple],
-    rate_hz: float,
-    t_ref_mode: str,
-    shared_t_ref_s: float,
-) -> list:
-    """Raised-cosine segments for (onset, end, peak) triples.
+def _bursts(
+    sample_rate_hz: float, duration_s: float, peaks: tuple, t_ref_mode: str, shared_t_ref_s: float
+) -> tuple:
+    """Time axis, burst segments and envelope of the two-burst layout.
 
-    ``t_ref_mode`` "onset" references each burst's cosine to its own onset so
-    the envelope rises from zero; "shared" references all bursts to one fixed
-    instant, reproducing a piecewise definition written against a common
-    clock (which can start a burst at nonzero amplitude).
+    The bursts sit on (0.25, 0.40] and (0.70, 0.83] with the given peaks and
+    a 7 Hz raised cosine.  ``t_ref_mode`` "onset" references each burst's
+    cosine to its own onset so the envelope rises from zero; "shared"
+    references both bursts to ``shared_t_ref_s``, reproducing a piecewise
+    definition written against a common clock (which can start a burst at
+    nonzero amplitude).
     """
-    if t_ref_mode not in ("onset", "shared"):
-        raise ValueError(f"t_ref_mode must be 'onset' or 'shared', got {t_ref_mode!r}")
-    segments = []
-    for onset, end, peak in bursts:
-        ref = onset if t_ref_mode == "onset" else shared_t_ref_s
-        segments.append(
-            EnvelopeSegment(onset, end, "raised_cosine", peak, rate_hz, ref)
-        )
-    return segments
-
-
-def _check_grid(sample_rate_hz: float, duration_s: float) -> np.ndarray:
     if sample_rate_hz < 160.0:
         raise ValueError(
             f"sample_rate_hz must be at least 160 (got {sample_rate_hz}); "
@@ -143,8 +130,35 @@ def _check_grid(sample_rate_hz: float, duration_s: float) -> np.ndarray:
         )
     if duration_s < 1.0:
         raise ValueError("duration_s must be at least 1 to span the burst layout")
-    n = int(round(sample_rate_hz * duration_s))
-    return np.arange(n) / sample_rate_hz
+    if t_ref_mode not in ("onset", "shared"):
+        raise ValueError(f"t_ref_mode must be 'onset' or 'shared', got {t_ref_mode!r}")
+    t = np.arange(int(round(sample_rate_hz * duration_s))) / sample_rate_hz
+    shared = t_ref_mode == "shared"
+    segments = [
+        EnvelopeSegment(onset, end, "raised_cosine", peak, 7.0, shared_t_ref_s if shared else onset)
+        for onset, end, peak in zip((0.25, 0.70), (0.40, 0.83), peaks)
+    ]
+    return t, segments, envelope_values(segments, t)
+
+
+def _synthetic(
+    signal_id: str, sample_rate_hz: float, t: np.ndarray, env: np.ndarray,
+    waves: tuple, freqs: tuple, params: dict,
+) -> SyntheticSignal:
+    """Noiseless record of two components; each IF (a constant or an array)
+    is valid where ``env > 0``."""
+    # not sum(): 0 + (-0.0) would flip the sign of negative-zero samples
+    clean = SampledSignal(waves[0] + waves[1], sample_rate_hz)
+    mask = env > 0.0
+    return SyntheticSignal(
+        signal=clean,
+        clean=clean,
+        components=tuple(SampledSignal(w, sample_rate_hz) for w in waves),
+        true_if=tuple(IFTrajectory(t, np.full(t.size, f), mask) for f in freqs),
+        component_masks=np.stack([mask, mask]),
+        signal_id=signal_id,
+        params=params,
+    )
 
 
 def gen_x1(
@@ -160,21 +174,9 @@ def gen_x1(
     is the pair of constant trajectories at 20 and 40 Hz on the burst
     support.  Deterministic (no noise).
     """
-    t = _check_grid(sample_rate_hz, duration_s)
-    segments = _burst_segments(
-        [(0.25, 0.40, 1.0), (0.70, 0.83, 0.90)], 7.0, t_ref_mode, shared_t_ref_s
-    )
-    env = envelope_values(segments, t)
+    t, segments, env = _bursts(sample_rate_hz, duration_s, (1.0, 0.90), t_ref_mode, shared_t_ref_s)
     comp0 = -env * np.sin(2.0 * np.pi * 20.0 * t + 94.0)
     comp1 = 0.9 * env * np.sin(2.0 * np.pi * 40.0 * t + 188.0)
-    clean = comp0 + comp1
-    mask = env > 0.0
-    masks = np.stack([mask, mask])
-    traj = (
-        IFTrajectory(t, np.full(t.size, 20.0), mask),
-        IFTrajectory(t, np.full(t.size, 40.0), mask),
-    )
-    sig = SampledSignal(clean, sample_rate_hz)
     params = {
         "sample_rate_hz": sample_rate_hz,
         "duration_s": duration_s,
@@ -184,15 +186,7 @@ def gen_x1(
         "t_ref_mode": t_ref_mode,
         "segments": [s.to_dict() for s in segments],
     }
-    return SyntheticSignal(
-        signal=sig,
-        clean=sig,
-        components=(SampledSignal(comp0, sample_rate_hz), SampledSignal(comp1, sample_rate_hz)),
-        true_if=traj,
-        component_masks=masks,
-        signal_id="x1",
-        params=params,
-    )
+    return _synthetic("x1", sample_rate_hz, t, env, (comp0, comp1), (20.0, 40.0), params)
 
 
 def chirp_if_hz(tau: np.ndarray, phase_coeffs: Sequence[float] = (870.0, -215.0, 20.0)) -> np.ndarray:
@@ -231,11 +225,7 @@ def gen_x2(
     """
     if not (snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
-    t = _check_grid(sample_rate_hz, duration_s)
-    segments = _burst_segments(
-        [(0.25, 0.40, 1.0), (0.70, 0.83, 0.5)], 7.0, t_ref_mode, shared_t_ref_s
-    )
-    env = envelope_values(segments, t)
+    t, segments, env = _bursts(sample_rate_hz, duration_s, (1.0, 0.5), t_ref_mode, shared_t_ref_s)
     comp_tone = tone_scale * env * np.sin(2.0 * np.pi * tone_hz * t)
 
     c2, c1, c0 = chirp_coeffs
@@ -254,19 +244,6 @@ def gen_x2(
     if np.any(if_chirp[active] < 0.0):
         raise ValueError("chirp IF goes negative on its support; check chirp_coeffs")
 
-    clean = comp_tone + comp_chirp
-    clean_sig = SampledSignal(clean, sample_rate_hz)
-    if math.isinf(snr):
-        noisy_sig = SampledSignal(clean.copy(), sample_rate_hz)
-    else:
-        noisy_sig = add_white_noise(clean_sig, snr, seed, db=snr_is_db)
-
-    mask = active
-    masks = np.stack([mask, mask])
-    traj = (
-        IFTrajectory(t, np.full(t.size, tone_hz), mask),
-        IFTrajectory(t, if_chirp, mask),
-    )
     params = {
         "sample_rate_hz": sample_rate_hz,
         "duration_s": duration_s,
@@ -279,18 +256,11 @@ def gen_x2(
         "t_ref_mode": t_ref_mode,
         "segments": [s.to_dict() for s in segments],
     }
-    return SyntheticSignal(
-        signal=noisy_sig,
-        clean=clean_sig,
-        components=(
-            SampledSignal(comp_tone, sample_rate_hz),
-            SampledSignal(comp_chirp, sample_rate_hz),
-        ),
-        true_if=traj,
-        component_masks=masks,
-        signal_id="x2",
-        params=params,
-    )
+    waves, freqs = (comp_tone, comp_chirp), (tone_hz, if_chirp)
+    sig = _synthetic("x2", sample_rate_hz, t, env, waves, freqs, params)
+    if math.isinf(snr):
+        return sig
+    return replace(sig, signal=add_white_noise(sig.clean, snr, seed, db=snr_is_db))
 
 
 GENERATORS = {"x1": gen_x1, "x2": gen_x2}

@@ -433,3 +433,58 @@ def test_compare_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", str(csv_path), "--seed", "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("row", ["0.1", "0.1,0.5,7.0"])
+def test_compare_rejects_ragged_csv_row(tmp_path, capsys, row):
+    csv_path, _ = synth(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    lines[50] = row
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 51" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {},
+        lambda doc: [1, 2],
+        lambda doc: {**doc, "components": [{"freqs_hz": c["freqs_hz"]} for c in doc["components"]]},
+        lambda doc: {k: v for k, v in doc.items() if k != "components"},
+    ],
+    ids=["empty-object", "list", "component-without-valid", "no-components"],
+)
+def test_compare_rejects_malformed_truth(tmp_path, capsys, edit):
+    csv_path, truth_path = synth(tmp_path)
+    truth_path.write_text(json.dumps(edit(json.loads(truth_path.read_text()))))
+    out = tmp_path / "out"
+    rc = main(["compare", str(csv_path), "--truth", str(truth_path), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(truth_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate, start", [(640.0, 0.0), (320.0, 0.5), (320.0 * (1 + 1e-5), 0.0)])
+def test_compare_rejects_truth_on_another_time_grid(tmp_path, capsys, rate, start):
+    csv_path, truth_path = synth(tmp_path)
+    x = read_signal_csv(csv_path)
+    moved = tmp_path / "moved.csv"
+    write_signal_csv(moved, SampledSignal(x.samples, rate, start_time_s=start))
+    out = tmp_path / "out"
+    rc = main(["compare", str(moved), "--truth", str(truth_path), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: truth times_s do not match")
+    assert not out.exists()
+
+
+def test_compare_accepts_truth_at_an_inexact_rate(tmp_path):
+    # the rate read back from this CSV's time column differs in the last bits
+    csv_path, truth_path = synth(tmp_path, "x1", "--rate", "333.3")
+    assert read_signal_csv(csv_path).sample_rate_hz != 333.3
+    rc = main(["compare", str(csv_path), "--truth", str(truth_path), "--out", str(tmp_path)])
+    assert rc == EXIT_OK

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.io import wavfile
 
 from tfbench.core import SampledSignal, WindowSpec
@@ -153,6 +156,61 @@ def test_grid_csv_rejects_missing_corner(tmp_path):
     p.write_text("10.0,20.0\n0.0,1.0,2.0\n")
     with pytest.raises(ValueError):
         read_grid_csv(p)
+
+
+@pytest.mark.parametrize("row", ["0.5,1.0", "0.5,1.0,2.0,3.0"])
+def test_grid_csv_rejects_ragged_row(tmp_path, row):
+    p = tmp_path / "grid.csv"
+    p.write_text(f",10.0,20.0\n0.0,1.0,2.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: line 4 has \d fields, the header has 3"):
+        read_grid_csv(p)
+
+
+# subnormal, largest and negative-zero cells besides any finite float
+_CELLS = st.one_of(
+    st.sampled_from([5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# axis steps must stay finite for TFDGrid's increasing-axis check
+_AXIS = st.one_of(st.sampled_from([5e-324, -2.5e-310, -0.0]), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _grids(draw):
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 16))
+    times = sorted(draw(st.lists(_AXIS, min_size=rows, max_size=rows, unique=True)))
+    freqs = sorted(draw(st.lists(_AXIS, min_size=cols, max_size=cols, unique=True)))
+    values = draw(hnp.arrays(np.float64, (rows, cols), elements=_CELLS))
+    return TFDGrid(times, freqs, values, "wvd")
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    g=_grids(),
+    samples=hnp.arrays(np.float64, st.integers(2, 200), elements=_CELLS),
+    rate=st.floats(1.0, 1e4),
+    # times() stamps the first sample start + 0.0, which is never -0.0
+    start=st.floats(-10.0, 10.0).map(lambda v: v + 0.0),
+)
+def test_grid_and_signal_csv_round_trip_bit_for_bit(tmp_path_factory, g, samples, rate, start):
+    path = tmp_path_factory.mktemp("codec") / "grid.csv"
+    write_grid_csv(path, g)
+    h = read_grid_csv(path, method="wvd")
+    assert _same_bits(h.times_s, g.times_s)
+    assert _same_bits(h.freqs_hz, g.freqs_hz)
+    assert _same_bits(h.values, g.values)
+
+    x = SampledSignal(samples, rate, start_time_s=start)
+    path = path.with_name("signal.csv")
+    write_signal_csv(path, x)
+    y = read_signal_csv(path)
+    assert _same_bits(y.samples, x.samples)
+    assert _same_bits(y.start_time_s, x.start_time_s)
+    assert y.sample_rate_hz == pytest.approx(rate, rel=1e-9)
 
 
 def test_grid_meta_dict():
