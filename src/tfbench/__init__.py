@@ -30,15 +30,7 @@ from .evaluate import (
     run_transform,
 )
 from .pct import KernelFit, PCTConfig, PolynomialKernel, estimate_kernel, pct_auto, pct_transform
-from .synth import (
-    EnvelopeSegment,
-    SyntheticSignal,
-    chirp_if_hz,
-    envelope_values,
-    gen_x1,
-    gen_x2,
-    true_if,
-)
+from .synth import SyntheticSignal, chirp_if_hz, gen_x1, gen_x2, true_if
 from .tfd import (
     PSD,
     ResolutionReport,
@@ -80,10 +72,8 @@ __all__ = [
     "estimate_kernel",
     "pct_auto",
     "pct_transform",
-    "EnvelopeSegment",
     "SyntheticSignal",
     "chirp_if_hz",
-    "envelope_values",
     "gen_x1",
     "gen_x2",
     "true_if",

@@ -119,7 +119,7 @@ def analytic_signal(x: SampledSignal) -> SampledSignal:
     The negative-frequency bins of the DFT are zeroed, the positive bins
     doubled, and DC/Nyquist left untouched; the imaginary part of the inverse
     transform is the discrete Hilbert transform.  The real part of the result
-    is the input, bit for bit.
+    is the input, bit for bit (signs of zeros included).
     """
     if np.iscomplexobj(x.samples):
         raise ValueError("analytic_signal needs a real signal")
@@ -134,9 +134,13 @@ def analytic_signal(x: SampledSignal) -> SampledSignal:
         gain[n // 2] = 1.0
     else:
         gain[1 : (n + 1) // 2] = 2.0
-    z = np.fft.ifft(spectrum * gain)
-    # rebuild from the original samples so the real part round-trips exactly
-    return SampledSignal(x.samples + 1j * z.imag, x.sample_rate_hz, x.start_time_s)
+    hilbert = np.fft.ifft(spectrum * gain).imag
+    # copy the original samples into the real part so it round-trips exactly;
+    # x + 1j*h would turn -0.0 into +0.0 where h > 0
+    z = np.empty(n, dtype=np.complex128)
+    z.real = x.samples
+    z.imag = hilbert
+    return SampledSignal(z, x.sample_rate_hz, x.start_time_s)
 
 
 def decimate(x: SampledSignal, factor: int) -> SampledSignal:

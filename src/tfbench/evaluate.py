@@ -289,6 +289,8 @@ def compare_methods(
     """
     if len(methods) == 0:
         raise ValueError("at least one method must be requested")
+    if truth is not None and len(truth) == 0:
+        raise ValueError("truth must hold at least one trajectory")
     cfg = config if config is not None else CompareConfig()
     results = [_run_method(x, truth, method, cfg) for method in methods]
     return ComparisonReport(signal_id=signal_id, results=results)

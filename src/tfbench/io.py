@@ -55,7 +55,10 @@ def _read_table(path, leading: list, expected: str) -> tuple:
                     f"{path}: line {reader.line_num} has {len(row)} fields, "
                     f"the header has {len(header)}"
                 )
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
@@ -150,6 +153,8 @@ def read_truth_json(path) -> tuple[list, dict]:
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed truth file ({type(exc).__name__}: {exc})") from None
+    if not trajectories:
+        raise ValueError(f"{path}: truth file has no components")
     meta = {k: v for k, v in doc.items() if k not in ("times_s", "components")}
     return trajectories, meta
 

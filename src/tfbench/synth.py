@@ -3,14 +3,16 @@
 Two generators are provided:
 
 * ``gen_x1``: a noiseless pair of fixed tones (20 and 40 Hz) sharing a
-  piecewise raised-cosine burst envelope.  Useful for cross-term studies
+  two-burst raised-cosine envelope.  Useful for cross-term studies
   because the two tones produce interference midway at 30 Hz in bilinear
   distributions.
 * ``gen_x2``: a 40 Hz tone plus a quadratic-IF chirp on the same burst
   supports, contaminated with white Gaussian noise at a configurable SNR.
 
 Both return the clean per-component waveforms and exact IF trajectories so
-estimators can be scored against ground truth.
+estimators can be scored against ground truth.  The burst layout (supports,
+peaks and envelope shape) is stated once, in ``_bursts``; each signal's
+``params["segments"]`` (``params.segments`` in ``truth.json``) records it.
 """
 
 from __future__ import annotations
@@ -24,70 +26,20 @@ import numpy as np
 from .core import SampledSignal, add_white_noise
 from .evaluate import IFTrajectory
 
-ENVELOPE_FORMS = ("zero", "raised_cosine")
-
-
-@dataclass(frozen=True)
-class EnvelopeSegment:
-    """One piece of a piecewise amplitude envelope, active on (t_start, t_end].
-
-    ``raised_cosine`` evaluates peak * (0.5 - 0.5*cos(2*pi*rate_hz*(t - t_ref_s)));
-    ``zero`` ignores the shape parameters.  Time outside every segment is
-    implicitly zero.
-    """
-
-    t_start_s: float
-    t_end_s: float
-    form: str = "zero"
-    peak: float = 1.0
-    rate_hz: float = 7.0
-    t_ref_s: float = 0.0
-
-    def __post_init__(self):
-        if self.form not in ENVELOPE_FORMS:
-            raise ValueError(f"unknown envelope form {self.form!r}")
-        if not self.t_start_s < self.t_end_s:
-            raise ValueError("t_start_s must be less than t_end_s")
-        if self.form == "raised_cosine" and (self.peak <= 0 or self.rate_hz <= 0):
-            raise ValueError("raised_cosine needs positive peak and rate_hz")
-
-    def to_dict(self) -> dict:
-        d = {"t_start_s": self.t_start_s, "t_end_s": self.t_end_s, "form": self.form}
-        if self.form == "raised_cosine":
-            d.update(peak=self.peak, rate_hz=self.rate_hz, t_ref_s=self.t_ref_s)
-        return d
-
-
-def envelope_values(segments: Sequence[EnvelopeSegment], times_s: np.ndarray) -> np.ndarray:
-    """Evaluate a piecewise envelope; segments must not overlap."""
-    t = np.asarray(times_s, dtype=np.float64)
-    env = np.zeros_like(t)
-    for seg in segments:
-        m = (t > seg.t_start_s) & (t <= seg.t_end_s)
-        if seg.form == "raised_cosine":
-            env[m] = seg.peak * (
-                0.5 - 0.5 * np.cos(2.0 * np.pi * seg.rate_hz * (t[m] - seg.t_ref_s))
-            )
-    if np.any(env < 0):
-        raise ValueError("envelope evaluated negative; check segment parameters")
-    return env
-
-
 @dataclass(frozen=True)
 class SyntheticSignal:
     """Generated test signal bundled with its exact ground truth.
 
     ``components`` holds each clean constituent separately; ``clean`` is
     their sum before noise; ``signal`` is what an estimator actually sees.
-    ``true_if[i]`` is valid exactly where component i's envelope is nonzero
-    (``component_masks[i]``).
+    ``true_if[i].valid`` marks exactly where component i's envelope is
+    nonzero.
     """
 
     signal: SampledSignal
     clean: SampledSignal
     components: tuple
     true_if: tuple
-    component_masks: np.ndarray
     signal_id: str
     params: dict
 
@@ -95,8 +47,6 @@ class SyntheticSignal:
         n = len(self.signal)
         if len(self.clean) != n or any(len(c) != n for c in self.components):
             raise ValueError("component lengths must match the signal")
-        if self.component_masks.shape != (len(self.components), n):
-            raise ValueError("component_masks shape must be (n_components, n_samples)")
         for traj in self.true_if:
             if len(traj) != n:
                 raise ValueError("trajectory length must match the signal")
@@ -114,48 +64,54 @@ def true_if(sig: SyntheticSignal, component: int) -> IFTrajectory:
 def _bursts(
     sample_rate_hz: float, duration_s: float, peaks: tuple, t_ref_mode: str, shared_t_ref_s: float
 ) -> tuple:
-    """Time axis, burst segments and envelope of the two-burst layout.
+    """Time axis, envelope and bursts of the two-burst layout.
 
     The bursts sit on (0.25, 0.40] and (0.70, 0.83] with the given peaks and
     a 7 Hz raised cosine.  ``t_ref_mode`` "onset" references each burst's
     cosine to its own onset so the envelope rises from zero; "shared"
     references both bursts to ``shared_t_ref_s``, reproducing a piecewise
     definition written against a common clock (which can start a burst at
-    nonzero amplitude).
+    nonzero amplitude).  Each burst is (onset, support mask, parameter
+    record).
     """
-    if sample_rate_hz < 160.0:
+    # written so that NaN fails them too
+    if not 160.0 <= sample_rate_hz < math.inf:
         raise ValueError(
-            f"sample_rate_hz must be at least 160 (got {sample_rate_hz}); "
+            f"sample_rate_hz must be finite and at least 160 (got {sample_rate_hz}); "
             "the 40 Hz component needs headroom below Nyquist"
         )
-    if duration_s < 1.0:
-        raise ValueError("duration_s must be at least 1 to span the burst layout")
+    if not 1.0 <= duration_s < math.inf:
+        raise ValueError(
+            f"duration_s must be finite and at least 1 to span the burst layout (got {duration_s})"
+        )
     if t_ref_mode not in ("onset", "shared"):
         raise ValueError(f"t_ref_mode must be 'onset' or 'shared', got {t_ref_mode!r}")
     t = np.arange(int(round(sample_rate_hz * duration_s))) / sample_rate_hz
-    shared = t_ref_mode == "shared"
-    segments = [
-        EnvelopeSegment(onset, end, "raised_cosine", peak, 7.0, shared_t_ref_s if shared else onset)
-        for onset, end, peak in zip((0.25, 0.70), (0.40, 0.83), peaks)
-    ]
-    return t, segments, envelope_values(segments, t)
+    env = np.zeros_like(t)
+    bursts = []
+    for onset, end, peak in zip((0.25, 0.70), (0.40, 0.83), peaks):
+        t_ref = shared_t_ref_s if t_ref_mode == "shared" else onset
+        m = (t > onset) & (t <= end)
+        env[m] = peak * (0.5 - 0.5 * np.cos(2.0 * np.pi * 7.0 * (t[m] - t_ref)))
+        record = {"t_start_s": onset, "t_end_s": end, "form": "raised_cosine",
+                  "peak": peak, "rate_hz": 7.0, "t_ref_s": t_ref}
+        bursts.append((onset, m, record))
+    return t, env, bursts
 
 
 def _synthetic(
-    signal_id: str, sample_rate_hz: float, t: np.ndarray, env: np.ndarray,
+    signal_id: str, sample_rate_hz: float, t: np.ndarray, valid: np.ndarray,
     waves: tuple, freqs: tuple, params: dict,
 ) -> SyntheticSignal:
     """Noiseless record of two components; each IF (a constant or an array)
-    is valid where ``env > 0``."""
+    is valid where ``valid``."""
     # not sum(): 0 + (-0.0) would flip the sign of negative-zero samples
     clean = SampledSignal(waves[0] + waves[1], sample_rate_hz)
-    mask = env > 0.0
     return SyntheticSignal(
         signal=clean,
         clean=clean,
         components=tuple(SampledSignal(w, sample_rate_hz) for w in waves),
-        true_if=tuple(IFTrajectory(t, np.full(t.size, f), mask) for f in freqs),
-        component_masks=np.stack([mask, mask]),
+        true_if=tuple(IFTrajectory(t, np.full(t.size, f), valid) for f in freqs),
         signal_id=signal_id,
         params=params,
     )
@@ -174,7 +130,7 @@ def gen_x1(
     is the pair of constant trajectories at 20 and 40 Hz on the burst
     support.  Deterministic (no noise).
     """
-    t, segments, env = _bursts(sample_rate_hz, duration_s, (1.0, 0.90), t_ref_mode, shared_t_ref_s)
+    t, env, bursts = _bursts(sample_rate_hz, duration_s, (1.0, 0.90), t_ref_mode, shared_t_ref_s)
     comp0 = -env * np.sin(2.0 * np.pi * 20.0 * t + 94.0)
     comp1 = 0.9 * env * np.sin(2.0 * np.pi * 40.0 * t + 188.0)
     params = {
@@ -184,9 +140,9 @@ def gen_x1(
         "tone_scales": [-1.0, 0.9],
         "phases_rad": [94.0, 188.0],
         "t_ref_mode": t_ref_mode,
-        "segments": [s.to_dict() for s in segments],
+        "segments": [record for _, _, record in bursts],
     }
-    return _synthetic("x1", sample_rate_hz, t, env, (comp0, comp1), (20.0, 40.0), params)
+    return _synthetic("x1", sample_rate_hz, t, env > 0.0, (comp0, comp1), (20.0, 40.0), params)
 
 
 def chirp_if_hz(tau: np.ndarray, phase_coeffs: Sequence[float] = (870.0, -215.0, 20.0)) -> np.ndarray:
@@ -225,15 +181,14 @@ def gen_x2(
     """
     if not (snr > 0):
         raise ValueError(f"snr must be positive, got {snr}")
-    t, segments, env = _bursts(sample_rate_hz, duration_s, (1.0, 0.5), t_ref_mode, shared_t_ref_s)
+    t, env, bursts = _bursts(sample_rate_hz, duration_s, (1.0, 0.5), t_ref_mode, shared_t_ref_s)
     comp_tone = tone_scale * env * np.sin(2.0 * np.pi * tone_hz * t)
 
     c2, c1, c0 = chirp_coeffs
     comp_chirp = np.zeros_like(t)
     if_chirp = np.zeros_like(t)
-    for seg in segments:
-        m = (t > seg.t_start_s) & (t <= seg.t_end_s)
-        tau = t[m] - seg.t_start_s
+    for onset, m, _ in bursts:
+        tau = t[m] - onset
         phase = 2.0 * np.pi * (c2 * tau**2 + c1 * tau + c0) * tau
         comp_chirp[m] = env[m] * np.sin(phase)
         if_chirp[m] = chirp_if_hz(tau, chirp_coeffs)
@@ -254,10 +209,10 @@ def gen_x2(
         "tone_scale": tone_scale,
         "chirp_phase_coeffs": list(chirp_coeffs),
         "t_ref_mode": t_ref_mode,
-        "segments": [s.to_dict() for s in segments],
+        "segments": [record for _, _, record in bursts],
     }
     waves, freqs = (comp_tone, comp_chirp), (tone_hz, if_chirp)
-    sig = _synthetic("x2", sample_rate_hz, t, env, waves, freqs, params)
+    sig = _synthetic("x2", sample_rate_hz, t, active, waves, freqs, params)
     if math.isinf(snr):
         return sig
     return replace(sig, signal=add_white_noise(sig.clean, snr, seed, db=snr_is_db))

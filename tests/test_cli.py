@@ -86,6 +86,28 @@ def test_synth_config_bad_values_exit_validation(tmp_path, capsys, synth_doc, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, config, key",
+    [
+        (["--rate", "inf"], None, "sample_rate_hz"),
+        (["--rate", "nan"], None, "sample_rate_hz"),
+        (["--duration", "inf"], None, "duration_s"),
+        ([], '{"synth": {"duration_s": 1e400}}', "duration_s"),
+    ],
+    ids=["rate-inf", "rate-nan", "duration-inf", "config-duration-1e400"],
+)
+def test_synth_non_finite_size_exits_validation(tmp_path, capsys, flags, config, key):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)  # 1e400 parses to inf
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["synth", "x1", "--out", str(out), *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
 def test_synth_config_values_pass_as_written(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"synth": {"sample_rate_hz": 400, "duration_s": 1,
@@ -455,8 +477,9 @@ def test_compare_rejects_ragged_csv_row(tmp_path, capsys, row):
         lambda doc: [1, 2],
         lambda doc: {**doc, "components": [{"freqs_hz": c["freqs_hz"]} for c in doc["components"]]},
         lambda doc: {k: v for k, v in doc.items() if k != "components"},
+        lambda doc: {**doc, "components": []},
     ],
-    ids=["empty-object", "list", "component-without-valid", "no-components"],
+    ids=["empty-object", "list", "component-without-valid", "no-components", "empty-components"],
 )
 def test_compare_rejects_malformed_truth(tmp_path, capsys, edit):
     csv_path, truth_path = synth(tmp_path)
@@ -466,6 +489,18 @@ def test_compare_rejects_malformed_truth(tmp_path, capsys, edit):
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(truth_path) in err
+    assert not out.exists()
+
+
+def test_compare_rejects_non_numeric_csv_cell(tmp_path, capsys):
+    csv_path, _ = synth(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    lines[100] = lines[100].split(",")[0] + ",abc"
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: line 101: ") and "'abc'" in err
     assert not out.exists()
 
 

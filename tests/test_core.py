@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import filtfilt, firwin
 
 from tfbench.core import (
@@ -148,6 +151,21 @@ def test_analytic_signal_envelope_of_tone_is_flat():
     env = np.abs(analytic_signal(x).samples)
     interior = slice(16, -16)
     np.testing.assert_allclose(env[interior], 1.0, atol=1e-6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    samples=hnp.arrays(
+        np.float64,
+        st.integers(2, 300),
+        # bounded so the FFT cannot overflow; zeros of both signs are common
+        elements=st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e100, 1e100)),
+    )
+)
+def test_analytic_signal_real_part_is_the_input(samples):
+    z = analytic_signal(SampledSignal(samples, 100.0)).samples
+    assert np.array_equal(z.real, samples)
+    assert np.array_equal(np.signbit(z.real), np.signbit(samples))
 
 
 def test_analytic_signal_needs_two_samples():

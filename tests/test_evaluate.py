@@ -231,6 +231,12 @@ def test_compare_methods_unknown_method_is_captured():
         compare_methods(sig.signal, sig.true_if, methods=())
 
 
+def test_compare_methods_rejects_empty_truth():
+    sig = gen_x1()
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        compare_methods(sig.signal, [], methods=("stft",))
+
+
 def test_compare_methods_score_component():
     sig = gen_x1()
     cfg = default_config("x1")

@@ -131,6 +131,15 @@ def test_truth_json_roundtrip(tmp_path):
         np.testing.assert_array_equal(got.valid, want.valid)
 
 
+def test_truth_json_rejects_no_components(tmp_path):
+    p = tmp_path / "x1.truth.json"
+    write_truth_json(p, gen_x1())
+    doc = json.loads(p.read_text())
+    p.write_text(json.dumps({**doc, "components": []}))
+    with pytest.raises(ValueError, match=r"x1\.truth\.json: truth file has no components"):
+        read_truth_json(p)
+
+
 def test_truth_json_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -163,6 +172,13 @@ def test_grid_csv_rejects_ragged_row(tmp_path, row):
     p = tmp_path / "grid.csv"
     p.write_text(f",10.0,20.0\n0.0,1.0,2.0\n\n{row}\n")
     with pytest.raises(ValueError, match=r"grid\.csv: line 4 has \d fields, the header has 3"):
+        read_grid_csv(p)
+
+
+def test_grid_csv_rejects_non_numeric_cell(tmp_path):
+    p = tmp_path / "grid.csv"
+    p.write_text(",10.0,20.0\n0.0,1.0,2.0\n0.5,abc,2.0\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: line 3: .*'abc'"):
         read_grid_csv(p)
 
 

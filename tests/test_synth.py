@@ -3,43 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from tfbench.synth import (
-    EnvelopeSegment,
-    SyntheticSignal,
-    chirp_if_hz,
-    envelope_values,
-    gen_x1,
-    gen_x2,
-    true_if,
-)
+from tfbench.evaluate import IFTrajectory
+from tfbench.synth import SyntheticSignal, chirp_if_hz, gen_x1, gen_x2, true_if
 
 
-def test_envelope_segment_boundaries():
-    """Segments are active on the half-open interval (t_start, t_end]."""
-    seg = EnvelopeSegment(0.25, 0.40, "raised_cosine", 1.0, 7.0, 0.25)
-    t = np.array([0.25, 0.253125, 0.40, 0.403125])
-    env = envelope_values([seg], t)
-    assert env[0] == 0.0
-    assert env[1] > 0.0
-    assert env[2] > 0.0
-    assert env[3] == 0.0
-
-
-def test_envelope_segment_validation():
-    with pytest.raises(ValueError):
-        EnvelopeSegment(0.4, 0.2)
-    with pytest.raises(ValueError):
-        EnvelopeSegment(0.1, 0.2, "triangle")
-    with pytest.raises(ValueError):
-        EnvelopeSegment(0.1, 0.2, "raised_cosine", peak=0.0)
-    with pytest.raises(ValueError):
-        EnvelopeSegment(0.1, 0.2, "raised_cosine", rate_hz=-1.0)
-
-
-def test_zero_form_contributes_nothing():
-    seg = EnvelopeSegment(0.0, 1.0, "zero")
-    env = envelope_values([seg], np.linspace(0.1, 0.9, 10))
-    np.testing.assert_array_equal(env, 0.0)
+@pytest.mark.parametrize("t_ref_mode", ["onset", "shared"])
+def test_x1_burst_support_and_envelope(t_ref_mode):
+    """Each burst is a non-negative 7 Hz raised cosine on the half-open
+    (onset, end]; under "shared" a burst would start at nonzero amplitude, so
+    the onset samples show the support is open there."""
+    sig = gen_x1(t_ref_mode=t_ref_mode, shared_t_ref_s=0.75)
+    t = sig.signal.times()
+    tone = np.sin(2.0 * np.pi * 20.0 * t + 94.0)
+    env = np.zeros_like(t)
+    for onset, end, peak in ((0.25, 0.40, 1.0), (0.70, 0.83, 0.90)):
+        support = (t > onset) & (t <= end)
+        t_ref = 0.75 if t_ref_mode == "shared" else onset
+        env[support] = peak * (0.5 - 0.5 * np.cos(2.0 * np.pi * 7.0 * (t[support] - t_ref)))
+    np.testing.assert_allclose(sig.components[0].samples, -env * tone, rtol=1e-12, atol=1e-15)
+    # comp0 = -A(t) * tone, so -comp0 * tone = A(t) * tone**2 has A's sign
+    assert np.all(-sig.components[0].samples * tone >= 0.0)
+    valid = sig.true_if[0].valid
+    np.testing.assert_array_equal(valid, env > 0.0)
+    # samples 80, 128 and 224 fall exactly on 0.25, 0.40 and 0.70 s
+    assert (t[80], t[128], t[224]) == (0.25, 0.40, 0.70)
+    assert valid[[81, 128, 225]].all() and not valid[[80, 129, 224]].any()
+    assert sig.signal.samples[80] == 0.0 and sig.signal.samples[224] == 0.0
 
 
 def test_x1_structure():
@@ -86,10 +75,10 @@ def test_x1_truth_trajectories():
     t1 = true_if(sig, 1)
     np.testing.assert_array_equal(t0.freqs_hz, 20.0)
     np.testing.assert_array_equal(t1.freqs_hz, 40.0)
-    active = sig.signal.samples != 0.0
-    # truth is valid exactly where the envelope is nonzero
-    np.testing.assert_array_equal(t0.valid, sig.component_masks[0])
-    assert np.all(t0.valid[active])
+    # truth is valid exactly where the shared envelope is nonzero, and no
+    # tone sample on this grid falls on a zero of its sine
+    np.testing.assert_array_equal(t0.valid, t1.valid)
+    np.testing.assert_array_equal(t0.valid, sig.components[0].samples != 0.0)
     with pytest.raises(ValueError):
         true_if(sig, 2)
     with pytest.raises(ValueError):
@@ -213,13 +202,22 @@ def test_x2_parameter_validation():
 
 def test_synthetic_signal_length_validation():
     sig = gen_x1()
+    t0 = sig.true_if[0]
+    short = IFTrajectory(t0.times_s[:100], t0.freqs_hz[:100], t0.valid[:100])
     with pytest.raises(ValueError):
         SyntheticSignal(
             signal=sig.signal,
             clean=sig.clean,
             components=sig.components,
-            true_if=sig.true_if,
-            component_masks=sig.component_masks[:, :100],
+            true_if=(short, sig.true_if[1]),
             signal_id="broken",
             params={},
         )
+
+
+def test_package_exports_resolve():
+    import tfbench
+
+    assert len(set(tfbench.__all__)) == len(tfbench.__all__)
+    for name in tfbench.__all__:
+        assert hasattr(tfbench, name), name
