@@ -164,7 +164,8 @@ def _from_dict(cls, doc, where: str, keys=None, under=None):
 def _compare_config(doc: dict, band=None, order=None, profile: str = "x1") -> CompareConfig:
     profile = _typed(doc.get("signal_profile", profile), str, "config.signal_profile")
     cfg = default_config(profile)
-    skip = {"pct", "synth", "signal_profile", *_COMPARE_KEYS}
+    # "config" names the top level itself; a key of that name is unknown
+    skip = {"pct", "synth", "signal_profile", *_COMPARE_KEYS} - {"config"}
     top = {k: v for k, v in doc.items() if k not in skip}
     for section, keys in _COMPARE_KEYS.items():
         part = top if section == "config" else doc.get(section, {})

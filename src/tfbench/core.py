@@ -18,12 +18,20 @@ class InsufficientDataError(ValueError):
     """Raised when an operation has fewer usable data points than it needs."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, for storing in a frozen value object; no
+    data is copied, and other views of the data keep their own flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled time series, real or complex.
 
-    Samples are stored as complex128 when the input is complex and as
-    float64 otherwise.  Sample i sits at time
+    Samples are stored, read-only, as complex128 when the input is complex
+    and as float64 otherwise.  Sample i sits at time
     ``start_time_s + i / sample_rate_hz``.
     """
 
@@ -43,7 +51,7 @@ class SampledSignal:
             raise ValueError("samples must be finite (no NaN or infinity)")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _read_only(samples))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "start_time_s", float(self.start_time_s))
 

@@ -8,17 +8,16 @@ and collects one result row per method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InsufficientDataError, SampledSignal, WindowSpec
+from .core import InsufficientDataError, SampledSignal, WindowSpec, _read_only
 from .tfd import (
-    WVD_METHODS,
     ResolutionReport,
     TFDGrid,
-    _band_indices,
+    _band_magnitudes,
     next_pow2,
     pwvd,
     resolution_report,
@@ -35,7 +34,7 @@ class IFTrajectory:
     """Per-time-instant frequency estimate with a validity mask.
 
     Invalid entries carry no information; their frequency values are
-    ignored by every consumer.
+    ignored by every consumer.  The arrays are stored read-only.
     """
 
     times_s: np.ndarray
@@ -55,9 +54,9 @@ class IFTrajectory:
         masked = freqs[valid]
         if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked < 0)):
             raise ValueError("valid frequencies must be finite and non-negative")
-        object.__setattr__(self, "times_s", times)
-        object.__setattr__(self, "freqs_hz", freqs)
-        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "times_s", _read_only(times))
+        object.__setattr__(self, "freqs_hz", _read_only(freqs))
+        object.__setattr__(self, "valid", _read_only(valid))
 
     def __len__(self) -> int:
         return self.times_s.size
@@ -96,20 +95,10 @@ def rmse(actual: IFTrajectory, estimated: IFTrajectory) -> float:
 
 def nrmse(actual: IFTrajectory, estimated: IFTrajectory) -> float:
     """RMSE divided by the mean of the actual IF over the scored samples."""
-    mask = _joint_mask(actual, estimated)
-    mean_actual = float(np.mean(actual.freqs_hz[mask]))
+    mean_actual = float(np.mean(actual.freqs_hz[_joint_mask(actual, estimated)]))
     if mean_actual <= 0.0:
         raise ValueError("mean actual IF must be positive for normalization")
-    d = actual.freqs_hz[mask] - estimated.freqs_hz[mask]
-    return float(np.sqrt(np.mean(d * d))) / mean_actual
-
-
-def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> tuple:
-    """(slice, columns) of the grid inside ``band_hz``; WVD-family columns by
-    absolute value, so negative lobes count by magnitude."""
-    band = _band_indices(g.freqs_hz, band_hz)
-    vals = g.values[:, band]
-    return band, np.abs(vals) if g.method in WVD_METHODS else vals
+    return rmse(actual, estimated) / mean_actual
 
 
 def extract_ridge(
@@ -140,10 +129,10 @@ def extract_ridge(
 def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
     """Frequency of the maximum of the grid's PSD within the band.
 
-    The PSD is the time mean of the band's columns, by absolute value for
-    WVD-family grids as in ``psd_from_tfd``; only its argmax matters, so it
-    is not normalized.  A band that is all zero has no dominant frequency
-    and raises InsufficientDataError.
+    The PSD is the time mean of the band's columns as ``_band_magnitudes``
+    reads them (WVD-family grids by absolute value, as in ``psd_from_tfd``);
+    only its argmax matters, so it is not normalized.  A band that is all
+    zero has no dominant frequency and raises InsufficientDataError.
     """
     band, vals = _band_magnitudes(g, band_hz)
     power = vals.mean(axis=0)
@@ -165,19 +154,8 @@ class MethodResult:
     ridge: Optional[IFTrajectory] = None
 
     def to_dict(self) -> dict:
-        out: dict = {"method": self.method}
-        for key in ("nrmse", "rmse_hz", "n_scored", "dominant_freq_hz", "converged", "error"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.resolution is not None:
-            out["resolution"] = {
-                "temporal_resolution_ms": self.resolution.temporal_resolution_ms,
-                "spectral_resolution_hz": self.resolution.spectral_resolution_hz,
-                "nyquist_hz": self.resolution.nyquist_hz,
-                "folding_hz": self.resolution.folding_hz,
-            }
-        return out
+        """The report row: every field that is set, except the ridge."""
+        return {k: v for k, v in asdict(replace(self, ridge=None)).items() if v is not None}
 
 
 @dataclass
@@ -305,8 +283,7 @@ def _run_method(
     result = MethodResult(method=method)
     try:
         grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
-        if method == "pct":
-            result.converged = grid.meta.get("converged")
+        result.converged = grid.meta.get("converged")
         result.resolution = resolution_report(grid)
         result.dominant_freq_hz = dominant_frequency(grid, cfg.band_hz)
         ridge = extract_ridge(grid, cfg.band_hz, cfg.amp_threshold_frac)

@@ -22,6 +22,9 @@ from .tfd import TFDGrid
 # relative spread of sample intervals tolerated when inferring a rate
 _UNIFORMITY_TOL = 1e-6
 
+# the lowest level, in dB below the peak, that a dB heatmap shows
+_PGM_FLOOR_DB = -60.0
+
 
 def _real_samples(x: SampledSignal, where: str) -> np.ndarray:
     if np.iscomplexobj(x.samples):
@@ -151,7 +154,7 @@ def read_truth_json(path) -> tuple[list, dict]:
             )
             for c in doc["components"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed truth file ({type(exc).__name__}: {exc})") from None
     if not trajectories:
         raise ValueError(f"{path}: truth file has no components")
@@ -192,26 +195,24 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def render_pgm(g: TFDGrid, db: bool = False, floor_db: float = -60.0) -> tuple[bytes, dict]:
+def render_pgm(g: TFDGrid, db: bool = False) -> tuple[bytes, dict]:
     """8-bit binary PGM (P5) of a grid: rows are frequency (descending),
     columns time.
 
     Linear mapping scales non-negative grids to 0..255; grids with negative
     values use a signed symmetric scale with zero at gray 128.  dB mapping
-    uses 10*log10(|v|/peak) clipped at ``floor_db``.
+    uses 10*log10(|v|/peak) clipped at ``_PGM_FLOOR_DB``.
     Returns (bytes, render-info).
     """
-    if floor_db >= 0:
-        raise ValueError("floor_db must be negative")
     v = g.values.T[::-1]  # [freq descending, time]
     info: dict = {"mode": "db" if db else "linear", "rows": "freq_descending", "cols": "time"}
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         img = np.zeros(v.shape, dtype=np.uint8)
     elif db:
-        level = 10.0 * np.log10(np.maximum(np.abs(v) / peak, 10.0 ** (floor_db / 10.0)))
-        img = np.round(255.0 * (level - floor_db) / (-floor_db)).astype(np.uint8)
-        info["floor_db"] = floor_db
+        level = 10.0 * np.log10(np.maximum(np.abs(v) / peak, 10.0 ** (_PGM_FLOOR_DB / 10.0)))
+        img = np.round(255.0 * (level - _PGM_FLOOR_DB) / (-_PGM_FLOOR_DB)).astype(np.uint8)
+        info["floor_db"] = _PGM_FLOOR_DB
     elif np.any(v < 0):
         img = np.clip(np.round(128.0 + 127.0 * v / peak), 0, 255).astype(np.uint8)
         info["scale"] = "signed_symmetric"
@@ -221,10 +222,3 @@ def render_pgm(g: TFDGrid, db: bool = False, floor_db: float = -60.0) -> tuple[b
         info["scale"] = "linear"
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     return header + img.tobytes(), info
-
-
-def write_pgm(path, g: TFDGrid, db: bool = False, floor_db: float = -60.0) -> dict:
-    payload, info = render_pgm(g, db=db, floor_db=floor_db)
-    with open(path, "wb") as fh:
-        fh.write(payload)
-    return info

@@ -141,10 +141,8 @@ class KernelFit:
         return npoly.polyval(np.asarray(times_s, dtype=np.float64), self.if_coeffs)
 
 
-def _fit_ridge_poly(
-    grid: TFDGrid, cfg: PCTConfig
-) -> tuple[np.ndarray, float, int]:
-    """Weighted LS polynomial through the ridge; returns (coeffs, residual, n)."""
+def _fit_ridge_poly(grid: TFDGrid, cfg: PCTConfig) -> tuple[np.ndarray, float]:
+    """Weighted LS polynomial through the ridge; returns (coeffs, residual)."""
     ridge = extract_ridge(grid, cfg.ridge_band_hz, cfg.amp_threshold_frac)
     valid = ridge.valid
     n_valid = int(valid.sum())
@@ -164,7 +162,7 @@ def _fit_ridge_poly(
     coeffs[: conv.size] = conv
     resid = ff - npoly.polyval(tt, coeffs)
     residual = float(np.sqrt(np.sum((w * resid) ** 2) / np.sum(w**2)))
-    return coeffs, residual, n_valid
+    return coeffs, residual
 
 
 def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> KernelFit:
@@ -172,40 +170,32 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
 
     Starts from a zero kernel (plain STFT view).  Converged when the fitted
     IF moves less than ``convergence_tol_hz`` at every frame between
-    consecutive iterations.  Deterministic.
+    consecutive iterations.  The kept fit is the converged one, or else the
+    one with the lowest residual so far (the first of equals).
+    Deterministic.
     """
     cfg = cfg if cfg is not None else PCTConfig()
     kernel = PolynomialKernel.zero(cfg.order)
     prev_fitted: Optional[np.ndarray] = None
-    best: Optional[tuple] = None
-    best_residual = np.inf
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
+    kept = (np.inf, None)  # (residual, coeffs)
+    for iterations in range(1, cfg.max_iterations + 1):
         grid = pct_transform(z, kernel, cfg)
-        coeffs, residual, _ = _fit_ridge_poly(grid, cfg)
-        iterations += 1
-        if residual < best_residual:
-            best_residual = residual
-            best = (PolynomialKernel(tuple(coeffs[1:])), tuple(coeffs))
+        coeffs, residual = _fit_ridge_poly(grid, cfg)
         fitted = npoly.polyval(grid.times_s, coeffs)
-        if prev_fitted is not None and np.max(np.abs(fitted - prev_fitted)) < cfg.convergence_tol_hz:
-            converged = True
-            kernel = PolynomialKernel(tuple(coeffs[1:]))
-            best = (kernel, tuple(coeffs))
+        converged = prev_fitted is not None and bool(
+            np.max(np.abs(fitted - prev_fitted)) < cfg.convergence_tol_hz
+        )
+        if converged or residual < kept[0]:
+            kept = (residual, coeffs)
+        if converged:
             break
         prev_fitted = fitted
         kernel = PolynomialKernel(tuple(coeffs[1:]))
-    final_kernel, if_coeffs = best
-    grid = pct_transform(z, final_kernel, cfg)
+    if_coeffs = tuple(kept[1])
+    kernel = PolynomialKernel(if_coeffs[1:])
+    grid = pct_transform(z, kernel, cfg)
     final_grid = replace(grid, meta={**grid.meta, "iterations": iterations, "converged": converged})
-    return KernelFit(
-        kernel=final_kernel,
-        grid=final_grid,
-        iterations=iterations,
-        converged=converged,
-        if_coeffs=if_coeffs,
-    )
+    return KernelFit(kernel, final_grid, iterations, converged, if_coeffs)
 
 
 def pct_auto(x: SampledSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:

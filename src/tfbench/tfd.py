@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
-from .core import SampledSignal, WindowSpec, analytic_signal, make_window
+from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
@@ -38,7 +38,8 @@ _LAG_FFT_CHUNK_BYTES = 1 << 24
 
 @dataclass(frozen=True)
 class TFDGrid:
-    """Time x frequency matrix of distribution values with explicit axes."""
+    """Time x frequency matrix of distribution values with explicit axes;
+    the arrays are stored read-only and the meta as a copy."""
 
     times_s: np.ndarray
     freqs_hz: np.ndarray
@@ -59,9 +60,9 @@ class TFDGrid:
             raise ValueError("times_s must be strictly increasing")
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
             raise ValueError("freqs_hz must be strictly increasing")
-        object.__setattr__(self, "times_s", times)
-        object.__setattr__(self, "freqs_hz", freqs)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times_s", _read_only(times))
+        object.__setattr__(self, "freqs_hz", _read_only(freqs))
+        object.__setattr__(self, "values", _read_only(values))
         object.__setattr__(self, "meta", dict(self.meta))
 
     @property
@@ -107,6 +108,14 @@ def _band_indices(freqs_hz: np.ndarray, band_hz: Optional[tuple]) -> slice:
     if start >= stop or np.isnan(lo) or np.isnan(hi):
         raise ValueError(f"band {band_hz} contains no grid frequencies")
     return slice(start, stop)
+
+
+def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> tuple:
+    """(slice, columns) of the grid inside ``band_hz``; WVD-family columns by
+    absolute value, so negative lobes count by magnitude."""
+    band = _band_indices(g.freqs_hz, band_hz)
+    vals = g.values[:, band]
+    return band, np.abs(vals) if g.method in WVD_METHODS else vals
 
 
 def _short_time(
@@ -304,12 +313,13 @@ def spwvd(
 def psd_from_tfd(g: TFDGrid) -> PSD:
     """Frequency marginal: mean over time per bin, normalized to unit sum.
 
-    WVD-family grids contribute by absolute value so that oscillating
-    cross-terms register as power instead of cancelling.
+    The bins are read through ``_band_magnitudes``, so WVD-family grids
+    contribute by absolute value and oscillating cross-terms register as
+    power instead of cancelling.
     """
     if g.values.size == 0:
         raise ValueError("empty grid")
-    vals = np.abs(g.values) if g.method in WVD_METHODS else g.values
+    _, vals = _band_magnitudes(g, None)
     p = vals.mean(axis=0)
     total = p.sum()
     if total == 0:
@@ -322,7 +332,9 @@ def resolution_report(g: TFDGrid) -> ResolutionReport:
 
     The frequency spacing comes from ``fft_length`` in the meta when it is
     there, so a band grid reports the bits of its full grid; otherwise it is
-    the difference of the first two bins.
+    the difference of the first two bins.  The folding frequency is the
+    meta's ``folding_hz``, which the WVD family writes, and Nyquist when the
+    meta has none.
     """
     nfft = g.meta.get("fft_length")
     if g.n_times < 2 or (g.n_freqs < 2 and nfft is None):
@@ -337,13 +349,9 @@ def resolution_report(g: TFDGrid) -> ResolutionReport:
     else:
         df = fs / nfft
     nyquist = fs / 2.0
-    if g.method in WVD_METHODS:
-        folding = nyquist if g.meta.get("analytic_input", True) else nyquist / 2.0
-    else:
-        folding = nyquist
     return ResolutionReport(
         temporal_resolution_ms=1000.0 * (g.times_s[1] - g.times_s[0]),
         spectral_resolution_hz=float(df),
         nyquist_hz=nyquist,
-        folding_hz=folding,
+        folding_hz=g.meta.get("folding_hz", nyquist),
     )

@@ -363,6 +363,7 @@ def test_analyze_rejects_periodic_lag_window(tmp_path, capsys):
          "periodic"),
         ({"score_component": True}, "score_component"),
         ({"signal_profile": 2}, "signal_profile"),
+        ({"config": {"band_hz": [5, 60]}}, "config"),
     ],
 )
 def test_config_bad_keys_exit_validation(tmp_path, capsys, doc, key):
@@ -478,8 +479,15 @@ def test_compare_rejects_ragged_csv_row(tmp_path, capsys, row):
         lambda doc: {**doc, "components": [{"freqs_hz": c["freqs_hz"]} for c in doc["components"]]},
         lambda doc: {k: v for k, v in doc.items() if k != "components"},
         lambda doc: {**doc, "components": []},
+        lambda doc: {**doc, "components": [
+            {**c, "freqs_hz": c["freqs_hz"][:-1] + ["abc"]} for c in doc["components"]
+        ]},
+        lambda doc: {**doc, "components": [
+            {**c, "valid": c["valid"][:-1]} for c in doc["components"]
+        ]},
     ],
-    ids=["empty-object", "list", "component-without-valid", "no-components", "empty-components"],
+    ids=["empty-object", "list", "component-without-valid", "no-components", "empty-components",
+         "non-numeric-value", "short-valid"],
 )
 def test_compare_rejects_malformed_truth(tmp_path, capsys, edit):
     csv_path, truth_path = synth(tmp_path)

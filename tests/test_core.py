@@ -42,6 +42,16 @@ def test_sampled_signal_keeps_complex_samples():
     assert SampledSignal(np.arange(3, dtype=np.float32), 4.0).samples.dtype == np.float64
 
 
+def test_sampled_signal_samples_are_a_read_only_view():
+    data = np.array([1.0, 2.0, 3.0])
+    x = SampledSignal(data, 4.0)
+    with pytest.raises(ValueError, match="read-only"):
+        x.samples[0] = 9.0
+    # no copy is made, and the caller's own array keeps its flags
+    assert np.shares_memory(x.samples, data)
+    assert data.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_sampled_signal_rejects_non_finite(bad):
     samples = np.zeros(8, dtype=type(bad))

@@ -7,6 +7,7 @@ from tfbench.core import InsufficientDataError, SampledSignal, WindowSpec
 from tfbench.evaluate import (
     CompareConfig,
     IFTrajectory,
+    MethodResult,
     compare_methods,
     default_config,
     dominant_frequency,
@@ -17,8 +18,7 @@ from tfbench.evaluate import (
 )
 from tfbench import evaluate
 from tfbench.synth import gen_x1
-from tfbench.evaluate import _band_indices
-from tfbench.tfd import TFDGrid, spwvd, stft, wvd
+from tfbench.tfd import ResolutionReport, TFDGrid, _band_indices, spwvd, stft, wvd
 
 
 def traj(freqs, valid=None, times=None):
@@ -280,6 +280,35 @@ def test_report_serialization():
     table = report.format_table()
     assert "stft" in table and "bogus" in table
     assert table.endswith("\n")
+
+
+def test_method_result_row_holds_its_set_fields():
+    ridge = IFTrajectory([0.0, 1.0], [10.0, 11.0], [True, True])
+    row = MethodResult(
+        "pct", nrmse=0.25, n_scored=2, resolution=ResolutionReport(12.5, 0.625, 160.0, 80.0),
+        converged=False, ridge=ridge,
+    ).to_dict()
+    # False is a value, not an absent field; None fields and the ridge are never written
+    assert row == {
+        "method": "pct",
+        "nrmse": 0.25,
+        "n_scored": 2,
+        "converged": False,
+        "resolution": {
+            "temporal_resolution_ms": 12.5,
+            "spectral_resolution_hz": 0.625,
+            "nyquist_hz": 160.0,
+            "folding_hz": 80.0,
+        },
+    }
+    assert MethodResult("wvd", error="no band").to_dict() == {"method": "wvd", "error": "no band"}
+
+
+def test_if_trajectory_arrays_are_read_only():
+    traj = IFTrajectory([0.0, 1.0], [10.0, 11.0], [True, False])
+    for name in ("times_s", "freqs_hz", "valid"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = 1
 
 
 def test_method_table_names_every_method():

@@ -17,7 +17,6 @@ from tfbench.io import (
     render_pgm,
     write_grid_csv,
     write_json,
-    write_pgm,
     write_signal_csv,
     write_truth_json,
     write_wav,
@@ -272,8 +271,6 @@ def test_render_pgm_signed_and_db():
     assert info_db["floor_db"] == -60.0
     img = np.frombuffer(payload[len(b"P5\n2 2\n255\n"):], dtype=np.uint8)
     assert img.max() == 255  # peak maps to white
-    with pytest.raises(ValueError):
-        render_pgm(g, db=True, floor_db=10.0)
 
 
 def test_render_pgm_all_zero():
@@ -283,12 +280,11 @@ def test_render_pgm_all_zero():
     np.testing.assert_array_equal(img, 0)
 
 
-def test_write_pgm(tmp_path):
+def test_write_pgm():
+    # the payload `analyze --pgm --db` writes as it is
     sig = gen_x1()
     g = stft(sig.signal, WindowSpec("hann", 64), 16, 128)
-    p = tmp_path / "grid.pgm"
-    info = write_pgm(p, g, db=True)
-    data = p.read_bytes()
+    data, info = render_pgm(g, db=True)
     assert data.startswith(b"P5\n")
     assert info["mode"] == "db"
     w, h = data.split(b"\n")[1].split(b" ")

@@ -14,6 +14,7 @@ from tfbench.core import (
     analytic_signal,
     make_window,
 )
+from tfbench import pct
 from tfbench.pct import (
     PCTConfig,
     PolynomialKernel,
@@ -253,3 +254,36 @@ def test_pct_auto_on_real_signal():
     expected = 20.0 + 30.0 * g.times_s
     interior = slice(10, -10)
     assert np.sqrt(np.mean((ridge[interior] - expected[interior]) ** 2)) < 2.0
+
+
+def _script_fits(monkeypatch, script):
+    """Make each ridge fit return the next scripted (IF coeffs, residual)."""
+    fits = iter([(np.array(coeffs), residual) for coeffs, residual in script])
+    monkeypatch.setattr(pct, "_fit_ridge_poly", lambda grid, cfg: next(fits))
+
+
+def test_estimate_kernel_keeps_lowest_residual_without_convergence(monkeypatch):
+    # each fit moves the IF by up to ~0.9 Hz, far above the 0.1 Hz tolerance
+    _script_fits(monkeypatch, [([10.0, 1.0, 0.0], 3.0), ([10.0, 2.0, 0.0], 1.0),
+                               ([10.0, 3.0, 0.0], 2.0)])
+    z, cfg = linear_chirp(), PCTConfig(order=2, max_iterations=3)
+    fit = estimate_kernel(z, cfg)
+    assert (fit.iterations, fit.converged) == (3, False)
+    assert fit.if_coeffs == (10.0, 2.0, 0.0)
+    assert fit.kernel == PolynomialKernel((2.0, 0.0))
+    expected = pct_transform(z, PolynomialKernel((2.0, 0.0)), cfg)
+    np.testing.assert_array_equal(fit.grid.values, expected.values)
+    assert fit.grid.meta == {**expected.meta, "iterations": 3, "converged": False}
+
+
+def test_estimate_kernel_keeps_converged_fit_over_lower_residual(monkeypatch):
+    _script_fits(monkeypatch, [([10.0, 1.0, 0.0], 1.0), ([10.0, 4.0, 0.0], 3.0),
+                               ([10.0, 4.0, 0.0], 2.0), ([0.0, 0.0, 0.0], 0.0)])
+    z, cfg = linear_chirp(), PCTConfig(order=2, max_iterations=5)
+    fit = estimate_kernel(z, cfg)
+    assert (fit.iterations, fit.converged) == (3, True)
+    assert fit.if_coeffs == (10.0, 4.0, 0.0)
+    assert fit.kernel == PolynomialKernel((4.0, 0.0))
+    expected = pct_transform(z, PolynomialKernel((4.0, 0.0)), cfg)
+    np.testing.assert_array_equal(fit.grid.values, expected.values)
+    assert fit.grid.meta["converged"] is True

@@ -154,6 +154,20 @@ def test_x2_noiseless_and_seeding():
     assert not np.array_equal(a.signal.samples, c.signal.samples)
 
 
+def test_synthetic_arrays_are_read_only():
+    # the two components share one valid mask, and a noiseless record one
+    # SampledSignal as signal and clean, so neither may be written through
+    sig = gen_x1()
+    with pytest.raises(ValueError, match="read-only"):
+        sig.true_if[0].valid[0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        sig.signal.samples[0] = 9.0
+    assert not sig.true_if[1].valid[0]
+    clean = gen_x2(snr=math.inf)
+    with pytest.raises(ValueError, match="read-only"):
+        clean.signal.samples[0] = 9.0
+
+
 def test_x2_snr_calibration():
     sig = gen_x2(snr=10.0, seed=1)
     noise = sig.signal.samples - sig.clean.samples

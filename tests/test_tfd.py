@@ -50,6 +50,13 @@ def test_tfd_grid_keeps_its_own_meta():
     assert g.meta == {"sample_rate_hz": 10.0}
 
 
+def test_tfd_grid_arrays_are_read_only():
+    g = TFDGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), "stft")
+    for name in ("times_s", "freqs_hz", "values"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1.0
+
+
 def test_stft_grid_axes():
     sig = SampledSignal(np.zeros(320), 320.0)
     g = stft(sig, WindowSpec("hann", 128), 4, 512)
@@ -286,6 +293,15 @@ def test_resolution_report_values():
     rw = resolution_report(gw)
     assert rw.temporal_resolution_ms == pytest.approx(3.125)
     assert rw.folding_hz == pytest.approx(160.0)  # analytic conversion applied
+
+
+def test_resolution_report_folding_comes_from_meta():
+    meta = {"sample_rate_hz": 320.0, "fft_length": 4, "analytic_input": False}
+    g = TFDGrid([0.0, 1.0], [0.0, 40.0], np.zeros((2, 2)), "wvd", meta)
+    # a hand-built grid without folding_hz reports Nyquist
+    assert resolution_report(g).folding_hz == 160.0
+    g_real = TFDGrid([0.0, 1.0], [0.0, 40.0], np.zeros((2, 2)), "wvd", {**meta, "folding_hz": 80.0})
+    assert resolution_report(g_real).folding_hz == 80.0
 
 
 def test_resolution_report_errors():
