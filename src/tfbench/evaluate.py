@@ -164,10 +164,7 @@ class ComparisonReport:
     results: list
 
     def to_dict(self) -> dict:
-        return {
-            "signal_id": self.signal_id,
-            "results": [r.to_dict() for r in self.results],
-        }
+        return {"signal_id": self.signal_id, "results": [r.to_dict() for r in self.results]}
 
     def format_table(self) -> str:
         header = f"signal: {self.signal_id}"
@@ -246,11 +243,7 @@ def _score(
     cols = np.arange(len(ridge))
     matched = np.where(valid.any(axis=0), freqs[nearest, cols], 0.0)
     actual = IFTrajectory(ridge.times_s, matched, valid.any(axis=0))
-    return (
-        rmse(actual, ridge),
-        nrmse(actual, ridge),
-        int((actual.valid & ridge.valid).sum()),
-    )
+    return rmse(actual, ridge), nrmse(actual, ridge), int((actual.valid & ridge.valid).sum())
 
 
 def compare_methods(

@@ -13,6 +13,9 @@ Conventions
   bilinear kernel oscillates at twice the signal frequency in lag.  Real
   (non-analytic) inputs consequently fold above a quarter of the sample
   rate; analytic inputs are clean up to half.
+* A WVD-family row is one Hermitian real FFT of lags 0..L: the lag product
+  is Hermitian and the lag kernel even, so the lag DFT is real.  Lags past
+  the Hermitian half are folded first (see ``_wvd_family``).
 * ``wvd``, ``pwvd`` and ``spwvd`` take ``band_hz=(lo, hi)`` to keep only the
   bins of that frequency axis with lo <= f <= hi (edges included).  Those
   columns, their axis and the meta are bit-identical to the full grid's;
@@ -21,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,14 +36,14 @@ from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_w
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
-# complex output of one row chunk of the WVD-family lag FFT, in bytes
+# bytes of a WVD-family lag-transform row chunk: zero-padded half-spectrum input + real output
 _LAG_FFT_CHUNK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
 class TFDGrid:
     """Time x frequency matrix of distribution values with explicit axes;
-    the arrays are stored read-only and the meta as a copy."""
+    the arrays are stored read-only and the meta as a deep copy."""
 
     times_s: np.ndarray
     freqs_hz: np.ndarray
@@ -63,7 +67,7 @@ class TFDGrid:
         object.__setattr__(self, "times_s", _read_only(times))
         object.__setattr__(self, "freqs_hz", _read_only(freqs))
         object.__setattr__(self, "values", _read_only(values))
-        object.__setattr__(self, "meta", dict(self.meta))
+        object.__setattr__(self, "meta", copy.deepcopy(self.meta))
 
     @property
     def n_times(self) -> int:
@@ -84,11 +88,16 @@ class ResolutionReport:
 
 @dataclass(frozen=True)
 class PSD:
-    """Frequency marginal of a grid, normalized to unit total power."""
+    """Frequency marginal of a grid, normalized to unit total power; the
+    arrays are stored read-only."""
 
     freqs_hz: np.ndarray
     power: np.ndarray
     all_zero: bool = False
+
+    def __post_init__(self):
+        for name in ("freqs_hz", "power"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
 
 
 def next_pow2(n: int) -> int:
@@ -197,11 +206,13 @@ def _wvd_family(
     bins inside it; an empty band raises ValueError.
 
     The lag product q[n, m] = z[n+m] conj(z[n-m]) is Hermitian in m, and the
-    kernel is real and even in m, so only lags m = 0..L are built and the
-    distribution is 2 Re DFT(q) with lag 0 halved.  L = (N-1)//2, cut to the
+    kernel is real and even in m, so only lags m = 0..L are built and each
+    row is one Hermitian real FFT of lags 0..L.  L = (N-1)//2, cut to the
     lag window's half-span; products that index outside the signal are zero.
-    When L+1 exceeds ``fft_length`` the lags alias modulo it.  The lag FFT
-    runs over row chunks, so only the kept bins of every row are stored.
+    Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
+    first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
+    h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.  Row
+    chunks are transformed in turn, so only the kept bins of a row are stored.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
@@ -238,15 +249,15 @@ def _wvd_family(
     if freq_window is not None:
         g = make_window(freq_window)
         q *= g[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
-    q[:, 0] *= 0.5
-    if max_lag + 1 > fft_length:
-        q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length)))
-        q = q.reshape(n, -1, fft_length).sum(axis=1)
+    if max_lag > (fft_length - 1) // 2:
+        q[:, 0] *= 0.5
+        q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length))).reshape(n, -1, fft_length).sum(1)
+        half = np.arange(fft_length // 2 + 1)
+        q = q[:, half] + np.conj(q[:, -half % fft_length])
     rows = max(1, _LAG_FFT_CHUNK_BYTES // (16 * fft_length))
     values = np.empty((n, band.stop - band.start))
     for r in range(0, n, rows):
-        spectra = sp_fft.fft(q[r : r + rows], n=fft_length, axis=1)
-        values[r : r + rows] = 2.0 * spectra[:, band].real
+        values[r : r + rows] = sp_fft.hfft(q[r : r + rows], n=fft_length, axis=1)[:, band]
 
     times = x.start_time_s + np.arange(n) / fs
     meta = {
@@ -305,9 +316,7 @@ def spwvd(
     to unit sum) and tapered along lag with ``freq_window``.  ``band_hz``
     as in ``wvd``.
     """
-    return _wvd_family(
-        "spwvd", x, fft_length, use_analytic, time_window, freq_window, band_hz
-    )
+    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window, band_hz)
 
 
 def psd_from_tfd(g: TFDGrid) -> PSD:
@@ -322,9 +331,7 @@ def psd_from_tfd(g: TFDGrid) -> PSD:
     _, vals = _band_magnitudes(g, None)
     p = vals.mean(axis=0)
     total = p.sum()
-    if total == 0:
-        return PSD(g.freqs_hz.copy(), p, all_zero=True)
-    return PSD(g.freqs_hz.copy(), p / total, all_zero=False)
+    return PSD(g.freqs_hz.copy(), p / total if total else p, all_zero=bool(total == 0))
 
 
 def resolution_report(g: TFDGrid) -> ResolutionReport:

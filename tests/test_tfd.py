@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfbench import tfd
-from tfbench.core import ComplexSignal, SampledSignal, WindowSpec, make_window
+from tfbench.core import ComplexSignal, SampledSignal, WindowSpec, analytic_signal, make_window
 from tfbench.tfd import (
     TFDGrid,
     next_pow2,
@@ -48,6 +49,13 @@ def test_tfd_grid_keeps_its_own_meta():
     meta["sample_rate_hz"] = 20.0
     meta["warnings"] = ["added later"]
     assert g.meta == {"sample_rate_hz": 10.0}
+
+
+def test_tfd_grid_copies_nested_meta():
+    g = stft(analytic_tone(20.0, 320.0, 64), WindowSpec("hann", 15), 4, 64)
+    g2 = replace(g, meta={**g.meta, "x": 1})
+    g2.meta["window"]["kind"] = "bogus"
+    assert g.meta["window"]["kind"] == "hann"
 
 
 def test_tfd_grid_arrays_are_read_only():
@@ -199,8 +207,14 @@ def _double_sum_wvd(z, nfft, time_window=None, freq_window=None):
     return (q * g) @ dft
 
 
-@pytest.mark.parametrize("n", [33, 64])
-@pytest.mark.parametrize("nfft", [5, 128])  # below and above every lag count used
+# nfft 5 and 128 lie below and above every lag count used; 2L-1, 2L (lags
+# folded) and 2L+1, 2L+2 (none folded) straddle the Hermitian half of
+# L = (n-1)//2, and 13..16 that of the 15-tap lag window's L = 7
+@pytest.mark.parametrize(
+    "nfft, n",
+    [(k, 33) for k in (5, 13, 14, 15, 16, 31, 32, 33, 34, 128)]
+    + [(k, 64) for k in (5, 61, 62, 63, 64, 128)],
+)
 @pytest.mark.parametrize("method", ["wvd", "pwvd", "spwvd"])
 def test_wvd_family_matches_double_sum(n, nfft, method):
     rng = np.random.default_rng(n)
@@ -266,6 +280,13 @@ def test_psd_wvd_uses_magnitude():
     p = psd_from_tfd(g)
     assert np.all(p.power >= 0.0)
     assert p.power.sum() == pytest.approx(1.0)
+
+
+def test_psd_arrays_are_read_only():
+    p = psd_from_tfd(stft(gen_two_tone(), WindowSpec("hann", 128), 4, 512))
+    for name in ("freqs_hz", "power"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[0] = 1.0
 
 
 def test_psd_all_zero_grid():
@@ -366,6 +387,49 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     assert np.array_equal(got.freqs_hz, f[keep])
     assert np.array_equal(got.times_s, full.times_s)
     assert got.meta == full.meta and got.method == full.method
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    method=st.sampled_from(["wvd", "pwvd"]),
+    n=st.integers(4, 90),
+    flen=st.integers(0, 60),
+    extra=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wvd_family_time_marginal_property(method, n, flen, extra, seed):
+    """With nfft > L no lag aliases onto lag 0, so every row sums over bins
+    to nfft * |z[n]|^2, folded lags (L < nfft <= 2L) included."""
+    rng = np.random.default_rng(seed)
+    z = analytic_signal(SampledSignal(rng.normal(size=n), 100.0))
+    max_lag = (n - 1) // 2 if method == "wvd" else min((n - 1) // 2, flen)
+    nfft = max_lag + 1 + extra
+    g = _wvd_method(method, z, nfft, 1, 2 * flen + 1)
+    want = nfft * np.abs(z.samples) ** 2
+    np.testing.assert_allclose(g.values.sum(axis=1), want, rtol=0, atol=1e-12 * want.max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(
+    method=st.sampled_from(["wvd", "pwvd"]),
+    core=st.integers(3, 40),
+    margins=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    delay=st.integers(1, 20),
+    nfft=st.integers(1, 160),
+    flen=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wvd_family_delay_shifts_rows(method, core, margins, delay, nfft, flen, seed):
+    """A record delayed by s samples inside zero margins gives the same rows
+    s rows later, bit for bit: each row reads only its own lag products."""
+    rng = np.random.default_rng(seed)
+    z = analytic_signal(SampledSignal(rng.normal(size=core), 100.0)).samples
+    lead, trail = margins
+    n = lead + core + delay + trail
+    x = ComplexSignal(np.concatenate([np.zeros(lead), z, np.zeros(delay + trail)]), 100.0)
+    later = ComplexSignal(np.concatenate([np.zeros(lead + delay), z, np.zeros(trail)]), 100.0)
+    got, shifted = (_wvd_method(method, v, nfft, 1, 2 * flen + 1) for v in (x, later))
+    assert np.array_equal(shifted.values[delay:], got.values[: n - delay])
 
 
 def test_wvd_family_empty_band_raises():
