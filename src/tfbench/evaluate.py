@@ -115,15 +115,13 @@ def extract_ridge(
     """
     if not 0.0 <= amp_threshold_frac < 1.0:
         raise ValueError("amp_threshold_frac must lie in [0, 1)")
-    band, vals = _band_magnitudes(g, band_hz)
-    arg = np.argmax(vals, axis=1)
-    peaks = vals[np.arange(vals.shape[0]), arg]
-    global_peak = float(peaks.max(initial=0.0))
+    scan = _band_magnitudes(g, band_hz)
+    global_peak = float(scan.peak.max(initial=0.0))
     if global_peak == 0.0:
         valid = np.zeros(g.n_times, dtype=bool)
     else:
-        valid = peaks >= amp_threshold_frac * global_peak
-    return IFTrajectory(g.times_s.copy(), g.freqs_hz[band][arg], valid)
+        valid = scan.peak >= amp_threshold_frac * global_peak
+    return IFTrajectory(g.times_s.copy(), g.freqs_hz[scan.band][scan.argmax], valid)
 
 
 def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
@@ -134,11 +132,11 @@ def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
     only its argmax matters, so it is not normalized.  A band that is all
     zero has no dominant frequency and raises InsufficientDataError.
     """
-    band, vals = _band_magnitudes(g, band_hz)
-    power = vals.mean(axis=0)
+    scan = _band_magnitudes(g, band_hz)
+    power = scan.col_sum / g.n_times
     if not power.any():
         raise InsufficientDataError("grid is all zero in the band; no dominant frequency")
-    return float(g.freqs_hz[band][np.argmax(power)])
+    return float(g.freqs_hz[scan.band][np.argmax(power)])
 
 
 @dataclass

@@ -20,15 +20,25 @@ Conventions
   bins of that frequency axis with lo <= f <= hi (edges included).  Those
   columns, their axis and the meta are bit-identical to the full grid's;
   only the grid is narrower.  ``None`` (the default) keeps [0, fs/2).
+* Row blocks run on up to min(4, usable CPUs) threads, the caller's and a
+  module thread pool's: the WVD-family lag transform, and the magnitude scan
+  (``_band_magnitudes``) behind ``psd_from_tfd`` and the ridge and
+  dominant-frequency readers.  A block writes only its own rows, and column
+  sums add fixed-size blocks in block order, so every result is
+  bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
@@ -36,8 +46,16 @@ from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_w
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
-# bytes of a WVD-family lag-transform row chunk: zero-padded half-spectrum input + real output
+# bytes of all WVD-family lag-transform row blocks in flight together; a block
+# holds its zero-padded half-spectrum input and its real output
 _LAG_FFT_CHUNK_BYTES = 1 << 24
+# bytes of one magnitude-scan block, small enough to stay in a core's cache
+_SCAN_BLOCK_BYTES = 1 << 19
+_MAX_WORKERS = 4
+
+_pool_lock = threading.Lock()
+_pool_owner: Optional[int] = None
+_pool_executor: Optional[ThreadPoolExecutor] = None
 
 
 @dataclass(frozen=True)
@@ -119,12 +137,80 @@ def _band_indices(freqs_hz: np.ndarray, band_hz: Optional[tuple]) -> slice:
     return slice(start, stop)
 
 
-def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> tuple:
-    """(slice, columns) of the grid inside ``band_hz``; WVD-family columns by
-    absolute value, so negative lobes count by magnitude."""
+def _workers() -> int:
+    """Threads for row-block work: the CPUs this process may run on, at most 4."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(_MAX_WORKERS, cpus))
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The module's thread pool, made on first use in each process: a forked
+    child cannot use its parent's threads.  Threads start only as ranges are
+    submitted, so the pool holds at most workers - 1 of them."""
+    global _pool_owner, _pool_executor
+    with _pool_lock:
+        if _pool_owner != os.getpid():
+            _pool_executor = ThreadPoolExecutor(_MAX_WORKERS - 1, thread_name_prefix="tfbench")
+            _pool_owner = os.getpid()
+        return _pool_executor
+
+
+def _in_blocks(work: Callable[[int, int], None], n_blocks: int, workers: int) -> None:
+    """Call ``work(lo, hi)`` on contiguous ranges of block indices that cover
+    0..n_blocks, one range per worker: the first on the calling thread, the
+    others on the pool.  Every range finishes before the first failing
+    range's error is raised."""
+    parts = max(1, min(workers, n_blocks))
+    edges = [n_blocks * i // parts for i in range(parts + 1)]
+    futures = [_pool().submit(work, lo, hi) for lo, hi in zip(edges[1:], edges[2:])]
+    try:
+        work(edges[0], edges[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+class _BandScan(NamedTuple):
+    band: slice  # the band's columns of the grid
+    argmax: np.ndarray  # per row: band column of the largest value, first of equals
+    peak: np.ndarray  # per row: that value
+    col_sum: np.ndarray  # per band column: sum over rows
+
+
+def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
+    """One scan of the grid's columns inside ``band_hz``; WVD-family columns
+    by absolute value, so negative lobes count by magnitude.
+
+    Rows are read in blocks of about ``_SCAN_BLOCK_BYTES``.  A WVD-family
+    block's magnitudes go into a buffer that each range of blocks reuses, so
+    no band-sized magnitude array is built.  Each block's column sums are
+    added in block order; block sizes do not depend on the thread count.
+    """
     band = _band_indices(g.freqs_hz, band_hz)
     vals = g.values[:, band]
-    return band, np.abs(vals) if g.method in WVD_METHODS else vals
+    n, k = vals.shape
+    rows = max(1, _SCAN_BLOCK_BYTES // (8 * max(k, 1)))
+    n_blocks = -(-n // rows)
+    argmax = np.empty(n, dtype=np.intp)
+    peak = np.empty(n)
+    sums = np.empty((n_blocks, k))
+    magnitude = g.method in WVD_METHODS
+
+    def scan(lo: int, hi: int) -> None:
+        buf = np.empty((rows, k)) if magnitude else None
+        for b in range(lo, hi):
+            at = slice(b * rows, min((b + 1) * rows, n))
+            block = np.abs(vals[at], out=buf[: at.stop - at.start]) if magnitude else vals[at]
+            argmax[at] = block.argmax(axis=1)
+            peak[at] = block[np.arange(block.shape[0]), argmax[at]]
+            block.sum(axis=0, out=sums[b])
+
+    _in_blocks(scan, n_blocks, _workers())
+    return _BandScan(band, argmax, peak, sums.sum(axis=0))
 
 
 def _short_time(
@@ -192,6 +278,12 @@ def _window_meta(spec: WindowSpec) -> dict:
     return meta
 
 
+def _lag_fft_rows(n: int, fft_length: int, workers: int) -> int:
+    """Rows per lag-transform block: ``workers`` blocks in flight fit in
+    ``_LAG_FFT_CHUNK_BYTES``, and each worker gets a block when N allows."""
+    return max(1, min(_LAG_FFT_CHUNK_BYTES // (16 * fft_length * workers), -(-n // workers)))
+
+
 def _wvd_family(
     method: str,
     x: SampledSignal,
@@ -212,7 +304,8 @@ def _wvd_family(
     Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
     first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
     h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.  Row
-    chunks are transformed in turn, so only the kept bins of a row are stored.
+    blocks are transformed on the thread pool (see ``_lag_fft_rows``), each
+    storing only the kept bins of its own rows.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
@@ -240,9 +333,11 @@ def _wvd_family(
     if freq_window is not None:
         max_lag = min(max_lag, (freq_window.length_samples - 1) // 2)
     zp = np.concatenate([np.zeros(max_lag, z.dtype), z, np.zeros(max_lag, z.dtype)])
-    at = np.arange(max_lag, max_lag + n)[:, None]
-    lags = np.arange(max_lag + 1)[None, :]
-    q = zp[at + lags] * np.conj(zp[at - lags])
+    # row i: zp[L+i+m] from windows of zp, conj(zp[L+i-m]) from windows of the
+    # reversed conjugate, which start at L+n-1-i
+    fwd = sliding_window_view(zp, max_lag + 1)[max_lag : max_lag + n]
+    bwd = sliding_window_view(np.conj(zp[::-1]), max_lag + 1)[max_lag : max_lag + n][::-1]
+    q = fwd * bwd
     if time_window is not None:
         h = make_window(time_window)
         q = fftconvolve(q, (h / h.sum())[:, None], mode="same", axes=0)
@@ -254,10 +349,15 @@ def _wvd_family(
         q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length))).reshape(n, -1, fft_length).sum(1)
         half = np.arange(fft_length // 2 + 1)
         q = q[:, half] + np.conj(q[:, -half % fft_length])
-    rows = max(1, _LAG_FFT_CHUNK_BYTES // (16 * fft_length))
+    workers = _workers()
+    rows = _lag_fft_rows(n, fft_length, workers)
     values = np.empty((n, band.stop - band.start))
-    for r in range(0, n, rows):
-        values[r : r + rows] = sp_fft.hfft(q[r : r + rows], n=fft_length, axis=1)[:, band]
+
+    def transform(lo: int, hi: int) -> None:
+        for r in range(lo * rows, min(hi * rows, n), rows):
+            values[r : r + rows] = sp_fft.hfft(q[r : r + rows], n=fft_length, axis=1)[:, band]
+
+    _in_blocks(transform, -(-n // rows), workers)
 
     times = x.start_time_s + np.arange(n) / fs
     meta = {
@@ -328,8 +428,7 @@ def psd_from_tfd(g: TFDGrid) -> PSD:
     """
     if g.values.size == 0:
         raise ValueError("empty grid")
-    _, vals = _band_magnitudes(g, None)
-    p = vals.mean(axis=0)
+    p = _band_magnitudes(g, None).col_sum / g.n_times
     total = p.sum()
     return PSD(g.freqs_hz.copy(), p / total if total else p, all_zero=bool(total == 0))
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from tfbench.evaluate import (
     rmse,
     run_transform,
 )
-from tfbench import evaluate
+from tfbench import evaluate, tfd
 from tfbench.synth import gen_x1
-from tfbench.tfd import ResolutionReport, TFDGrid, _band_indices, spwvd, stft, wvd
+from tfbench.tfd import ResolutionReport, TFDGrid, _band_indices, psd_from_tfd, spwvd, stft, wvd
 
 
 def traj(freqs, valid=None, times=None):
@@ -193,6 +195,91 @@ def test_band_grids_give_the_full_grids_ridge_and_dominant_frequency():
         assert dominant_frequency(limited, band) == dominant_frequency(full, band)
         a, b = extract_ridge(full, band, 0.05), extract_ridge(limited, band, 0.05)
         assert np.array_equal(a.freqs_hz, b.freqs_hz) and np.array_equal(a.valid, b.valid)
+
+
+def _random_grid(method, shape, ties, seed):
+    """Signed values for the WVD family, non-negative ones for STFT; with
+    ``ties`` a few integers, so rows repeat their maximum."""
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(-3, 4, size=shape).astype(float) if ties else rng.normal(size=shape)
+    vals = vals if method == "wvd" else np.abs(vals)
+    return grid_from_rows(vals, 10.0 + np.arange(shape[1]), method)
+
+
+@pytest.mark.parametrize("method", ["wvd", "stft"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (12, 1), (23, 17), (40, 6)])
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("scan_rows", [1, 5, 1000])
+def test_band_scans_match_whole_array_references(method, shape, ties, workers, scan_rows):
+    g = _random_grid(method, shape, ties, seed=sum(shape))
+    mags = np.abs(g.values) if method == "wvd" else g.values
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_SCAN_BLOCK_BYTES", scan_rows * 8 * shape[1]
+    ):
+        ridge = extract_ridge(g, amp_threshold_frac=0.5)
+        psd = psd_from_tfd(g)
+        dominant = dominant_frequency(g) if mags.any() else None
+    arg = np.argmax(mags, axis=1)  # first of equals
+    peaks = mags[np.arange(shape[0]), arg]
+    assert np.array_equal(ridge.freqs_hz, g.freqs_hz[arg])
+    global_peak = max(peaks.max(), 0.0)
+    assert np.array_equal(ridge.valid, (peaks >= 0.5 * global_peak) & (global_peak > 0))
+    if dominant is not None:
+        assert dominant == g.freqs_hz[np.argmax(mags.mean(axis=0))]
+    mean = mags.mean(axis=0)
+    want = mean / mean.sum() if mags.any() else mean
+    np.testing.assert_allclose(psd.power, want, rtol=1e-15, atol=0.0)
+
+
+def test_band_scans_do_not_depend_on_thread_count():
+    g = _random_grid("wvd", (50, 30), ties=False, seed=7)
+    got = []
+    for workers in (1, 2, 3):
+        with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+            tfd, "_SCAN_BLOCK_BYTES", 4 * 8 * 30
+        ):
+            got.append((tfd._band_magnitudes(g, (12.0, 30.0)), psd_from_tfd(g).power))
+    for scan, power in got[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(scan[1:], got[0][0][1:]))
+        assert np.array_equal(power, got[0][1])
+
+
+def test_band_scans_of_an_all_zero_band():
+    vals = np.random.default_rng(3).normal(size=(20, 8))
+    vals[:, 2:5] = 0.0
+    g = grid_from_rows(vals, 10.0 + np.arange(8), "wvd")
+    with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
+        tfd, "_SCAN_BLOCK_BYTES", 3 * 8 * 3
+    ):
+        ridge = extract_ridge(g, band_hz=(12.0, 14.0))
+        with pytest.raises(InsufficientDataError, match="all zero"):
+            dominant_frequency(g, band_hz=(12.0, 14.0))
+    assert not ridge.valid.any()
+    assert np.array_equal(ridge.freqs_hz, np.full(20, 12.0))
+
+
+def test_worker_error_becomes_the_method_error_row():
+    """A ValueError in a pooled lag-transform block is that method's error
+    row, and the pool still serves the next transform."""
+    sig, methods = gen_x1(), ("stft", "spwvd")
+    real_hfft, calls = tfd.sp_fft.hfft, itertools.count()
+
+    def hfft(*args, **kwargs):
+        if next(calls) == 1:
+            raise ValueError("hfft failed on the second block")
+        return real_hfft(*args, **kwargs)
+
+    with mock.patch.object(tfd, "_workers", lambda: 3):
+        assert tfd._lag_fft_rows(len(sig.signal), 2048, 3) < len(sig.signal)
+        with mock.patch.object(tfd.sp_fft, "hfft", hfft):
+            failed = compare_methods(sig.signal, sig.true_if, methods=methods)
+        again = compare_methods(sig.signal, sig.true_if, methods=methods)
+    assert next(calls) == 3  # every block ran
+    assert failed.results[0].error is None
+    assert failed.results[1].error == "hfft failed on the second block"
+    assert again.results[1].error is None
+    assert again.to_dict() == compare_methods(sig.signal, sig.true_if, methods=methods).to_dict()
 
 
 def test_compare_methods_on_x1():

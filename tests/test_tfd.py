@@ -1,6 +1,9 @@
 from dataclasses import replace
 from unittest import mock
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,8 +379,8 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     hi = f[hi_k] + (fs / (4.0 * nfft) if between[1] else 0.0)
     band_hz = (lo, hi) if limited else None
     keep = (f >= lo) & (f <= hi) if limited else np.ones(f.size, dtype=bool)
-    # `rows` rows per chunk: N below, at and across chunk boundaries
-    with mock.patch.object(tfd, "_LAG_FFT_CHUNK_BYTES", rows * 16 * nfft):
+    # `rows` rows per block: N below, at and across block boundaries
+    with mock.patch.object(tfd, "_lag_fft_rows", lambda n, fft_length, workers: rows):
         if not keep.any():
             with pytest.raises(ValueError, match="band"):
                 _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
@@ -430,6 +433,67 @@ def test_wvd_family_delay_shifts_rows(method, core, margins, delay, nfft, flen, 
     later = ComplexSignal(np.concatenate([np.zeros(lead + delay), z, np.zeros(trail)]), 100.0)
     got, shifted = (_wvd_method(method, v, nfft, 1, 2 * flen + 1) for v in (x, later))
     assert np.array_equal(shifted.values[delay:], got.values[: n - delay])
+
+
+@pytest.mark.parametrize("method", ["wvd", "pwvd", "spwvd"])
+@pytest.mark.parametrize("band_hz", [None, (5.0, 30.0)])
+@pytest.mark.parametrize("n, one_row_blocks", [(37, False), (64, False), (37, True)])
+def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one_row_blocks):
+    """Serial (one worker) and three-worker grids are equal bit for bit, with
+    N not a multiple of the block rows (37 = 13 + 13 + 11) and with one-row
+    blocks."""
+    x = SampledSignal(np.random.default_rng(n).normal(size=n), 100.0)
+    nfft = 64
+    with mock.patch.object(tfd, "_workers", lambda: 1):
+        serial = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
+    real_hfft, threads = tfd.sp_fft.hfft, set()
+
+    def hfft(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real_hfft(*args, **kwargs)
+
+    budget = 3 * 16 * nfft if one_row_blocks else tfd._LAG_FFT_CHUNK_BYTES
+    with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
+        tfd, "_LAG_FFT_CHUNK_BYTES", budget
+    ), mock.patch.object(tfd.sp_fft, "hfft", hfft):
+        assert tfd._lag_fft_rows(n, nfft, 3) == (1 if one_row_blocks else -(-n // 3))
+        pooled = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
+    assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
+    assert np.array_equal(pooled.values, serial.values)
+    assert np.array_equal(pooled.freqs_hz, serial.freqs_hz)
+
+
+def test_row_blocks_under_thread_switch_stress():
+    """Four workers (more than most hosts' cores) on one-row transform and
+    scan blocks, switching threads every microsecond: a lost or misplaced
+    block would change the grid or the scan."""
+    x = SampledSignal(np.random.default_rng(5).normal(size=61), 100.0)
+    tw, fw = WindowSpec("hann", 5), WindowSpec("hann", 21)
+    with mock.patch.object(tfd, "_workers", lambda: 1):
+        want = spwvd(x, tw, fw, 64)
+        want_scan = tfd._band_magnitudes(want, (5.0, 30.0))
+    got = []
+
+    def run():
+        with mock.patch.object(tfd, "_workers", lambda: 4), mock.patch.object(
+            tfd, "_LAG_FFT_CHUNK_BYTES", 4 * 16 * 64
+        ), mock.patch.object(tfd, "_SCAN_BLOCK_BYTES", 1):
+            for _ in range(20):
+                g = spwvd(x, tw, fw, 64)
+                got.append((g, tfd._band_magnitudes(g, (5.0, 30.0))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(got) == 20
+    for g, scan in got:
+        assert np.array_equal(g.values, want.values)
+        assert all(np.array_equal(a, b) for a, b in zip(scan[1:], want_scan[1:]))
 
 
 def test_wvd_family_empty_band_raises():
