@@ -87,8 +87,8 @@ class PCTConfig:
             raise ValueError("order must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol_hz <= 0:
-            raise ValueError("convergence_tol_hz must be positive")
+        if not (np.isfinite(self.convergence_tol_hz) and self.convergence_tol_hz > 0):
+            raise ValueError("convergence_tol_hz must be positive and finite")
         if self.hop_samples < 1:
             raise ValueError("hop_samples must be >= 1")
         if self.window.length_samples > self.fft_length:
@@ -97,14 +97,21 @@ class PCTConfig:
             raise ValueError("amp_threshold_frac must lie in [0, 1)")
 
 
-def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) -> TFDGrid:
+def pct_transform(
+    z: SampledSignal,
+    kernel: PolynomialKernel,
+    cfg: PCTConfig,
+    band_hz: Optional[tuple] = None,
+) -> TFDGrid:
     """Polynomial chirplet transform, squared magnitudes.
 
     The STFT framing of the rotated signal, each frame shifted by the
     kernel's IF at its center, so axes and meta keys match ``stft`` plus
-    ``kernel_coeffs``.  Meaningful concentration requires an analytic input,
-    since the rotation operator would defocus a real signal's mirrored
-    spectrum.
+    ``kernel_coeffs``.  ``band_hz`` keeps only the bins inside it, as in
+    ``tfd.wvd``: the kept columns, their axis and the meta are bit-identical
+    to the full grid's, and an empty band raises ValueError.  Meaningful
+    concentration requires an analytic input, since the rotation operator
+    would defocus a real signal's mirrored spectrum.
     """
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
@@ -116,6 +123,7 @@ def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) ->
         cfg.hop_samples,
         cfg.fft_length,
         kernel.local_if,
+        band_hz,
         analytic_input=bool(np.iscomplexobj(z.samples)),
         kernel_coeffs=list(kernel.coeffs),
     )
@@ -173,13 +181,18 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
     consecutive iterations.  The kept fit is the converged one, or else the
     one with the lowest residual so far (the first of equals).
     Deterministic.
+
+    The iterations read only the ridge band, so their transforms keep only
+    the ``ridge_band_hz`` columns; those are the full grid's bits, so every
+    ridge, residual and fit is the full grid's too.  The kept kernel's final
+    transform, ``KernelFit.grid``, spans the whole axis.
     """
     cfg = cfg if cfg is not None else PCTConfig()
     kernel = PolynomialKernel.zero(cfg.order)
     prev_fitted: Optional[np.ndarray] = None
     kept = (np.inf, None)  # (residual, coeffs)
     for iterations in range(1, cfg.max_iterations + 1):
-        grid = pct_transform(z, kernel, cfg)
+        grid = pct_transform(z, kernel, cfg, band_hz=cfg.ridge_band_hz)
         coeffs, residual = _fit_ridge_poly(grid, cfg)
         fitted = npoly.polyval(grid.times_s, coeffs)
         converged = prev_fitted is not None and bool(

@@ -16,16 +16,17 @@ Conventions
 * A WVD-family row is one Hermitian real FFT of lags 0..L: the lag product
   is Hermitian and the lag kernel even, so the lag DFT is real.  Lags past
   the Hermitian half are folded first (see ``_wvd_family``).
-* ``wvd``, ``pwvd`` and ``spwvd`` take ``band_hz=(lo, hi)`` to keep only the
-  bins of that frequency axis with lo <= f <= hi (edges included).  Those
+* ``wvd``, ``pwvd``, ``spwvd`` and ``pct.pct_transform`` take
+  ``band_hz=(lo, hi)`` to keep only the bins of their frequency axis with
+  lo <= f <= hi (edges included); an empty band raises ValueError.  Those
   columns, their axis and the meta are bit-identical to the full grid's;
-  only the grid is narrower.  ``None`` (the default) keeps [0, fs/2).
+  only the grid is narrower.  ``None`` (the default) keeps the whole axis.
 * Row blocks run on up to min(4, usable CPUs) threads, the caller's and a
-  module thread pool's: the WVD-family lag transform, and the magnitude scan
-  (``_band_magnitudes``) behind ``psd_from_tfd`` and the ridge and
-  dominant-frequency readers.  A block writes only its own rows, and column
-  sums add fixed-size blocks in block order, so every result is
-  bit-identical for any thread count.
+  module thread pool's: the WVD-family lag transform, the STFT and PCT frame
+  transforms, and the magnitude scan (``_band_magnitudes``) behind
+  ``psd_from_tfd`` and the ridge and dominant-frequency readers.  A block
+  writes only its own rows, and column sums add fixed-size blocks in block
+  order, so every result is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_w
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
-# bytes of all WVD-family lag-transform row blocks in flight together; a block
-# holds its zero-padded half-spectrum input and its real output
-_LAG_FFT_CHUNK_BYTES = 1 << 24
+# bytes of all transform row blocks in flight together, about 16 * fft_length
+# per row: a WVD-family block holds its zero-padded half-spectrum input and
+# its real output, a short-time block its complex spectra
+_FFT_CHUNK_BYTES = 1 << 24
 # bytes of one magnitude-scan block, small enough to stay in a core's cache
 _SCAN_BLOCK_BYTES = 1 << 19
 _MAX_WORKERS = 4
@@ -174,6 +176,32 @@ def _in_blocks(work: Callable[[int, int], None], n_blocks: int, workers: int) ->
         future.result()
 
 
+def _fft_rows(n: int, fft_length: int, workers: int) -> int:
+    """Rows per transform block: ``workers`` blocks in flight fit in
+    ``_FFT_CHUNK_BYTES``, and the N rows split into a multiple of ``workers``
+    nearly equal blocks, so every worker gets the same share when N allows."""
+    most = max(1, _FFT_CHUNK_BYTES // (16 * fft_length * workers))
+    return -(-n // (workers * -(-n // (most * workers))))
+
+
+def _transform_rows(
+    n: int, fft_length: int, k: int, block: Callable[[slice], np.ndarray]
+) -> np.ndarray:
+    """An N x k array whose rows ``at`` are ``block(at)``, filled in row
+    blocks of ``_fft_rows`` rows on the thread pool."""
+    workers = _workers()
+    rows = _fft_rows(n, fft_length, workers)
+    values = np.empty((n, k))
+
+    def transform(lo: int, hi: int) -> None:
+        for r in range(lo * rows, min(hi * rows, n), rows):
+            at = slice(r, r + rows)
+            values[at] = block(at)
+
+    _in_blocks(transform, -(-n // rows), workers)
+    return values
+
+
 class _BandScan(NamedTuple):
     band: slice  # the band's columns of the grid
     argmax: np.ndarray  # per row: band column of the largest value, first of equals
@@ -220,13 +248,20 @@ def _short_time(
     hop_samples: int,
     fft_length: int,
     shift_hz=None,
+    band_hz: Optional[tuple] = None,
     **meta,
 ) -> TFDGrid:
     """The framing ``stft`` documents, as a grid named ``method``.
 
     ``shift_hz`` maps frame centers to Hz; when given, frame k is multiplied
     by exp(2j*pi*shift_hz(center_k)*t) at its sample times t before
-    windowing.  ``meta`` adds or overrides grid meta keys.
+    windowing.  ``band_hz`` keeps only the bins inside it; an empty band
+    raises ValueError.  ``meta`` adds or overrides grid meta keys.
+
+    Frames are transformed in row blocks on the thread pool (see
+    ``_transform_rows``): each block gathers, shifts and windows its frames,
+    takes their FFT and stores |.|^2 of the kept bins of its own rows, so no
+    all-frames x fft_length spectrum is built.
     """
     if hop_samples < 1:
         raise ValueError("hop_samples must be >= 1")
@@ -236,18 +271,28 @@ def _short_time(
     if wlen > len(x):
         raise ValueError(f"window ({wlen}) longer than signal ({len(x)})")
     fs = x.sample_rate_hz
-    starts = np.arange(0, len(x) - wlen + 1, hop_samples)
-    frame_index = starts[:, None] + np.arange(wlen)[None, :]
-    times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
-    frames = x.samples[frame_index]
-    if shift_hz is not None:
-        # named, not inlined: numpy may compute an inlined temporary's
-        # product as shift * frames, which rounds differently on large grids
-        shift = np.exp(2j * np.pi * shift_hz(times)[:, None] * x.times()[frame_index])
-        frames = frames * shift
-    spectra = np.fft.fft(frames * make_window(window)[None, :], n=fft_length, axis=1)
-    values = np.abs(spectra[:, : fft_length // 2 + 1]) ** 2
     freqs = np.arange(fft_length // 2 + 1) * fs / fft_length
+    band = _band_indices(freqs, band_hz)
+    starts = np.arange(0, len(x) - wlen + 1, hop_samples)
+    offsets = np.arange(wlen)
+    times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
+    taps = make_window(window)
+    shift_at = shift_hz(times) if shift_hz is not None else None
+    sample_times = x.times()
+
+    def power(at: slice) -> np.ndarray:
+        frame_index = starts[at, None] + offsets[None, :]
+        frames = x.samples[frame_index]
+        if shift_at is not None:
+            # named, not inlined: numpy may compute an inlined temporary's
+            # product as shift * frames, which rounds differently on large grids
+            shift = np.exp(2j * np.pi * shift_at[at, None] * sample_times[frame_index])
+            frames = frames * shift
+        # numpy's FFT, not scipy's: the two differ in the last bits on real frames
+        spectra = np.fft.fft(frames * taps[None, :], n=fft_length, axis=1)
+        return np.abs(spectra[:, band]) ** 2
+
+    values = _transform_rows(starts.size, fft_length, band.stop - band.start, power)
     meta = {
         "sample_rate_hz": fs,
         "window": _window_meta(window),
@@ -256,7 +301,7 @@ def _short_time(
         "analytic_input": bool(np.iscomplexobj(x.samples)),
         **meta,
     }
-    return TFDGrid(times, freqs, values, method, meta)
+    return TFDGrid(times, freqs[band], values, method, meta)
 
 
 def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int) -> TFDGrid:
@@ -276,12 +321,6 @@ def _window_meta(spec: WindowSpec) -> dict:
     if spec.periodic:
         meta["periodic"] = True
     return meta
-
-
-def _lag_fft_rows(n: int, fft_length: int, workers: int) -> int:
-    """Rows per lag-transform block: ``workers`` blocks in flight fit in
-    ``_LAG_FFT_CHUNK_BYTES``, and each worker gets a block when N allows."""
-    return max(1, min(_LAG_FFT_CHUNK_BYTES // (16 * fft_length * workers), -(-n // workers)))
 
 
 def _wvd_family(
@@ -304,7 +343,7 @@ def _wvd_family(
     Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
     first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
     h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.  Row
-    blocks are transformed on the thread pool (see ``_lag_fft_rows``), each
+    blocks are transformed on the thread pool (see ``_transform_rows``), each
     storing only the kept bins of its own rows.
     """
     if len(x) < 4:
@@ -349,15 +388,10 @@ def _wvd_family(
         q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length))).reshape(n, -1, fft_length).sum(1)
         half = np.arange(fft_length // 2 + 1)
         q = q[:, half] + np.conj(q[:, -half % fft_length])
-    workers = _workers()
-    rows = _lag_fft_rows(n, fft_length, workers)
-    values = np.empty((n, band.stop - band.start))
-
-    def transform(lo: int, hi: int) -> None:
-        for r in range(lo * rows, min(hi * rows, n), rows):
-            values[r : r + rows] = sp_fft.hfft(q[r : r + rows], n=fft_length, axis=1)[:, band]
-
-    _in_blocks(transform, -(-n // rows), workers)
+    values = _transform_rows(
+        n, fft_length, band.stop - band.start,
+        lambda at: sp_fft.hfft(q[at], n=fft_length, axis=1)[:, band],
+    )
 
     times = x.start_time_s + np.arange(n) / fs
     meta = {

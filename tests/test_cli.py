@@ -451,6 +451,23 @@ def test_compare_exits_validation_when_every_method_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_compare_rejects_non_finite_convergence_tol(tmp_path, capsys, literal):
+    # Python's json reads these literals as floats; NaN <= 0 is False
+    csv_path, truth_path = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"pct": {"convergence_tol_hz": %s}}' % literal)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["compare", str(csv_path), "--truth", str(truth_path),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table
+    assert captured.err.startswith("error: ") and "convergence_tol_hz" in captured.err
+    assert not out.exists()
+
+
 def test_compare_has_no_seed_flag(tmp_path):
     csv_path, _ = synth(tmp_path)
     with pytest.raises(SystemExit) as exc:

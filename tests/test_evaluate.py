@@ -271,7 +271,7 @@ def test_worker_error_becomes_the_method_error_row():
         return real_hfft(*args, **kwargs)
 
     with mock.patch.object(tfd, "_workers", lambda: 3):
-        assert tfd._lag_fft_rows(len(sig.signal), 2048, 3) < len(sig.signal)
+        assert tfd._fft_rows(len(sig.signal), 2048, 3) < len(sig.signal)
         with mock.patch.object(tfd.sp_fft, "hfft", hfft):
             failed = compare_methods(sig.signal, sig.true_if, methods=methods)
         again = compare_methods(sig.signal, sig.true_if, methods=methods)

@@ -1,4 +1,7 @@
 import cmath
+import itertools
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from tfbench.core import (
     analytic_signal,
     make_window,
 )
-from tfbench import pct
+from tfbench import pct, tfd
+from tfbench.evaluate import CompareConfig, compare_methods
 from tfbench.pct import (
     PCTConfig,
     PolynomialKernel,
@@ -22,6 +26,7 @@ from tfbench.pct import (
     pct_auto,
     pct_transform,
 )
+from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import stft
 
 
@@ -73,8 +78,9 @@ def test_pct_config_validation():
         PCTConfig(order=0)
     with pytest.raises(ValueError):
         PCTConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        PCTConfig(convergence_tol_hz=0.0)
+    for tol in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="convergence_tol_hz"):
+            PCTConfig(convergence_tol_hz=tol)
     with pytest.raises(ValueError):
         PCTConfig(hop_samples=0)
     with pytest.raises(ValueError):
@@ -199,6 +205,124 @@ def test_pct_transform_validation():
         pct_transform(z, PolynomialKernel((1.0,)), cfg)  # order mismatch
     with pytest.raises(ValueError):
         pct_transform(linear_chirp(n=16), PolynomialKernel.zero(2), cfg)
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize(
+    "band_hz",
+    [(5.0, 70.0), (0.0, 160.0), (40.0, 40.0), (40.1, 40.5), (39.9, 40.0), (-3.0, 0.2), (150.0, 900.0)],
+)
+def test_pct_band_grid_equals_full_grid_columns(analytic, band_hz):
+    """Band edges on a bin (40.0 Hz at 0.3125 Hz spacing), between bins and
+    outside the axis keep the full grid's columns lo <= f <= hi bit for bit."""
+    x = SampledSignal(np.random.default_rng(4).normal(size=333), 320.0, start_time_s=0.1)
+    z = analytic_signal(x) if analytic else x
+    kernel, cfg = PolynomialKernel((3.0, -7.5)), PCTConfig()
+    full = pct_transform(z, kernel, cfg)
+    assert np.array_equal(pct_transform(z, kernel, cfg, band_hz=None).values, full.values)
+    keep = (full.freqs_hz >= band_hz[0]) & (full.freqs_hz <= band_hz[1])
+    got = pct_transform(z, kernel, cfg, band_hz=band_hz)
+    assert np.array_equal(got.values, full.values[:, keep])
+    assert np.array_equal(got.freqs_hz, full.freqs_hz[keep])
+    assert np.array_equal(got.times_s, full.times_s)
+    assert got.meta == full.meta and got.method == "pct"
+
+
+def test_pct_empty_band_raises():
+    z, cfg = linear_chirp(), PCTConfig()
+    for band in [(40.1, 40.2), (200.0, 300.0), (-5.0, -1.0), (60.0, 50.0), (np.nan, 50.0)]:
+        with pytest.raises(ValueError, match="band"):
+            pct_transform(z, PolynomialKernel.zero(2), cfg, band_hz=band)
+
+
+@pytest.mark.parametrize("band_hz", [None, (5.0, 70.0)])
+@pytest.mark.parametrize("workers, rows", [(3, None), (3, 1), (3, 7), (1, 1), (1, 7)])
+def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
+    """Pooled, one-row and 7-row blocks give the serial one-block grid bit
+    for bit; the 257 frames leave a short last block for 7 rows and for the
+    budget's rows at three workers (86 + 86 + 85)."""
+    z = analytic_signal(gen_x2(snr=10.0, seed=1).signal)
+    kernel, cfg = PolynomialKernel((-430.0, 2610.0)), PCTConfig()
+    n_frames = len(z) - cfg.window.length_samples + 1
+    with mock.patch.object(tfd, "_workers", lambda: 1):
+        assert tfd._fft_rows(n_frames, cfg.fft_length, 1) == n_frames  # one block
+        serial = pct_transform(z, kernel, cfg, band_hz=band_hz)
+    real_fft, threads = np.fft.fft, set()
+
+    def fft(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real_fft(*args, **kwargs)
+
+    block_rows = rows if rows is not None else tfd._fft_rows(n_frames, cfg.fft_length, workers)
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_fft_rows", lambda n, fft_length, w: block_rows
+    ), mock.patch.object(tfd.np.fft, "fft", fft):
+        got = pct_transform(z, kernel, cfg, band_hz=band_hz)
+    assert any(name.startswith("tfbench") for name in threads) == (workers > 1)
+    assert np.array_equal(got.values, serial.values)
+    assert np.array_equal(got.freqs_hz, serial.freqs_hz)
+    assert got.meta == serial.meta
+
+
+@pytest.mark.parametrize("signal", ["x1", "x2-snr10", "chirp"])
+@pytest.mark.parametrize("compare_cfg", [False, True])
+def test_estimate_kernel_band_iterations_equal_full_grid_iterations(monkeypatch, signal,
+                                                                    compare_cfg):
+    """Iterations on ridge-band grids give the fit and the final grid of
+    iterations on full grids, bit for bit; only the final transform is full."""
+    z = {
+        "x1": lambda: analytic_signal(gen_x1().signal),
+        "x2-snr10": lambda: analytic_signal(gen_x2(snr=10.0, seed=1).signal),
+        "chirp": linear_chirp,
+    }[signal]()
+    cc = CompareConfig()
+    cfg = PCTConfig(ridge_band_hz=cc.band_hz, amp_threshold_frac=cc.amp_threshold_frac) \
+        if compare_cfg else PCTConfig()
+    real, bands = pct.pct_transform, []
+
+    def spy(z, kernel, cfg, band_hz=None):
+        bands.append(band_hz)
+        return real(z, kernel, cfg, band_hz=band_hz)
+
+    monkeypatch.setattr(pct, "pct_transform", spy)
+    got = estimate_kernel(z, cfg)
+    assert bands == [cfg.ridge_band_hz] * got.iterations + [None]
+    monkeypatch.setattr(pct, "pct_transform",
+                        lambda z, kernel, cfg, band_hz=None: real(z, kernel, cfg))
+    want = estimate_kernel(z, cfg)
+    assert (got.iterations, got.converged, got.if_coeffs) == (
+        want.iterations, want.converged, want.if_coeffs
+    )
+    assert got.kernel == want.kernel
+    assert np.array_equal(got.grid.values, want.grid.values)
+    assert np.array_equal(got.grid.freqs_hz, want.grid.freqs_hz)
+    assert np.array_equal(got.grid.times_s, want.grid.times_s)
+    assert got.grid.meta == want.grid.meta
+
+
+def test_frame_fft_error_becomes_the_pct_error_row():
+    """A ValueError in one pooled frame-transform block is pct's error row,
+    raised after every block of that transform ran, and the pool still
+    serves the next compare."""
+    sig = gen_x1()
+    real_fft, calls = np.fft.fft, itertools.count()
+
+    def fft(a, n=None, axis=-1, *args, **kwargs):
+        # count the frame blocks only, not the analytic signal's FFT
+        if axis == 1 and next(calls) == 1:
+            raise ValueError("fft failed on the second block")
+        return real_fft(a, n, axis, *args, **kwargs)
+
+    with mock.patch.object(tfd, "_workers", lambda: 3):
+        n_frames = len(sig.signal) - PCTConfig().window.length_samples + 1
+        assert -(-n_frames // tfd._fft_rows(n_frames, 1024, 3)) == 3
+        with mock.patch.object(tfd.np.fft, "fft", fft):
+            failed = compare_methods(sig.signal, sig.true_if, methods=("pct",))
+        assert next(calls) == 3  # every block of the first transform ran
+        again = compare_methods(sig.signal, sig.true_if, methods=("pct",))
+    assert failed.results[0].error == "fft failed on the second block"
+    assert again.results[0].error is None
+    assert again.to_dict() == compare_methods(sig.signal, sig.true_if, methods=("pct",)).to_dict()
 
 
 def test_estimate_kernel_stationary_tone():

@@ -112,6 +112,45 @@ def test_stft_validation():
         stft(sig, WindowSpec("hann", 64), 4, 32)  # window longer than fft
 
 
+def _stft_whole(x, window, hop, nfft):
+    """The STFT as one FFT over every frame, without row blocks."""
+    wlen = window.length_samples
+    starts = np.arange(0, len(x) - wlen + 1, hop)
+    frames = x.samples[starts[:, None] + np.arange(wlen)[None, :]]
+    spectra = np.fft.fft(frames * make_window(window)[None, :], n=nfft, axis=1)
+    return np.abs(spectra[:, : nfft // 2 + 1]) ** 2
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize("hop", [1, 3])
+@pytest.mark.parametrize("workers, rows", [(1, None), (3, None), (3, 1), (3, 7), (1, 7)])
+def test_stft_grid_does_not_depend_on_thread_count(analytic, hop, workers, rows):
+    """Serial, pooled, one-row and 7-row blocks give the unblocked grid bit
+    for bit.  The frame counts, 101 at hop 1 and 34 at hop 3, leave a short
+    last block for 7 rows and for the budget's rows (``rows=None``) at three
+    workers: 34 + 34 + 33 and 12 + 12 + 10."""
+    x = SampledSignal(np.random.default_rng(3).normal(size=164), 100.0, start_time_s=0.25)
+    x = analytic_signal(x) if analytic else x
+    window, nfft = WindowSpec("hann", 64), 256
+    n_frames = len(range(0, len(x) - 63, hop))
+    real_fft, threads = np.fft.fft, set()
+
+    def fft(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real_fft(*args, **kwargs)
+
+    block_rows = rows if rows is not None else tfd._fft_rows(n_frames, nfft, workers)
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_fft_rows", lambda n, fft_length, w: block_rows
+    ), mock.patch.object(tfd.np.fft, "fft", fft):
+        got = stft(x, window, hop, nfft)
+    assert any(name.startswith("tfbench") for name in threads) == (
+        workers > 1 and block_rows < n_frames
+    )
+    assert np.array_equal(got.values, _stft_whole(x, window, hop, nfft))
+    assert np.array_equal(got.freqs_hz, np.arange(nfft // 2 + 1) * 100.0 / nfft)
+
+
 def test_wvd_time_marginal_identity():
     """Summing a WVD row over frequency gives nfft * |z[n]|^2 exactly."""
     rng = np.random.default_rng(3)
@@ -380,7 +419,7 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     band_hz = (lo, hi) if limited else None
     keep = (f >= lo) & (f <= hi) if limited else np.ones(f.size, dtype=bool)
     # `rows` rows per block: N below, at and across block boundaries
-    with mock.patch.object(tfd, "_lag_fft_rows", lambda n, fft_length, workers: rows):
+    with mock.patch.object(tfd, "_fft_rows", lambda n, fft_length, workers: rows):
         if not keep.any():
             with pytest.raises(ValueError, match="band"):
                 _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
@@ -452,35 +491,52 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
         threads.add(threading.current_thread().name)
         return real_hfft(*args, **kwargs)
 
-    budget = 3 * 16 * nfft if one_row_blocks else tfd._LAG_FFT_CHUNK_BYTES
+    budget = 3 * 16 * nfft if one_row_blocks else tfd._FFT_CHUNK_BYTES
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
-        tfd, "_LAG_FFT_CHUNK_BYTES", budget
+        tfd, "_FFT_CHUNK_BYTES", budget
     ), mock.patch.object(tfd.sp_fft, "hfft", hfft):
-        assert tfd._lag_fft_rows(n, nfft, 3) == (1 if one_row_blocks else -(-n // 3))
+        assert tfd._fft_rows(n, nfft, 3) == (1 if one_row_blocks else -(-n // 3))
         pooled = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
     assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
     assert np.array_equal(pooled.values, serial.values)
     assert np.array_equal(pooled.freqs_hz, serial.freqs_hz)
 
 
+@pytest.mark.parametrize(
+    "n, fft_length, workers, rows",
+    [
+        (1217, 1024, 2, 305),  # PCT at N=1280: 4 x 305 rows, not 512 + 512 + 193
+        (1280, 8192, 2, 64),  # WVD family at N=1280: 20 blocks of the budget's 64 rows
+        (257, 1024, 3, 86),
+        (37, 64, 3, 13),
+        (5, 64, 4, 2),
+        (1, 1 << 30, 4, 1),  # a row over budget is still one block
+    ],
+)
+def test_fft_rows_split_over_the_workers_within_the_budget(n, fft_length, workers, rows):
+    assert tfd._fft_rows(n, fft_length, workers) == rows
+    assert rows == 1 or workers * rows * 16 * fft_length <= tfd._FFT_CHUNK_BYTES
+
+
 def test_row_blocks_under_thread_switch_stress():
     """Four workers (more than most hosts' cores) on one-row transform and
     scan blocks, switching threads every microsecond: a lost or misplaced
-    block would change the grid or the scan."""
+    block would change the grids or the scan."""
     x = SampledSignal(np.random.default_rng(5).normal(size=61), 100.0)
     tw, fw = WindowSpec("hann", 5), WindowSpec("hann", 21)
     with mock.patch.object(tfd, "_workers", lambda: 1):
         want = spwvd(x, tw, fw, 64)
         want_scan = tfd._band_magnitudes(want, (5.0, 30.0))
+        want_stft = stft(x, fw, 1, 64)
     got = []
 
     def run():
         with mock.patch.object(tfd, "_workers", lambda: 4), mock.patch.object(
-            tfd, "_LAG_FFT_CHUNK_BYTES", 4 * 16 * 64
+            tfd, "_FFT_CHUNK_BYTES", 4 * 16 * 64
         ), mock.patch.object(tfd, "_SCAN_BLOCK_BYTES", 1):
             for _ in range(20):
                 g = spwvd(x, tw, fw, 64)
-                got.append((g, tfd._band_magnitudes(g, (5.0, 30.0))))
+                got.append((g, tfd._band_magnitudes(g, (5.0, 30.0)), stft(x, fw, 1, 64)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -491,8 +547,9 @@ def test_row_blocks_under_thread_switch_stress():
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive() and len(got) == 20
-    for g, scan in got:
+    for g, scan, g_stft in got:
         assert np.array_equal(g.values, want.values)
+        assert np.array_equal(g_stft.values, want_stft.values)
         assert all(np.array_equal(a, b) for a, b in zip(scan[1:], want_scan[1:]))
 
 
