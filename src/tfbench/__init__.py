@@ -7,7 +7,6 @@ scored by ridge RMSE/NRMSE; the ``tfbench`` CLI batches the whole pipeline.
 """
 
 from .core import (
-    ComplexSignal,
     InsufficientDataError,
     SampledSignal,
     WindowSpec,
@@ -47,7 +46,6 @@ from .tfd import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexSignal",
     "InsufficientDataError",
     "SampledSignal",
     "WindowSpec",

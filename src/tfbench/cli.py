@@ -203,21 +203,23 @@ def cmd_synth(args) -> int:
     kwargs = doc.get("synth", {})
     if not isinstance(kwargs, dict):
         raise ValueError(f"synth must be a JSON object, got {kwargs!r}")
-    for flag, param in (
-        (args.rate, "sample_rate_hz"),
-        (args.duration, "duration_s"),
-        (args.snr, "snr"),
-        (args.seed, "seed"),
+    hints = get_type_hints(generator)
+    for flag, value, param in (
+        ("--rate", args.rate, "sample_rate_hz"),
+        ("--duration", args.duration, "duration_s"),
+        ("--snr", args.snr, "snr"),
+        ("--seed", args.seed, "seed"),
     ):
-        if flag is not None:
-            kwargs[param] = flag
+        if value is not None:
+            if param not in hints:
+                raise ValueError(f"{flag} does not apply to {args.signal_id}")
+            kwargs[param] = value
     # a shared config may carry parameters for the other generator; keep only
     # what this one accepts, but reject keys unknown to every generator
     valid_anywhere = set().union(*(get_type_hints(g) for g in GENERATORS.values())) - {"return"}
     unknown = sorted(set(kwargs) - valid_anywhere)
     if unknown:
         raise ValueError(f"unknown synth parameters {unknown}")
-    hints = get_type_hints(generator)
     kwargs = {k: v for k, v in kwargs.items() if k in hints}
     # values are checked, then passed on as written so truth.json keeps them
     for key, value in kwargs.items():

@@ -67,11 +67,6 @@ class SampledSignal:
         return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
 
 
-def ComplexSignal(samples, sample_rate_hz: float, start_time_s: float = 0.0) -> SampledSignal:
-    """A SampledSignal with its samples cast to complex128."""
-    return SampledSignal(np.asarray(samples, dtype=np.complex128), sample_rate_hz, start_time_s)
-
-
 WINDOW_KINDS = ("rectangular", "hann", "hamming", "gaussian")
 
 

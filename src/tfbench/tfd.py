@@ -21,12 +21,14 @@ Conventions
   lo <= f <= hi (edges included); an empty band raises ValueError.  Those
   columns, their axis and the meta are bit-identical to the full grid's;
   only the grid is narrower.  ``None`` (the default) keeps the whole axis.
-* Row blocks run on up to min(4, usable CPUs) threads, the caller's and a
-  module thread pool's: the WVD-family lag transform, the STFT and PCT frame
-  transforms, and the magnitude scan (``_band_magnitudes``) behind
-  ``psd_from_tfd`` and the ridge and dominant-frequency readers.  A block
-  writes only its own rows, and column sums add fixed-size blocks in block
-  order, so every result is bit-identical for any thread count.
+* The WVD-family lag transform, the STFT and PCT frame transforms, and the
+  magnitude scan (``_band_magnitudes``) behind ``psd_from_tfd`` and the
+  ridge and dominant-frequency readers run in row blocks of about
+  ``_BLOCK_BYTES`` of work, whatever the thread count, on up to min(4,
+  usable CPUs) threads, the caller's first: a one-block transform never
+  leaves the calling thread.  A block writes only its own rows, and column
+  sums add the blocks in order, so every result is bit-identical for any
+  thread count.
 """
 
 from __future__ import annotations
@@ -47,12 +49,8 @@ from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_w
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
-# bytes of all transform row blocks in flight together, about 16 * fft_length
-# per row: a WVD-family block holds its zero-padded half-spectrum input and
-# its real output, a short-time block its complex spectra
-_FFT_CHUNK_BYTES = 1 << 24
-# bytes of one magnitude-scan block, small enough to stay in a core's cache
-_SCAN_BLOCK_BYTES = 1 << 19
+# bytes of one row block's work, small enough to stay in a core's cache
+_BLOCK_BYTES = 1 << 19
 _MAX_WORKERS = 4
 
 _pool_lock = threading.Lock()
@@ -160,45 +158,47 @@ def _pool() -> ThreadPoolExecutor:
         return _pool_executor
 
 
-def _in_blocks(work: Callable[[int, int], None], n_blocks: int, workers: int) -> None:
-    """Call ``work(lo, hi)`` on contiguous ranges of block indices that cover
-    0..n_blocks, one range per worker: the first on the calling thread, the
-    others on the pool.  Every range finishes before the first failing
-    range's error is raised."""
-    parts = max(1, min(workers, n_blocks))
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block, for rows of ``row_bytes`` bytes of work each: as many
+    as fit in ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+def _in_blocks(n: int, rows: int, work: Callable[[int, slice], None]) -> None:
+    """Call ``work(b, at)`` for every block b of ``rows`` rows of 0..n, ``at``
+    its rows (the last block may be short).  Contiguous ranges of blocks go
+    one to each worker: the first on the calling thread, the others on the
+    pool, so a single block runs on the caller alone.  Every range finishes
+    before the first failing range's error is raised."""
+    n_blocks = -(-n // rows)
+    parts = max(1, min(_workers(), n_blocks))
     edges = [n_blocks * i // parts for i in range(parts + 1)]
-    futures = [_pool().submit(work, lo, hi) for lo, hi in zip(edges[1:], edges[2:])]
+
+    def run(lo: int, hi: int) -> None:
+        for b in range(lo, hi):
+            work(b, slice(b * rows, min((b + 1) * rows, n)))
+
+    futures = [_pool().submit(run, lo, hi) for lo, hi in zip(edges[1:], edges[2:])]
     try:
-        work(edges[0], edges[1])
+        run(edges[0], edges[1])
     finally:
         wait(futures)
     for future in futures:
         future.result()
 
 
-def _fft_rows(n: int, fft_length: int, workers: int) -> int:
-    """Rows per transform block: ``workers`` blocks in flight fit in
-    ``_FFT_CHUNK_BYTES``, and the N rows split into a multiple of ``workers``
-    nearly equal blocks, so every worker gets the same share when N allows."""
-    most = max(1, _FFT_CHUNK_BYTES // (16 * fft_length * workers))
-    return -(-n // (workers * -(-n // (most * workers))))
-
-
 def _transform_rows(
     n: int, fft_length: int, k: int, block: Callable[[slice], np.ndarray]
 ) -> np.ndarray:
     """An N x k array whose rows ``at`` are ``block(at)``, filled in row
-    blocks of ``_fft_rows`` rows on the thread pool."""
-    workers = _workers()
-    rows = _fft_rows(n, fft_length, workers)
+    blocks at 16 * fft_length bytes of work per row: a WVD-family row's
+    half-spectrum input and real output, or a short-time row's spectrum."""
     values = np.empty((n, k))
 
-    def transform(lo: int, hi: int) -> None:
-        for r in range(lo * rows, min(hi * rows, n), rows):
-            at = slice(r, r + rows)
-            values[at] = block(at)
+    def transform(b: int, at: slice) -> None:
+        values[at] = block(at)
 
-    _in_blocks(transform, -(-n // rows), workers)
+    _in_blocks(n, _block_rows(16 * fft_length), transform)
     return values
 
 
@@ -213,31 +213,27 @@ def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     """One scan of the grid's columns inside ``band_hz``; WVD-family columns
     by absolute value, so negative lobes count by magnitude.
 
-    Rows are read in blocks of about ``_SCAN_BLOCK_BYTES``.  A WVD-family
-    block's magnitudes go into a buffer that each range of blocks reuses, so
-    no band-sized magnitude array is built.  Each block's column sums are
-    added in block order; block sizes do not depend on the thread count.
+    Rows are read in blocks of ``_block_rows(8 * k)`` rows for k band
+    columns, so a block's magnitudes stay in cache and no band-sized
+    magnitude array is built.  Each block's column sums are added in block
+    order, and block sizes do not depend on the thread count.
     """
     band = _band_indices(g.freqs_hz, band_hz)
     vals = g.values[:, band]
     n, k = vals.shape
-    rows = max(1, _SCAN_BLOCK_BYTES // (8 * max(k, 1)))
-    n_blocks = -(-n // rows)
+    rows = _block_rows(8 * max(k, 1))
     argmax = np.empty(n, dtype=np.intp)
     peak = np.empty(n)
-    sums = np.empty((n_blocks, k))
+    sums = np.empty((-(-n // rows), k))
     magnitude = g.method in WVD_METHODS
 
-    def scan(lo: int, hi: int) -> None:
-        buf = np.empty((rows, k)) if magnitude else None
-        for b in range(lo, hi):
-            at = slice(b * rows, min((b + 1) * rows, n))
-            block = np.abs(vals[at], out=buf[: at.stop - at.start]) if magnitude else vals[at]
-            argmax[at] = block.argmax(axis=1)
-            peak[at] = block[np.arange(block.shape[0]), argmax[at]]
-            block.sum(axis=0, out=sums[b])
+    def scan(b: int, at: slice) -> None:
+        block = np.abs(vals[at]) if magnitude else vals[at]
+        argmax[at] = block.argmax(axis=1)
+        peak[at] = block[np.arange(block.shape[0]), argmax[at]]
+        block.sum(axis=0, out=sums[b])
 
-    _in_blocks(scan, n_blocks, _workers())
+    _in_blocks(n, rows, scan)
     return _BandScan(band, argmax, peak, sums.sum(axis=0))
 
 
@@ -258,10 +254,12 @@ def _short_time(
     windowing.  ``band_hz`` keeps only the bins inside it; an empty band
     raises ValueError.  ``meta`` adds or overrides grid meta keys.
 
-    Frames are transformed in row blocks on the thread pool (see
-    ``_transform_rows``): each block gathers, shifts and windows its frames,
-    takes their FFT and stores |.|^2 of the kept bins of its own rows, so no
-    all-frames x fft_length spectrum is built.
+    Frames are transformed in row blocks (see ``_transform_rows``): each
+    block gathers, shifts and windows its frames, takes their FFT and stores
+    |.|^2 of the kept bins of its own rows, so no all-frames x fft_length
+    spectrum is built.  Frames that fit in one block, as those of
+    ``compare``'s STFT of a 1 s record do, are transformed on the calling
+    thread.
     """
     if hop_samples < 1:
         raise ValueError("hop_samples must be >= 1")
@@ -342,9 +340,10 @@ def _wvd_family(
     lag window's half-span; products that index outside the signal are zero.
     Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
     first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
-    h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.  Row
-    blocks are transformed on the thread pool (see ``_transform_rows``), each
-    storing only the kept bins of its own rows.
+    h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.  Rows
+    are transformed in blocks (see ``_transform_rows``), each storing only the
+    kept bins of its own rows, so the transform's transient beyond the lag
+    product is a few blocks, not a grid.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from tfbench.core import ComplexSignal, SampledSignal, WindowSpec, analytic_signal
+from tfbench.core import SampledSignal, WindowSpec, analytic_signal
 from tfbench.evaluate import IFTrajectory, compare_methods, default_config, nrmse, rmse, run_transform
 from tfbench.pct import PCTConfig, PolynomialKernel, estimate_kernel, pct_transform
 from tfbench.synth import gen_x1, gen_x2
@@ -128,7 +128,7 @@ def test_criterion_4_grid_resolutions(record_criterion):
 def test_criterion_5_wvd_marginals(record_criterion):
     fs, n = 128.0, 128
     t = np.arange(n) / fs
-    z = ComplexSignal(np.exp(2j * np.pi * 32.0 * t), fs)
+    z = SampledSignal(np.exp(2j * np.pi * 32.0 * t), fs)
     g = wvd(z, n // 2)
     tm = g.values.sum(axis=1)
     expect_tm = (n // 2) * np.abs(z.samples) ** 2
@@ -195,7 +195,7 @@ def test_criterion_7_metric_hand_values(record_criterion):
 def test_criterion_8_kernel_recovery(record_criterion):
     fs = 320.0
     t = np.arange(320) / fs
-    chirp = ComplexSignal(np.exp(2j * np.pi * (20.0 * t + 15.0 * t * t)), fs)
+    chirp = SampledSignal(np.exp(2j * np.pi * (20.0 * t + 15.0 * t * t)), fs)
     fit = estimate_kernel(chirp, PCTConfig(order=2))
     tt = fit.grid.times_s
     rms_lin = float(np.sqrt(np.mean((fit.fitted_if_hz(tt) - (20.0 + 30.0 * tt)) ** 2)))
@@ -205,7 +205,7 @@ def test_criterion_8_kernel_recovery(record_criterion):
     active = (t > 0.25) & (t <= 0.40)
     env = np.where(active, 0.5 - 0.5 * np.cos(2.0 * np.pi * 7.0 * tau), 0.0)
     phase = 2.0 * np.pi * ((870.0 * tau - 215.0) * tau + 20.0) * tau
-    burst = ComplexSignal(env * np.exp(1j * phase), fs)
+    burst = SampledSignal(env * np.exp(1j * phase), fs)
     cfg = PCTConfig(
         order=2,
         ridge_band_hz=(0.5, 40.0),

@@ -66,6 +66,19 @@ def test_synth_config_file(tmp_path):
     assert rc == EXIT_OK
 
 
+@pytest.mark.parametrize("flags, named", [(["--snr", "3"], "--snr"), (["--seed", "9"], "--seed"),
+                                          (["--snr", "3", "--seed", "9"], "--snr")])
+def test_synth_flag_the_generator_does_not_take_exits_validation(tmp_path, capsys, flags, named):
+    """x1 has no noise: an explicit x2-only flag is an error that names the
+    flag, and nothing is written; the same keys in a config file are dropped
+    (test_synth_config_file)."""
+    out = tmp_path / "out"
+    assert main(["synth", "x1", "--out", str(out), *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert named in err and "x1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "synth_doc, key",
     [

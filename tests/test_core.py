@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.signal import filtfilt, firwin
 
 from tfbench.core import (
-    ComplexSignal,
     SampledSignal,
     WindowSpec,
     add_white_noise,
@@ -62,11 +61,11 @@ def test_sampled_signal_rejects_non_finite(bad):
 
 def test_analytic_signal_rejects_complex_input():
     with pytest.raises(ValueError, match="real"):
-        analytic_signal(ComplexSignal([1.0, 2.0, 3.0], 8.0))
+        analytic_signal(SampledSignal(np.asarray([1.0, 2.0, 3.0], dtype=complex), 8.0))
 
 
 def test_complex_signal_dtype():
-    z = ComplexSignal([1.0, 2.0], 4.0)
+    z = SampledSignal(np.asarray([1.0, 2.0], dtype=complex), 4.0)
     assert z.samples.dtype == np.complex128
     assert z.duration_s == pytest.approx(0.5)
 
@@ -275,6 +274,6 @@ def test_add_white_noise_deterministic_and_inf():
 
 
 def test_add_white_noise_rejects_complex_samples():
-    z = ComplexSignal(np.exp(2j * np.pi * np.arange(64) / 8), 8.0)
+    z = SampledSignal(np.exp(2j * np.pi * np.arange(64) / 8), 8.0)
     with pytest.raises(ValueError, match="real samples"):
         add_white_noise(z, 5.0, seed=1)

@@ -215,7 +215,7 @@ def test_band_scans_match_whole_array_references(method, shape, ties, workers, s
     g = _random_grid(method, shape, ties, seed=sum(shape))
     mags = np.abs(g.values) if method == "wvd" else g.values
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-        tfd, "_SCAN_BLOCK_BYTES", scan_rows * 8 * shape[1]
+        tfd, "_BLOCK_BYTES", scan_rows * 8 * shape[1]
     ):
         ridge = extract_ridge(g, amp_threshold_frac=0.5)
         psd = psd_from_tfd(g)
@@ -237,7 +237,7 @@ def test_band_scans_do_not_depend_on_thread_count():
     got = []
     for workers in (1, 2, 3):
         with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-            tfd, "_SCAN_BLOCK_BYTES", 4 * 8 * 30
+            tfd, "_BLOCK_BYTES", 4 * 8 * 30
         ):
             got.append((tfd._band_magnitudes(g, (12.0, 30.0)), psd_from_tfd(g).power))
     for scan, power in got[1:]:
@@ -250,7 +250,7 @@ def test_band_scans_of_an_all_zero_band():
     vals[:, 2:5] = 0.0
     g = grid_from_rows(vals, 10.0 + np.arange(8), "wvd")
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
-        tfd, "_SCAN_BLOCK_BYTES", 3 * 8 * 3
+        tfd, "_BLOCK_BYTES", 3 * 8 * 3
     ):
         ridge = extract_ridge(g, band_hz=(12.0, 14.0))
         with pytest.raises(InsufficientDataError, match="all zero"):
@@ -270,16 +270,20 @@ def test_worker_error_becomes_the_method_error_row():
             raise ValueError("hfft failed on the second block")
         return real_hfft(*args, **kwargs)
 
-    with mock.patch.object(tfd, "_workers", lambda: 3):
-        assert tfd._fft_rows(len(sig.signal), 2048, 3) < len(sig.signal)
+    n = len(sig.signal)
+    with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
+        tfd, "_BLOCK_BYTES", -(-n // 3) * 16 * 2048
+    ):
+        assert -(-n // tfd._block_rows(16 * 2048)) == 3  # one block per worker
         with mock.patch.object(tfd.sp_fft, "hfft", hfft):
             failed = compare_methods(sig.signal, sig.true_if, methods=methods)
         again = compare_methods(sig.signal, sig.true_if, methods=methods)
+        want = compare_methods(sig.signal, sig.true_if, methods=methods)
     assert next(calls) == 3  # every block ran
     assert failed.results[0].error is None
     assert failed.results[1].error == "hfft failed on the second block"
     assert again.results[1].error is None
-    assert again.to_dict() == compare_methods(sig.signal, sig.true_if, methods=methods).to_dict()
+    assert again.to_dict() == want.to_dict()
 
 
 def test_compare_methods_on_x1():

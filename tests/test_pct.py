@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tfbench.core import (
     WINDOW_KINDS,
-    ComplexSignal,
     InsufficientDataError,
     SampledSignal,
     WindowSpec,
@@ -32,7 +31,7 @@ from tfbench.tfd import stft
 
 def linear_chirp(f0=20.0, slope=30.0, fs=320.0, n=320):
     t = np.arange(n) / fs
-    return ComplexSignal(np.exp(2j * np.pi * (f0 * t + 0.5 * slope * t * t)), fs)
+    return SampledSignal(np.exp(2j * np.pi * (f0 * t + 0.5 * slope * t * t)), fs)
 
 
 def ridge_width_bins(row, half_level=0.5):
@@ -91,7 +90,7 @@ def test_pct_config_validation():
 
 def test_zero_kernel_equals_stft():
     rng = np.random.default_rng(2)
-    z = ComplexSignal(rng.normal(size=256) + 1j * rng.normal(size=256), 128.0)
+    z = SampledSignal(rng.normal(size=256) + 1j * rng.normal(size=256), 128.0)
     cfg = PCTConfig(order=2, window=WindowSpec("hann", 64), hop_samples=4, fft_length=128)
     g_pct = pct_transform(z, PolynomialKernel.zero(2), cfg)
     g_stft = stft(z, cfg.window, cfg.hop_samples, cfg.fft_length)
@@ -240,12 +239,15 @@ def test_pct_empty_band_raises():
 def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
     """Pooled, one-row and 7-row blocks give the serial one-block grid bit
     for bit; the 257 frames leave a short last block for 7 rows and for the
-    budget's rows at three workers (86 + 86 + 85)."""
+    budget's 32 rows (8 x 32 + 1)."""
     z = analytic_signal(gen_x2(snr=10.0, seed=1).signal)
     kernel, cfg = PolynomialKernel((-430.0, 2610.0)), PCTConfig()
     n_frames = len(z) - cfg.window.length_samples + 1
-    with mock.patch.object(tfd, "_workers", lambda: 1):
-        assert tfd._fft_rows(n_frames, cfg.fft_length, 1) == n_frames  # one block
+    row_bytes = 16 * cfg.fft_length
+    with mock.patch.object(tfd, "_workers", lambda: 1), mock.patch.object(
+        tfd, "_BLOCK_BYTES", n_frames * row_bytes
+    ):
+        assert tfd._block_rows(row_bytes) == n_frames  # one block
         serial = pct_transform(z, kernel, cfg, band_hz=band_hz)
     real_fft, threads = np.fft.fft, set()
 
@@ -253,10 +255,11 @@ def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
         threads.add(threading.current_thread().name)
         return real_fft(*args, **kwargs)
 
-    block_rows = rows if rows is not None else tfd._fft_rows(n_frames, cfg.fft_length, workers)
+    budget = tfd._BLOCK_BYTES if rows is None else rows * row_bytes
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-        tfd, "_fft_rows", lambda n, fft_length, w: block_rows
+        tfd, "_BLOCK_BYTES", budget
     ), mock.patch.object(tfd.np.fft, "fft", fft):
+        assert tfd._block_rows(row_bytes) == (32 if rows is None else rows)
         got = pct_transform(z, kernel, cfg, band_hz=band_hz)
     assert any(name.startswith("tfbench") for name in threads) == (workers > 1)
     assert np.array_equal(got.values, serial.values)
@@ -313,22 +316,25 @@ def test_frame_fft_error_becomes_the_pct_error_row():
             raise ValueError("fft failed on the second block")
         return real_fft(a, n, axis, *args, **kwargs)
 
-    with mock.patch.object(tfd, "_workers", lambda: 3):
-        n_frames = len(sig.signal) - PCTConfig().window.length_samples + 1
-        assert -(-n_frames // tfd._fft_rows(n_frames, 1024, 3)) == 3
+    n_frames = len(sig.signal) - PCTConfig().window.length_samples + 1
+    with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
+        tfd, "_BLOCK_BYTES", -(-n_frames // 3) * 16 * 1024
+    ):
+        assert -(-n_frames // tfd._block_rows(16 * 1024)) == 3  # one block per worker
         with mock.patch.object(tfd.np.fft, "fft", fft):
             failed = compare_methods(sig.signal, sig.true_if, methods=("pct",))
         assert next(calls) == 3  # every block of the first transform ran
         again = compare_methods(sig.signal, sig.true_if, methods=("pct",))
+        want = compare_methods(sig.signal, sig.true_if, methods=("pct",))
     assert failed.results[0].error == "fft failed on the second block"
     assert again.results[0].error is None
-    assert again.to_dict() == compare_methods(sig.signal, sig.true_if, methods=("pct",)).to_dict()
+    assert again.to_dict() == want.to_dict()
 
 
 def test_estimate_kernel_stationary_tone():
     fs, n = 320.0, 320
     t = np.arange(n) / fs
-    z = ComplexSignal(np.exp(2j * np.pi * 40.0 * t), fs)
+    z = SampledSignal(np.exp(2j * np.pi * 40.0 * t), fs)
     fit = estimate_kernel(z, PCTConfig(order=1))
     assert abs(fit.kernel.coeffs[0]) < 1.0  # slope of a tone is zero
     assert fit.iterations <= 10
@@ -361,7 +367,7 @@ def test_estimate_kernel_single_iteration_flagged():
 
 
 def test_estimate_kernel_insufficient_data():
-    z = ComplexSignal(np.zeros(320, dtype=complex), 320.0)
+    z = SampledSignal(np.zeros(320, dtype=complex), 320.0)
     with pytest.raises(InsufficientDataError):
         estimate_kernel(z, PCTConfig(order=2))
 

@@ -3,6 +3,7 @@ from unittest import mock
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfbench import tfd
-from tfbench.core import ComplexSignal, SampledSignal, WindowSpec, analytic_signal, make_window
+from tfbench.core import SampledSignal, WindowSpec, analytic_signal, make_window
+from tfbench.evaluate import default_config, run_transform
+from tfbench.pct import PCTConfig, PolynomialKernel, pct_transform
+from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import (
     TFDGrid,
     next_pow2,
@@ -25,7 +29,7 @@ from tfbench.tfd import (
 
 def analytic_tone(freq_hz, fs, n, amp=1.0):
     t = np.arange(n) / fs
-    return ComplexSignal(amp * np.exp(2j * np.pi * freq_hz * t), fs)
+    return SampledSignal(amp * np.exp(2j * np.pi * freq_hz * t), fs)
 
 
 def test_next_pow2():
@@ -127,8 +131,8 @@ def _stft_whole(x, window, hop, nfft):
 def test_stft_grid_does_not_depend_on_thread_count(analytic, hop, workers, rows):
     """Serial, pooled, one-row and 7-row blocks give the unblocked grid bit
     for bit.  The frame counts, 101 at hop 1 and 34 at hop 3, leave a short
-    last block for 7 rows and for the budget's rows (``rows=None``) at three
-    workers: 34 + 34 + 33 and 12 + 12 + 10."""
+    last block for 7 rows; the budget's rows (``rows=None``) hold every frame
+    in one block, which runs on the calling thread."""
     x = SampledSignal(np.random.default_rng(3).normal(size=164), 100.0, start_time_s=0.25)
     x = analytic_signal(x) if analytic else x
     window, nfft = WindowSpec("hann", 64), 256
@@ -139,11 +143,13 @@ def test_stft_grid_does_not_depend_on_thread_count(analytic, hop, workers, rows)
         threads.add(threading.current_thread().name)
         return real_fft(*args, **kwargs)
 
-    block_rows = rows if rows is not None else tfd._fft_rows(n_frames, nfft, workers)
+    budget = tfd._BLOCK_BYTES if rows is None else rows * 16 * nfft
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-        tfd, "_fft_rows", lambda n, fft_length, w: block_rows
+        tfd, "_BLOCK_BYTES", budget
     ), mock.patch.object(tfd.np.fft, "fft", fft):
+        block_rows = tfd._block_rows(16 * nfft)
         got = stft(x, window, hop, nfft)
+    assert rows is not None or block_rows >= n_frames
     assert any(name.startswith("tfbench") for name in threads) == (
         workers > 1 and block_rows < n_frames
     )
@@ -154,7 +160,7 @@ def test_stft_grid_does_not_depend_on_thread_count(analytic, hop, workers, rows)
 def test_wvd_time_marginal_identity():
     """Summing a WVD row over frequency gives nfft * |z[n]|^2 exactly."""
     rng = np.random.default_rng(3)
-    z = ComplexSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
+    z = SampledSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
     g = wvd(z, 128)
     marginal = g.values.sum(axis=1)
     expected = 128 * np.abs(z.samples) ** 2
@@ -194,7 +200,7 @@ def test_wvd_validation():
 
 def test_pwvd_rectangular_taper_equals_wvd():
     rng = np.random.default_rng(9)
-    z = ComplexSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
+    z = SampledSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
     full_span = WindowSpec("rectangular", 63)  # covers every lag, M = 31
     a = pwvd(z, full_span, 128)
     b = wvd(z, 128)
@@ -260,7 +266,7 @@ def _double_sum_wvd(z, nfft, time_window=None, freq_window=None):
 @pytest.mark.parametrize("method", ["wvd", "pwvd", "spwvd"])
 def test_wvd_family_matches_double_sum(n, nfft, method):
     rng = np.random.default_rng(n)
-    z = ComplexSignal(rng.normal(size=n) + 1j * rng.normal(size=n), 64.0)
+    z = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), 64.0)
     tw, fw = WindowSpec("hamming", 9), WindowSpec("gaussian", 15)
     if method == "wvd":
         got, want = wvd(z, nfft), _double_sum_wvd(z.samples, nfft)
@@ -274,7 +280,7 @@ def test_wvd_family_matches_double_sum(n, nfft, method):
 
 def test_spwvd_degenerate_equals_wvd():
     rng = np.random.default_rng(1)
-    z = ComplexSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
+    z = SampledSignal(rng.normal(size=64) + 1j * rng.normal(size=64), 64.0)
     a = spwvd(z, WindowSpec("hann", 1), WindowSpec("rectangular", 63), 128)
     b = wvd(z, 128)
     np.testing.assert_allclose(a.values, b.values, atol=1e-9 * np.abs(b.values).max())
@@ -283,7 +289,7 @@ def test_spwvd_degenerate_equals_wvd():
 def test_spwvd_suppresses_cross_term():
     fs, n = 320.0, 256
     t = np.arange(n) / fs
-    z = ComplexSignal(np.exp(2j * np.pi * 20 * t) + np.exp(2j * np.pi * 40 * t), fs)
+    z = SampledSignal(np.exp(2j * np.pi * 20 * t) + np.exp(2j * np.pi * 40 * t), fs)
     raw = wvd(z, 512)
     smooth = spwvd(z, WindowSpec("hann", 31), WindowSpec("hann", 63), 512)
     mid = np.argmin(np.abs(raw.freqs_hz - 30.0))
@@ -404,7 +410,7 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     rng = np.random.default_rng(seed)
     fs = 100.0
     if kind == "complex":
-        x = ComplexSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs, start_time_s=0.25)
+        x = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs, start_time_s=0.25)
     else:
         x = SampledSignal(rng.normal(size=n), fs, start_time_s=0.25)
     kw = {"use_analytic": False} if kind.endswith("False") else {}
@@ -419,7 +425,7 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     band_hz = (lo, hi) if limited else None
     keep = (f >= lo) & (f <= hi) if limited else np.ones(f.size, dtype=bool)
     # `rows` rows per block: N below, at and across block boundaries
-    with mock.patch.object(tfd, "_fft_rows", lambda n, fft_length, workers: rows):
+    with mock.patch.object(tfd, "_BLOCK_BYTES", rows * 16 * nfft):
         if not keep.any():
             with pytest.raises(ValueError, match="band"):
                 _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
@@ -468,8 +474,8 @@ def test_wvd_family_delay_shifts_rows(method, core, margins, delay, nfft, flen, 
     z = analytic_signal(SampledSignal(rng.normal(size=core), 100.0)).samples
     lead, trail = margins
     n = lead + core + delay + trail
-    x = ComplexSignal(np.concatenate([np.zeros(lead), z, np.zeros(delay + trail)]), 100.0)
-    later = ComplexSignal(np.concatenate([np.zeros(lead + delay), z, np.zeros(trail)]), 100.0)
+    x = SampledSignal(np.concatenate([np.zeros(lead), z, np.zeros(delay + trail)]), 100.0)
+    later = SampledSignal(np.concatenate([np.zeros(lead + delay), z, np.zeros(trail)]), 100.0)
     got, shifted = (_wvd_method(method, v, nfft, 1, 2 * flen + 1) for v in (x, later))
     assert np.array_equal(shifted.values[delay:], got.values[: n - delay])
 
@@ -479,8 +485,8 @@ def test_wvd_family_delay_shifts_rows(method, core, margins, delay, nfft, flen, 
 @pytest.mark.parametrize("n, one_row_blocks", [(37, False), (64, False), (37, True)])
 def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one_row_blocks):
     """Serial (one worker) and three-worker grids are equal bit for bit, with
-    N not a multiple of the block rows (37 = 13 + 13 + 11) and with one-row
-    blocks."""
+    N not a multiple of the block rows (37 = 13 + 13 + 11, 64 = 22 + 22 + 20)
+    and with one-row blocks."""
     x = SampledSignal(np.random.default_rng(n).normal(size=n), 100.0)
     nfft = 64
     with mock.patch.object(tfd, "_workers", lambda: 1):
@@ -491,11 +497,11 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
         threads.add(threading.current_thread().name)
         return real_hfft(*args, **kwargs)
 
-    budget = 3 * 16 * nfft if one_row_blocks else tfd._FFT_CHUNK_BYTES
+    rows = 1 if one_row_blocks else -(-n // 3)
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
-        tfd, "_FFT_CHUNK_BYTES", budget
+        tfd, "_BLOCK_BYTES", rows * 16 * nfft
     ), mock.patch.object(tfd.sp_fft, "hfft", hfft):
-        assert tfd._fft_rows(n, nfft, 3) == (1 if one_row_blocks else -(-n // 3))
+        assert tfd._block_rows(16 * nfft) == rows
         pooled = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
     assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
     assert np.array_equal(pooled.values, serial.values)
@@ -503,19 +509,74 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
 
 
 @pytest.mark.parametrize(
-    "n, fft_length, workers, rows",
+    "row_bytes, rows",
     [
-        (1217, 1024, 2, 305),  # PCT at N=1280: 4 x 305 rows, not 512 + 512 + 193
-        (1280, 8192, 2, 64),  # WVD family at N=1280: 20 blocks of the budget's 64 rows
-        (257, 1024, 3, 86),
-        (37, 64, 3, 13),
-        (5, 64, 4, 2),
-        (1, 1 << 30, 4, 1),  # a row over budget is still one block
+        (16 * 1024, 32),  # PCT frames at nfft 1024
+        (16 * 8192, 4),  # WVD family at N=1280, nfft 8192
+        (16 * 512, 64),  # compare's STFT: its 49 or 289 frames in 1 or 5 blocks
+        (8 * 241, 271),  # a scan of PCT's 241-column compare band
+        (8 * 3841, 17),  # a scan of compare-long's WVD-family band
+        (16 * 64, 512),  # the thread-count tests' nfft 64: all their rows in one block
+        (1 << 30, 1),  # a row over budget is still one block
     ],
 )
-def test_fft_rows_split_over_the_workers_within_the_budget(n, fft_length, workers, rows):
-    assert tfd._fft_rows(n, fft_length, workers) == rows
-    assert rows == 1 or workers * rows * 16 * fft_length <= tfd._FFT_CHUNK_BYTES
+def test_block_rows_fill_the_budget(row_bytes, rows):
+    assert tfd._block_rows(row_bytes) == rows
+    assert rows == 1 or rows * row_bytes <= tfd._BLOCK_BYTES < (rows + 1) * row_bytes
+
+
+@pytest.mark.parametrize("n, rows", [(0, 4), (1, 4), (37, 1), (37, 7), (64, 16), (5, 64)])
+def test_in_blocks_visits_the_same_blocks_for_any_worker_count(n, rows):
+    """Each block of ``rows`` rows is visited once with its own index, the
+    last one short, and the blocks do not depend on the worker count."""
+    want = [(b, slice(b * rows, min((b + 1) * rows, n))) for b in range(-(-n // rows))]
+    for workers in (1, 2, 3, 4):
+        seen = []
+        with mock.patch.object(tfd, "_workers", lambda: workers):
+            tfd._in_blocks(n, rows, lambda b, at: seen.append((b, at)))
+        assert sorted(seen, key=lambda block: block[0]) == want
+
+
+def test_one_block_stays_on_the_calling_thread():
+    """compare's STFT of a 320-sample x1 record (Hann 128, hop 4, nfft 512) is
+    49 frames, one block: it needs no pool even when three workers could
+    run."""
+    cfg, x = default_config("x1"), gen_x1().signal
+
+    def no_pool():
+        raise AssertionError("the pool was asked for")
+
+    with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(tfd, "_pool", no_pool):
+        got = stft(x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft)
+    assert (cfg.stft_window.length_samples, cfg.stft_hop, cfg.stft_fft) == (128, 4, 512)
+    assert got.n_times == 49
+    assert np.array_equal(got.values, _stft_whole(x, cfg.stft_window, 4, 512))
+
+
+@pytest.mark.parametrize("method", ["pct", "band spwvd"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_transform_transient_is_a_few_blocks(method, workers):
+    """On a 4 s x2 record (N = 1280), what a transform holds beyond the grid
+    it returns is a few row blocks per worker, not a share of the grid."""
+    x, cfg = gen_x2(duration_s=4.0, snr=10.0, seed=1).signal, default_config("x2")
+    z = analytic_signal(x)
+    transform = {
+        "pct": lambda: pct_transform(z, PolynomialKernel.zero(2), PCTConfig()),
+        "band spwvd": lambda: run_transform(x, "spwvd", cfg, cfg.band_hz),
+    }[method]
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(tfd, "_workers", lambda: workers):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grid = transform()
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert grid.n_times >= 1217
+    assert peak - before - grid.values.nbytes < 4 * 2**20
 
 
 def test_row_blocks_under_thread_switch_stress():
@@ -532,8 +593,8 @@ def test_row_blocks_under_thread_switch_stress():
 
     def run():
         with mock.patch.object(tfd, "_workers", lambda: 4), mock.patch.object(
-            tfd, "_FFT_CHUNK_BYTES", 4 * 16 * 64
-        ), mock.patch.object(tfd, "_SCAN_BLOCK_BYTES", 1):
+            tfd, "_BLOCK_BYTES", 1
+        ):
             for _ in range(20):
                 g = spwvd(x, tw, fw, 64)
                 got.append((g, tfd._band_magnitudes(g, (5.0, 30.0)), stft(x, fw, 1, 64)))
