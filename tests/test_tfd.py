@@ -525,6 +525,47 @@ def test_block_rows_fill_the_budget(row_bytes, rows):
     assert rows == 1 or rows * row_bytes <= tfd._BLOCK_BYTES < (rows + 1) * row_bytes
 
 
+@pytest.mark.parametrize(
+    "n, fft_length, workers, rows",
+    [
+        (1217, 1024, 2, 305),  # PCT at N=1280: 4 blocks, 2 + 2 per worker
+        (1280, 8192, 2, 64),  # WVD family at N=1280: 20 blocks, 10 + 10
+        (257, 1024, 3, 86),
+        (37, 64, 3, 13),
+        (5, 64, 4, 2),  # 3 blocks on 4 workers: one range each, one worker idle
+        (1, 1 << 30, 4, 1),  # one block stays on the caller
+    ],
+)
+def test_fft_rows_split_over_the_workers_within_the_budget(n, fft_length, workers, rows):
+    """With a budget of ``rows`` rows at ``fft_length``, ``_transform_rows``
+    fills each row once in blocks of ``rows`` rows, the last one short; the
+    first of min(workers, blocks) contiguous ranges of blocks runs on the
+    calling thread and the rest on the pool."""
+    budget = rows * 16 * fft_length
+    seen = []
+
+    def block(at):
+        seen.append((at, threading.current_thread()))
+        return np.arange(at.start, at.stop, dtype=float)[:, None]
+
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_BLOCK_BYTES", budget
+    ):
+        assert tfd._block_rows(16 * fft_length) == rows
+        values = tfd._transform_rows(n, fft_length, 1, block)
+    n_blocks = -(-n // rows)
+    on_caller = n_blocks // min(workers, n_blocks)
+    assert np.array_equal(values, np.arange(n, dtype=float)[:, None])
+    seen.sort(key=lambda s: s[0].start)
+    assert [at for at, _ in seen] == [
+        slice(b * rows, min((b + 1) * rows, n)) for b in range(n_blocks)
+    ]
+    assert all((at.stop - at.start) * 16 * fft_length <= budget for at, _ in seen)
+    caller = threading.current_thread()
+    assert [thread is caller for _, thread in seen] == [b < on_caller for b in range(n_blocks)]
+    assert all(t.name.startswith("tfbench") for _, t in seen[on_caller:])
+
+
 @pytest.mark.parametrize("n, rows", [(0, 4), (1, 4), (37, 1), (37, 7), (64, 16), (5, 64)])
 def test_in_blocks_visits_the_same_blocks_for_any_worker_count(n, rows):
     """Each block of ``rows`` rows is visited once with its own index, the
