@@ -15,9 +15,12 @@ import numpy as np
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, _read_only
 from .tfd import (
+    WVD_METHODS,
     ResolutionReport,
     TFDGrid,
     _band_magnitudes,
+    _BandScan,
+    _wvd_family,
     next_pow2,
     pwvd,
     resolution_report,
@@ -115,13 +118,7 @@ def extract_ridge(
     """
     if not 0.0 <= amp_threshold_frac < 1.0:
         raise ValueError("amp_threshold_frac must lie in [0, 1)")
-    scan = _band_magnitudes(g, band_hz)
-    global_peak = float(scan.peak.max(initial=0.0))
-    if global_peak == 0.0:
-        valid = np.zeros(g.n_times, dtype=bool)
-    else:
-        valid = scan.peak >= amp_threshold_frac * global_peak
-    return IFTrajectory(g.times_s.copy(), g.freqs_hz[scan.band][scan.argmax], valid)
+    return _ridge(g, _band_magnitudes(g, band_hz), amp_threshold_frac)
 
 
 def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
@@ -132,8 +129,22 @@ def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
     only its argmax matters, so it is not normalized.  A band that is all
     zero has no dominant frequency and raises InsufficientDataError.
     """
-    scan = _band_magnitudes(g, band_hz)
-    power = scan.col_sum / g.n_times
+    return _dominant(g, _band_magnitudes(g, band_hz))
+
+
+def _ridge(g, scan: _BandScan, amp_threshold_frac: float) -> IFTrajectory:
+    """``extract_ridge`` from a band scan of g, a grid or its ``_Axes``."""
+    global_peak = float(scan.peak.max(initial=0.0))
+    if global_peak == 0.0:
+        valid = np.zeros(scan.peak.size, dtype=bool)
+    else:
+        valid = scan.peak >= amp_threshold_frac * global_peak
+    return IFTrajectory(g.times_s.copy(), g.freqs_hz[scan.band][scan.argmax], valid)
+
+
+def _dominant(g, scan: _BandScan) -> float:
+    """``dominant_frequency`` from a band scan of g, a grid or its ``_Axes``."""
+    power = scan.col_sum / g.times_s.size
     if not power.any():
         raise InsufficientDataError("grid is all zero in the band; no dominant frequency")
     return float(g.freqs_hz[scan.band][np.argmax(power)])
@@ -273,11 +284,11 @@ def _run_method(
 ) -> MethodResult:
     result = MethodResult(method=method)
     try:
-        grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
-        result.converged = grid.meta.get("converged")
-        result.resolution = resolution_report(grid)
-        result.dominant_freq_hz = dominant_frequency(grid, cfg.band_hz)
-        ridge = extract_ridge(grid, cfg.band_hz, cfg.amp_threshold_frac)
+        g, scan = _scan_method(x, method, cfg)
+        result.converged = g.meta.get("converged")
+        result.resolution = resolution_report(g)
+        result.dominant_freq_hz = _dominant(g, scan)
+        ridge = _ridge(g, scan, cfg.amp_threshold_frac)
         result.ridge = ridge
         if truth is not None:
             result.rmse_hz, result.nrmse, result.n_scored = _score(
@@ -290,19 +301,33 @@ def _run_method(
     return result
 
 
+def _scan_method(x: SampledSignal, method: str, cfg: CompareConfig) -> tuple:
+    """(grid or its ``_Axes``, band scan) of one method: all that compare
+    reads of it, from one scan of ``cfg.band_hz``.  The WVD family's row
+    blocks go straight into the scan, so no grid of theirs is built."""
+    if method in WVD_METHODS:
+        time_window = cfg.spwvd_time_window if method == "spwvd" else None
+        freq_window = cfg.spwvd_freq_window if method != "wvd" else None
+        return _wvd_family(
+            method, x, _wvd_fft(x, cfg), True, time_window, freq_window, cfg.band_hz, scan=True
+        )
+    grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
+    return grid, _band_magnitudes(grid, cfg.band_hz)
+
+
 def _wvd_fft(x: SampledSignal, cfg: CompareConfig) -> int:
     return cfg.wvd_fft if cfg.wvd_fft is not None else next_pow2(4 * len(x))
 
 
-def _pct(x: SampledSignal, cfg: CompareConfig) -> TFDGrid:
+def _pct(x: SampledSignal, cfg: CompareConfig, band_hz: Optional[tuple]) -> TFDGrid:
     pct_cfg = cfg.pct if cfg.pct is not None else PCTConfig(
         ridge_band_hz=cfg.band_hz, amp_threshold_frac=cfg.amp_threshold_frac
     )
-    return pct_auto(x, pct_cfg)
+    return pct_auto(x, pct_cfg, band_hz)
 
 
-# method name -> grid builder (x, cfg, band_hz).  Only the WVD family builds
-# a band grid; the others ignore the band.  Builders look the transforms up as
+# method name -> grid builder (x, cfg, band_hz).  The WVD family and PCT build
+# a band grid; STFT ignores the band.  Builders look the transforms up as
 # module globals when called, so a wrapped or patched transform is the one
 # that runs.
 METHODS = {
@@ -312,7 +337,7 @@ METHODS = {
     "spwvd": lambda x, cfg, band: spwvd(
         x, cfg.spwvd_time_window, cfg.spwvd_freq_window, _wvd_fft(x, cfg), band_hz=band
     ),
-    "pct": lambda x, cfg, band: _pct(x, cfg),
+    "pct": lambda x, cfg, band: _pct(x, cfg, band),
 }
 
 
@@ -321,8 +346,8 @@ def run_transform(
 ) -> TFDGrid:
     """Build the grid for one named method from a CompareConfig.
 
-    ``band_hz`` lets the WVD family build only the bins inside it; STFT and
-    PCT grids always span [0, fs/2].
+    ``band_hz`` lets the WVD family and PCT build only the bins inside it;
+    STFT grids always span [0, fs/2].
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -40,10 +41,10 @@ def _write_table(path, header: str, times: np.ndarray, columns: np.ndarray) -> N
             fh.write(",".join(map(repr, [t, *row])) + "\n")
 
 
-def _read_table(path, leading: list, expected: str) -> tuple:
+def _read_table(path, leading: list, expected: str, finite: int = 0) -> tuple:
     """(header cells, float matrix) of a CSV whose header starts with the
     ``leading`` cells; empty lines are skipped and every other row must be
-    as wide as the header."""
+    as wide as the header.  The first ``finite`` columns must be finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -59,9 +60,14 @@ def _read_table(path, leading: list, expected: str) -> tuple:
                     f"the header has {len(header)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            for name, value in zip(leading[:finite], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {reader.line_num}: {name} must be finite, "
+                                     f"got {value}")
+            rows.append(values)
     return header, np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
@@ -71,8 +77,9 @@ def write_signal_csv(path, x: SampledSignal) -> None:
 
 def read_signal_csv(path) -> SampledSignal:
     """Read a `time_s,amplitude` CSV; the rate is inferred from the time
-    column, which must be uniformly spaced.  Further columns are ignored."""
-    _, table = _read_table(path, ["time_s", "amplitude"], "header 'time_s,amplitude'")
+    column, which must be uniformly spaced.  Both columns must be finite; a
+    cell that is not names its file and line.  Further columns are ignored."""
+    _, table = _read_table(path, ["time_s", "amplitude"], "header 'time_s,amplitude'", finite=2)
     if len(table) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     t = table[:, 0]

@@ -173,7 +173,9 @@ def _fit_ridge_poly(grid: TFDGrid, cfg: PCTConfig) -> tuple[np.ndarray, float]:
     return coeffs, residual
 
 
-def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> KernelFit:
+def estimate_kernel(
+    z: SampledSignal, cfg: Optional[PCTConfig] = None, band_hz: Optional[tuple] = None
+) -> KernelFit:
     """Alternate transform, ridge extraction, and polynomial fitting.
 
     Starts from a zero kernel (plain STFT view).  Converged when the fitted
@@ -185,7 +187,8 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
     The iterations read only the ridge band, so their transforms keep only
     the ``ridge_band_hz`` columns; those are the full grid's bits, so every
     ridge, residual and fit is the full grid's too.  The kept kernel's final
-    transform, ``KernelFit.grid``, spans the whole axis.
+    transform, ``KernelFit.grid``, keeps the bins inside ``band_hz`` as in
+    ``pct_transform``; ``None`` (the default) keeps the whole axis.
     """
     cfg = cfg if cfg is not None else PCTConfig()
     kernel = PolynomialKernel.zero(cfg.order)
@@ -206,13 +209,16 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
         kernel = PolynomialKernel(tuple(coeffs[1:]))
     if_coeffs = tuple(kept[1])
     kernel = PolynomialKernel(if_coeffs[1:])
-    grid = pct_transform(z, kernel, cfg)
+    grid = pct_transform(z, kernel, cfg, band_hz)
     final_grid = replace(grid, meta={**grid.meta, "iterations": iterations, "converged": converged})
     return KernelFit(kernel, final_grid, iterations, converged, if_coeffs)
 
 
-def pct_auto(x: SampledSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:
-    """Analytic conversion, kernel estimation, final transform in one call."""
+def pct_auto(
+    x: SampledSignal, cfg: Optional[PCTConfig] = None, band_hz: Optional[tuple] = None
+) -> TFDGrid:
+    """Analytic conversion, kernel estimation, final transform in one call;
+    ``band_hz`` as in ``estimate_kernel``."""
     cfg = cfg if cfg is not None else PCTConfig()
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
-    return estimate_kernel(z, cfg).grid
+    return estimate_kernel(z, cfg, band_hz).grid

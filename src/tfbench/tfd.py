@@ -21,18 +21,26 @@ Conventions
   lo <= f <= hi (edges included); an empty band raises ValueError.  Those
   columns, their axis and the meta are bit-identical to the full grid's;
   only the grid is narrower.  ``None`` (the default) keeps the whole axis.
-* The WVD-family lag transform, the STFT and PCT frame transforms, and the
-  magnitude scan (``_band_magnitudes``) behind ``psd_from_tfd`` and the
-  ridge and dominant-frequency readers run in row blocks of about
-  ``_BLOCK_BYTES`` of work, whatever the thread count, on up to min(4,
-  usable CPUs) threads, the caller's first: a one-block transform never
-  leaves the calling thread.  A block writes only its own rows, and column
-  sums add the blocks in order, so every result is bit-identical for any
-  thread count.
+* One producer, two readers.  Every transform (WVD family, STFT, PCT) is
+  produced in row blocks of about ``_BLOCK_BYTES`` of work
+  (``_transform_rows``), on up to min(4, usable CPUs) threads, the
+  caller's first: a one-block transform never leaves the calling thread.
+  Each block goes to one reader: the grid, where it writes only its own
+  rows, or a band scan (``_BandReader``), which keeps per row the argmax
+  (first of equals) and the peak and per column the sum over rows, so no
+  grid is built.  ``_band_magnitudes`` runs the same scan over the row
+  blocks of a stored grid, for ``psd_from_tfd`` and the ridge and
+  dominant-frequency readers.
+* Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
+  ranges are added in order onto that range's running sum, and the ranges
+  are added in order at the end.  A worker takes whole ranges.  So the
+  sums hold O(k) values for k columns, and their bits, like every grid's,
+  depend on neither the block size nor the thread count.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import os
 import threading
@@ -52,6 +60,9 @@ WVD_METHODS = ("wvd", "pwvd", "spwvd")
 # bytes of one row block's work, small enough to stay in a core's cache
 _BLOCK_BYTES = 1 << 19
 _MAX_WORKERS = 4
+# row ranges that column sums run over, one running sum each: a multiple of
+# every worker count up to _MAX_WORKERS, so each worker takes whole ranges
+_SUM_RANGES = 12
 
 _pool_lock = threading.Lock()
 _pool_owner: Optional[int] = None
@@ -164,21 +175,18 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _in_blocks(n: int, rows: int, work: Callable[[int, slice], None]) -> None:
-    """Call ``work(b, at)`` for every block b of ``rows`` rows of 0..n, ``at``
-    its rows (the last block may be short).  Contiguous ranges of blocks go
-    one to each worker: the first on the calling thread, the others on the
-    pool, so a single block runs on the caller alone.  Every range finishes
-    before the first failing range's error is raised."""
-    n_blocks = -(-n // rows)
-    parts = max(1, min(_workers(), n_blocks))
-    edges = [n_blocks * i // parts for i in range(parts + 1)]
+def _in_parts(edges: list, rows: int, work: Callable[[slice], None]) -> None:
+    """Call ``work(at)`` for each block of ``rows`` rows that cuts a part
+    edges[i]..edges[i+1] from its start (a part's last block may be short).
+    The first part runs on the calling thread, each other part on a pool
+    thread, its blocks in order.  Every part finishes before the first
+    failing part's error is raised."""
 
     def run(lo: int, hi: int) -> None:
-        for b in range(lo, hi):
-            work(b, slice(b * rows, min((b + 1) * rows, n)))
+        for start in range(lo, hi, rows):
+            work(slice(start, min(start + rows, hi)))
 
-    futures = [_pool().submit(run, lo, hi) for lo, hi in zip(edges[1:], edges[2:])]
+    futures = [_pool().submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
     try:
         run(edges[0], edges[1])
     finally:
@@ -187,19 +195,20 @@ def _in_blocks(n: int, rows: int, work: Callable[[int, slice], None]) -> None:
         future.result()
 
 
-def _transform_rows(
-    n: int, fft_length: int, k: int, block: Callable[[slice], np.ndarray]
-) -> np.ndarray:
-    """An N x k array whose rows ``at`` are ``block(at)``, filled in row
-    blocks at 16 * fft_length bytes of work per row: a WVD-family row's
-    half-spectrum input and real output, or a short-time row's spectrum."""
-    values = np.empty((n, k))
+def _parts(n: int, rows: int) -> int:
+    """Workers for n rows in blocks of ``rows``: one per block at most, so a
+    single block runs on the caller alone."""
+    return max(1, min(_workers(), -(-n // rows)))
 
-    def transform(b: int, at: slice) -> None:
-        values[at] = block(at)
 
-    _in_blocks(n, _block_rows(16 * fft_length), transform)
-    return values
+def _in_blocks(n: int, rows: int, work: Callable[[int, slice], None]) -> None:
+    """Call ``work(b, at)`` for every block b of ``rows`` rows of 0..n, ``at``
+    its rows (the last block may be short).  Contiguous ranges of blocks go
+    one to each worker (see ``_in_parts``), so the blocks do not depend on
+    the thread count."""
+    n_blocks, parts = -(-n // rows), _parts(n, rows)
+    edges = [min(n, rows * (n_blocks * i // parts)) for i in range(parts + 1)]
+    _in_parts(edges, rows, lambda at: work(at.start // rows, at))
 
 
 class _BandScan(NamedTuple):
@@ -209,32 +218,105 @@ class _BandScan(NamedTuple):
     col_sum: np.ndarray  # per band column: sum over rows
 
 
-def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
-    """One scan of the grid's columns inside ``band_hz``; WVD-family columns
-    by absolute value, so negative lobes count by magnitude.
+class _BandReader:
+    """The band scan of n rows of k columns, read one row block at a time:
+    per row the argmax (first of equals) and the peak, per column the sum
+    over rows.  ``magnitude`` reads values by absolute value, so negative
+    WVD-family lobes count by magnitude.
 
-    Rows are read in blocks of ``_block_rows(8 * k)`` rows for k band
-    columns, so a block's magnitudes stay in cache and no band-sized
-    magnitude array is built.  Each block's column sums are added in block
-    order, and block sizes do not depend on the thread count.
+    Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
+    Each range's rows are added in order onto its running sum, whatever
+    blocks they come in (``piece[0] += sum; piece.sum(axis=0, out=sum)``:
+    numpy adds a C-contiguous piece row by row), and the ranges are added in
+    order at the end.  Workers take whole ranges, so the sums are the same
+    bits for any block size and thread count, and they hold ``_SUM_RANGES``
+    rows of k, not one row per block.
+    """
+
+    def __init__(self, n: int, k: int, magnitude: bool):
+        self.n = n
+        self.magnitude = magnitude
+        self.argmax = np.empty(n, dtype=np.intp)
+        self.peak = np.empty(n)
+        self.edges = [n * r // _SUM_RANGES for r in range(_SUM_RANGES + 1)]
+        self.sums = np.zeros((_SUM_RANGES, k))
+
+    def read(self, rows: int, block: Callable[[slice], np.ndarray]) -> None:
+        """Scan rows 0..n in blocks of at most ``rows`` rows, ``block(at)``
+        giving rows ``at``; a writable block is overwritten.  One worker's
+        part is whole sum ranges, cut into blocks from its start."""
+        parts = _parts(self.n, rows)
+        edges = [self.edges[_SUM_RANGES * i // parts] for i in range(parts + 1)]
+        _in_parts(edges, rows, lambda at: self._add(at, block(at)))
+
+    def _add(self, at: slice, values: np.ndarray) -> None:
+        if self.magnitude:
+            values = np.abs(values)
+        elif not values.flags.writeable:
+            values = values.copy()
+        argmax = values.argmax(axis=1)
+        self.argmax[at] = argmax
+        self.peak[at] = values[np.arange(argmax.size), argmax]
+        r = bisect.bisect_right(self.edges, at.start) - 1
+        while self.edges[r] < at.stop:
+            piece = values[max(self.edges[r], at.start) - at.start : self.edges[r + 1] - at.start]
+            if piece.size:
+                running = self.sums[r]
+                piece[0] += running
+                piece.sum(axis=0, out=running)
+            r += 1
+
+    def scan(self, band: slice) -> _BandScan:
+        """The scan, ``band`` naming its columns of the grid."""
+        return _BandScan(band, self.argmax, self.peak, self.sums.sum(axis=0))
+
+
+def _transform_rows(
+    n: int,
+    row_length: int,
+    k: int,
+    block: Callable[[slice], np.ndarray],
+    reader: Optional[_BandReader] = None,
+) -> Optional[np.ndarray]:
+    """Rows 0..n of k values, rows ``at`` being ``block(at)``, produced in
+    row blocks at 16 * row_length bytes of work per row: a WVD-family row's
+    lags or half-spectrum input and its real output, or a short-time row's
+    spectrum.  The blocks go to ``reader`` when one is given and None is
+    returned; otherwise they fill an N x k array, which is returned."""
+    rows = _block_rows(16 * row_length)
+    if reader is not None:
+        reader.read(rows, block)
+        return None
+    values = np.empty((n, k))
+
+    def transform(b: int, at: slice) -> None:
+        values[at] = block(at)
+
+    _in_blocks(n, rows, transform)
+    return values
+
+
+def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
+    """One band scan (see ``_BandReader``) of the grid's columns inside
+    ``band_hz``; WVD-family columns by absolute value.  Rows are read in
+    blocks of ``_block_rows(8 * k)`` rows for k band columns, so a block's
+    magnitudes stay in cache and no band-sized magnitude array is built.
     """
     band = _band_indices(g.freqs_hz, band_hz)
     vals = g.values[:, band]
     n, k = vals.shape
-    rows = _block_rows(8 * max(k, 1))
-    argmax = np.empty(n, dtype=np.intp)
-    peak = np.empty(n)
-    sums = np.empty((-(-n // rows), k))
-    magnitude = g.method in WVD_METHODS
+    reader = _BandReader(n, k, g.method in WVD_METHODS)
+    reader.read(_block_rows(8 * max(k, 1)), lambda at: vals[at])
+    return reader.scan(band)
 
-    def scan(b: int, at: slice) -> None:
-        block = np.abs(vals[at]) if magnitude else vals[at]
-        argmax[at] = block.argmax(axis=1)
-        peak[at] = block[np.arange(block.shape[0]), argmax[at]]
-        block.sum(axis=0, out=sums[b])
 
-    _in_blocks(n, rows, scan)
-    return _BandScan(band, argmax, peak, sums.sum(axis=0))
+class _Axes(NamedTuple):
+    """The axes, method and meta of a grid that was scanned, not stored."""
+
+    times_s: np.ndarray
+    freqs_hz: np.ndarray
+    method: str
+    meta: dict
 
 
 def _short_time(
@@ -329,7 +411,8 @@ def _wvd_family(
     time_window: Optional[WindowSpec] = None,
     freq_window: Optional[WindowSpec] = None,
     band_hz: Optional[tuple] = None,
-) -> TFDGrid:
+    scan: bool = False,
+):
     """Separable-kernel WVD: time smoothing ``time_window``, lag taper
     ``freq_window``; either may be absent.  ``band_hz`` keeps only the
     bins inside it; an empty band raises ValueError.
@@ -340,10 +423,15 @@ def _wvd_family(
     lag window's half-span; products that index outside the signal are zero.
     Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
     first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
-    h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.  Rows
-    are transformed in blocks (see ``_transform_rows``), each storing only the
-    kept bins of its own rows, so the transform's transient beyond the lag
-    product is a few blocks, not a grid.
+    h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.
+
+    Rows are produced in blocks (see ``_transform_rows``).  A block builds
+    its own lag rows from two strided views of the signal, then tapers,
+    folds and transforms them and keeps only the band's bins; only a kernel
+    that smooths in time builds the whole N x (L+1) lag product first.  The
+    blocks fill the returned grid, or with ``scan`` they go to a band scan
+    of the band's bins by magnitude and ``(_Axes, _BandScan)`` of the band
+    grid is returned, so no grid is built.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
@@ -375,22 +463,31 @@ def _wvd_family(
     # reversed conjugate, which start at L+n-1-i
     fwd = sliding_window_view(zp, max_lag + 1)[max_lag : max_lag + n]
     bwd = sliding_window_view(np.conj(zp[::-1]), max_lag + 1)[max_lag : max_lag + n][::-1]
-    q = fwd * bwd
+    smoothed = None
     if time_window is not None:
         h = make_window(time_window)
-        q = fftconvolve(q, (h / h.sum())[:, None], mode="same", axes=0)
+        smoothed = fftconvolve(fwd * bwd, (h / h.sum())[:, None], mode="same", axes=0)
+    taper = None
     if freq_window is not None:
-        g = make_window(freq_window)
-        q *= g[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
-    if max_lag > (fft_length - 1) // 2:
-        q[:, 0] *= 0.5
-        q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length))).reshape(n, -1, fft_length).sum(1)
-        half = np.arange(fft_length // 2 + 1)
-        q = q[:, half] + np.conj(q[:, -half % fft_length])
-    values = _transform_rows(
-        n, fft_length, band.stop - band.start,
-        lambda at: sp_fft.hfft(q[at], n=fft_length, axis=1)[:, band],
-    )
+        taper = make_window(freq_window)[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
+    fold = max_lag > (fft_length - 1) // 2
+    half = np.arange(fft_length // 2 + 1)
+
+    def spectra(at: slice) -> np.ndarray:
+        q = fwd[at] * bwd[at] if smoothed is None else smoothed[at]
+        if taper is not None:
+            q *= taper
+        if fold:
+            q[:, 0] *= 0.5
+            q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length)))
+            q = q.reshape(q.shape[0], -1, fft_length).sum(1)
+            q = q[:, half] + np.conj(q[:, -half % fft_length])
+        return sp_fft.hfft(q, n=fft_length, axis=1)[:, band]
+
+    k = band.stop - band.start
+    reader = _BandReader(n, k, magnitude=True) if scan else None
+    # a row's work is its lag row or its spectrum, whichever is longer
+    values = _transform_rows(n, max(fft_length, max_lag + 1), k, spectra, reader)
 
     times = x.start_time_s + np.arange(n) / fs
     meta = {
@@ -402,6 +499,8 @@ def _wvd_family(
         "folding_hz": fs / 2.0 if analytic else fs / 4.0,
     }
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
+    if scan:
+        return _Axes(times, freqs[band], method, meta), reader.scan(slice(0, k))
     return TFDGrid(times, freqs[band], values, method, meta)
 
 
@@ -467,7 +566,8 @@ def psd_from_tfd(g: TFDGrid) -> PSD:
 
 
 def resolution_report(g: TFDGrid) -> ResolutionReport:
-    """Axis spacings plus Nyquist and folding frequency for a grid.
+    """Axis spacings plus Nyquist and folding frequency for a grid, or for
+    the ``_Axes`` of one that was scanned and not stored.
 
     The frequency spacing comes from ``fft_length`` in the meta when it is
     there, so a band grid reports the bits of its full grid; otherwise it is
@@ -476,7 +576,7 @@ def resolution_report(g: TFDGrid) -> ResolutionReport:
     meta has none.
     """
     nfft = g.meta.get("fft_length")
-    if g.n_times < 2 or (g.n_freqs < 2 and nfft is None):
+    if g.times_s.size < 2 or (g.freqs_hz.size < 2 and nfft is None):
         raise ValueError("resolution_report needs at least 2 points per axis")
     fs = g.meta.get("sample_rate_hz")
     if fs is None:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tfbench import evaluate
+from tfbench import evaluate, tfd
 from tfbench.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _compare_config, main
 from tfbench.io import read_signal_csv, read_truth_json, write_signal_csv, write_wav
 from tfbench.core import SampledSignal, WindowSpec
@@ -320,10 +320,18 @@ def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
             "--methods", "stft,wvd,pwvd,spwvd,pct"]
     assert main([*argv, "--out", str(tmp_path / "band")]) == EXIT_OK
 
-    full_grids = evaluate.run_transform
-    monkeypatch.setattr(evaluate, "run_transform",
-                        lambda x, method, cfg, band_hz=None: full_grids(x, method, cfg))
+    # compare scans WVD-family rows as they are made and builds a band PCT
+    # grid; here every method builds its full grid, which is then scanned
+    scanned = []
+
+    def scan_full_grid(x, method, cfg):
+        grid = evaluate.run_transform(x, method, cfg)
+        scanned.append((method, grid.freqs_hz[0]))
+        return grid, tfd._band_magnitudes(grid, cfg.band_hz)
+
+    monkeypatch.setattr(evaluate, "_scan_method", scan_full_grid)
     assert main([*argv, "--out", str(tmp_path / "full")]) == EXIT_OK
+    assert scanned == [(m, 0.0) for m in ("stft", "wvd", "pwvd", "spwvd", "pct")]  # full axes
     for name in ("report.json", "report.txt"):
         assert (tmp_path / "band" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
@@ -451,6 +459,20 @@ def test_compare_rejects_non_finite_sample(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["compare", str(csv_path), "--out", str(out)]) == EXIT_VALIDATION
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_compare_rejects_non_finite_time_stamp(tmp_path, capsys, cell):
+    csv_path, _ = synth(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    amplitude = lines[100].split(",")[1]
+    lines[100] = f"{cell},{amplitude}"
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {csv_path}: line 101: time_s must be finite, got {cell}\n"
     assert not out.exists()
 
 

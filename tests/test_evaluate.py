@@ -1,13 +1,15 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from tfbench.core import InsufficientDataError, SampledSignal, WindowSpec
+from tfbench.core import InsufficientDataError, SampledSignal, WindowSpec, decimate
 from tfbench.evaluate import (
     CompareConfig,
+    ComparisonReport,
     IFTrajectory,
     MethodResult,
     compare_methods,
@@ -19,8 +21,17 @@ from tfbench.evaluate import (
     run_transform,
 )
 from tfbench import evaluate, tfd
-from tfbench.synth import gen_x1
-from tfbench.tfd import ResolutionReport, TFDGrid, _band_indices, psd_from_tfd, spwvd, stft, wvd
+from tfbench.synth import gen_x1, gen_x2
+from tfbench.tfd import (
+    ResolutionReport,
+    TFDGrid,
+    _band_indices,
+    psd_from_tfd,
+    resolution_report,
+    spwvd,
+    stft,
+    wvd,
+)
 
 
 def traj(freqs, valid=None, times=None):
@@ -418,3 +429,92 @@ def test_compare_methods_propagates_programming_errors(monkeypatch):
     # data and parameter errors still become error rows
     row = compare_methods(SampledSignal(np.zeros(320), 320.0), methods=("wvd",)).results[0]
     assert "all zero" in row.error
+
+
+ALL_METHODS = ("stft", "wvd", "pwvd", "spwvd", "pct")
+
+
+def _long_x2():
+    """compare-long's record: 4 s of x2 at 1600 Hz, SNR 10, decimated to N=1280."""
+    sig = gen_x2(sample_rate_hz=1600.0, duration_s=4.0, snr=10.0, seed=1)
+    return decimate(sig.signal, 5), sig.true_if
+
+
+COMPARE_SIGNALS = {
+    "x1": lambda: (gen_x1().signal, gen_x1().true_if),
+    "x2-snr10": lambda: (gen_x2(snr=10.0, seed=1).signal, gen_x2(snr=10.0, seed=1).true_if),
+    "x2-long": _long_x2,
+}
+
+
+def _collected_grid_report(x, truth, cfg, signal_id):
+    """compare's report from full-width grids read through the public readers."""
+    results = []
+    for method in ALL_METHODS:
+        grid = run_transform(x, method, cfg)
+        ridge = extract_ridge(grid, cfg.band_hz, cfg.amp_threshold_frac)
+        result = MethodResult(
+            method,
+            converged=grid.meta.get("converged"),
+            resolution=resolution_report(grid),
+            dominant_freq_hz=dominant_frequency(grid, cfg.band_hz),
+            ridge=ridge,
+        )
+        result.rmse_hz, result.nrmse, result.n_scored = evaluate._score(ridge, truth, None)
+        results.append(result)
+    return ComparisonReport(signal_id, results)
+
+
+@pytest.fixture(scope="module")
+def collected_reports():
+    reports = {}
+    for signal_id, make in COMPARE_SIGNALS.items():
+        x, truth = make()
+        cfg = default_config(signal_id[:2])
+        reports[signal_id] = (x, truth, cfg, _collected_grid_report(x, truth, cfg, signal_id))
+    return reports
+
+
+@pytest.mark.parametrize("signal_id", list(COMPARE_SIGNALS))
+@pytest.mark.parametrize("workers, one_row_blocks", [(1, False), (3, False), (3, True)])
+def test_compare_report_equals_the_collected_grid_report(collected_reports, signal_id, workers,
+                                                         one_row_blocks):
+    """compare reads each method in one band scan, the WVD family's straight
+    from its row blocks; its report and ridges are those of full grids read
+    by extract_ridge, dominant_frequency and resolution_report."""
+    x, truth, cfg, want = collected_reports[signal_id]
+    budget = 1 if one_row_blocks else tfd._BLOCK_BYTES
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_BLOCK_BYTES", budget
+    ):
+        got = compare_methods(x, truth, ALL_METHODS, cfg, signal_id=signal_id)
+    assert got.to_dict() == want.to_dict()
+    assert got.format_table() == want.format_table()
+    for a, b in zip(got.results, want.results):
+        assert a.error is None
+        assert np.array_equal(a.ridge.times_s, b.ridge.times_s)
+        assert np.array_equal(a.ridge.freqs_hz, b.ridge.freqs_hz)
+        assert np.array_equal(a.ridge.valid, b.ridge.valid)
+
+
+def test_compare_wvd_family_memory_is_bounded_by_blocks_not_by_n_squared():
+    """At N=1280 and N=2560, compare's WVD and SPWVD together hold less than
+    one N=1280 band grid: their rows are scanned block by block."""
+    cfg = default_config("x2")
+    k = _band_indices(np.arange(8192) * 320.0 / 16384, cfg.band_hz)
+    one_band_grid = 1280 * (k.stop - k.start) * 8  # 1280 x 3841 float64, 39 MB
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for duration in (4.0, 8.0):
+            x = decimate(gen_x2(sample_rate_hz=1600.0, duration_s=duration, snr=10.0).signal, 5)
+            assert len(x) == 320 * duration
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = compare_methods(x, None, ("wvd", "spwvd"), cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert all(r.error is None for r in report.results)
+            assert peak < one_band_grid
+    finally:
+        if not tracing:
+            tracemalloc.stop()

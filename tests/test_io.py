@@ -63,6 +63,17 @@ def test_signal_csv_rejects_bad_inputs(tmp_path):
         read_signal_csv(p)  # single sample
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["time_s", "amplitude"])
+def test_signal_csv_rejects_non_finite_cells_by_line(tmp_path, cell, column):
+    p = tmp_path / "bad.csv"
+    rows = [["0.0", "1.0"], ["0.1", "2.0"], ["0.2", "3.0"], ["0.3", "4.0"]]
+    rows[2][column == "amplitude"] = cell
+    p.write_text("time_s,amplitude\n" + "".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=f"bad.csv: line 4: {column} must be finite, got {cell}"):
+        read_signal_csv(p)
+
+
 def test_wav_float32_roundtrip(tmp_path):
     x = random_signal(n=128)
     p = tmp_path / "sig.wav"

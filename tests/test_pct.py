@@ -227,6 +227,18 @@ def test_pct_band_grid_equals_full_grid_columns(analytic, band_hz):
     assert got.meta == full.meta and got.method == "pct"
 
 
+def test_pct_auto_band_grid_equals_full_grid_columns():
+    """compare's final PCT transform keeps only its band: the full final
+    grid's columns, axis and meta, from the same kernel fit."""
+    x, band = gen_x2(snr=10.0, seed=1).signal, (5.0, 80.0)
+    full, got = pct_auto(x), pct_auto(x, band_hz=band)
+    keep = (full.freqs_hz >= band[0]) & (full.freqs_hz <= band[1])
+    assert 0 < keep.sum() < full.n_freqs
+    assert np.array_equal(got.values, full.values[:, keep])
+    assert np.array_equal(got.freqs_hz, full.freqs_hz[keep])
+    assert got.meta == full.meta
+
+
 def test_pct_empty_band_raises():
     z, cfg = linear_chirp(), PCTConfig()
     for band in [(40.1, 40.2), (200.0, 300.0), (-5.0, -1.0), (60.0, 50.0), (np.nan, 50.0)]:

@@ -623,7 +623,7 @@ def test_transform_transient_is_a_few_blocks(method, workers):
 def test_row_blocks_under_thread_switch_stress():
     """Four workers (more than most hosts' cores) on one-row transform and
     scan blocks, switching threads every microsecond: a lost or misplaced
-    block would change the grids or the scan."""
+    block would change the grids or the scans."""
     x = SampledSignal(np.random.default_rng(5).normal(size=61), 100.0)
     tw, fw = WindowSpec("hann", 5), WindowSpec("hann", 21)
     with mock.patch.object(tfd, "_workers", lambda: 1):
@@ -637,8 +637,11 @@ def test_row_blocks_under_thread_switch_stress():
             tfd, "_BLOCK_BYTES", 1
         ):
             for _ in range(20):
-                g = spwvd(x, tw, fw, 64)
-                got.append((g, tfd._band_magnitudes(g, (5.0, 30.0)), stft(x, fw, 1, 64)))
+                g, g_stft = spwvd(x, tw, fw, 64), stft(x, fw, 1, 64)
+                got.append((g, tfd._band_magnitudes(g, (5.0, 30.0)), g_stft))
+                # rows scanned as they are made, without a grid
+                _, scan = tfd._wvd_family("spwvd", x, 64, True, tw, fw, (5.0, 30.0), scan=True)
+                got.append((g, scan, g_stft))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -648,7 +651,7 @@ def test_row_blocks_under_thread_switch_stress():
         worker.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not worker.is_alive() and len(got) == 20
+    assert not worker.is_alive() and len(got) == 40
     for g, scan, g_stft in got:
         assert np.array_equal(g.values, want.values)
         assert np.array_equal(g_stft.values, want_stft.values)
@@ -675,3 +678,92 @@ def test_resolution_report_band_grid_keeps_full_grid_spacing():
     one_bin = wvd(x, 2048, band_hz=(full.freqs_hz[300], full.freqs_hz[300]))
     assert one_bin.n_freqs == 1
     assert resolution_report(one_bin) == resolution_report(full)
+
+
+def _range_sum_reference(mags):
+    """Column sums as the band scan defines them: rows added in order within
+    each of ``_SUM_RANGES`` row ranges, then the ranges added in order."""
+    n = mags.shape[0]
+    edges = [n * r // tfd._SUM_RANGES for r in range(tfd._SUM_RANGES + 1)]
+    ranges = np.zeros((tfd._SUM_RANGES, mags.shape[1]))
+    for r in range(tfd._SUM_RANGES):
+        for row in mags[edges[r] : edges[r + 1]]:
+            ranges[r] = ranges[r] + row
+    total = np.zeros(mags.shape[1])
+    for r in range(tfd._SUM_RANGES):
+        total = total + ranges[r]
+    return total
+
+
+@pytest.mark.parametrize("method", ["wvd", "stft"])
+@pytest.mark.parametrize("n", [1, 5, 12, 61, 200])
+def test_band_scan_sums_do_not_depend_on_blocks_or_threads(method, n):
+    """The scan's column sums are the row-range sums, bit for bit, for blocks
+    that cut across the ranges at any size and for any thread count."""
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, 30)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    g = TFDGrid(np.arange(n, dtype=float), 10.0 + np.arange(30), vals if method == "wvd"
+                else np.abs(vals), method)
+    mags = np.abs(g.values[:, 3:25])
+    want = _range_sum_reference(mags)
+    for rows in (1, 2, 5, 17, n):
+        for workers in (1, 2, 3, 4):
+            with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+                tfd, "_BLOCK_BYTES", rows * 8 * 22
+            ):
+                scan = tfd._band_magnitudes(g, (13.0, 34.0))
+            assert scan.band == slice(3, 25)
+            assert np.array_equal(scan.col_sum, want)
+            assert np.array_equal(scan.argmax, np.argmax(mags, axis=1))
+            assert np.array_equal(scan.peak, mags.max(axis=1))
+    assert not np.array_equal(want, mags.sum(axis=0)) or n <= 12  # the ranges matter
+
+
+@pytest.mark.parametrize("workers, rows", [(1, None), (3, None), (3, 1), (4, 3)])
+def test_transform_rows_into_a_reader_scan_their_grid(workers, rows):
+    """Row blocks read as they are made give the scan of the grid they would
+    fill, bit for bit, for any thread count and block size."""
+    x = SampledSignal(np.random.default_rng(9).normal(size=97), 100.0)
+    fw = WindowSpec("hann", 21)
+    grid = pwvd(x, fw, 256, band_hz=(5.0, 30.0))
+    want = tfd._band_magnitudes(grid, None)
+    budget = tfd._BLOCK_BYTES if rows is None else rows * 16 * 256
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_BLOCK_BYTES", budget
+    ):
+        axes, scan = tfd._wvd_family("pwvd", x, 256, True, None, fw, (5.0, 30.0), scan=True)
+    assert np.array_equal(axes.times_s, grid.times_s)
+    assert np.array_equal(axes.freqs_hz, grid.freqs_hz)
+    assert (axes.method, axes.meta) == (grid.method, grid.meta)
+    assert resolution_report(axes) == resolution_report(grid)
+    assert scan.band == want.band
+    assert all(np.array_equal(a, b) for a, b in zip(scan[1:], want[1:]))
+
+
+def test_one_block_scan_stays_on_the_calling_thread():
+    x = SampledSignal(np.random.default_rng(2).normal(size=40), 100.0)
+
+    def no_pool():
+        raise AssertionError("the pool was asked for")
+
+    with mock.patch.object(tfd, "_workers", lambda: 4), mock.patch.object(tfd, "_pool", no_pool):
+        _, scan = tfd._wvd_family("wvd", x, 64, True, scan=True)
+    assert np.array_equal(scan.col_sum, tfd._band_magnitudes(wvd(x, 64), None).col_sum)
+
+
+@pytest.mark.parametrize("method", ["wvd", "pwvd", "spwvd"])
+@pytest.mark.parametrize("n, nfft", [(100, 16), (61, 5), (64, 40)])
+def test_folded_lag_blocks_do_not_depend_on_the_block_size(method, n, nfft):
+    """Lags past the Hermitian half are folded block by block: one-row and
+    three-row blocks on three workers give the one-block grid bit for bit."""
+    rng = np.random.default_rng(n + nfft)
+    x = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), 64.0)
+    with mock.patch.object(tfd, "_BLOCK_BYTES", 1 << 30):
+        want = _wvd_method(method, x, nfft, 9, 41)
+    lags = (n - 1) // 2 + 1 if method == "wvd" else min((n - 1) // 2, 20) + 1
+    assert lags > (nfft + 1) // 2  # folded
+    for rows in (1, 3):
+        with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
+            tfd, "_BLOCK_BYTES", rows * 16 * max(nfft, lags)
+        ):
+            assert np.array_equal(_wvd_method(method, x, nfft, 9, 41).values, want.values)
