@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 from typing import Optional
 
 import numpy as np
@@ -109,21 +110,28 @@ def write_wav(path, x: SampledSignal, dtype: str = "float32") -> None:
 
 
 def read_wav(path) -> SampledSignal:
-    """Read a single-channel WAV; integer PCM is scaled to [-1, 1]."""
-    rate, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected a single channel, got shape {data.shape}")
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        raise ValueError(f"{path}: unsupported WAV sample format {data.dtype}")
-    return SampledSignal(samples, float(rate))
+    """Read a single-channel WAV; integer PCM is scaled to [-1, 1].  A file
+    that does not parse or whose samples are no valid signal (none, or one
+    not finite) raises ValueError naming the file."""
+    try:
+        rate, data = wavfile.read(path)
+        if data.ndim != 1:
+            raise ValueError(f"expected a single channel, got shape {data.shape}")
+        if data.dtype == np.int16:
+            samples = data / 32768.0
+        elif data.dtype == np.int32:
+            samples = data / 2147483648.0
+        elif data.dtype in (np.float32, np.float64):
+            samples = data.astype(np.float64)
+        elif data.dtype == np.uint8:
+            samples = (data.astype(np.float64) - 128.0) / 128.0
+        else:
+            raise ValueError(f"unsupported WAV sample format {data.dtype}")
+        return SampledSignal(samples, float(rate))
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated WAV header ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_truth_json(path, sig: SyntheticSignal) -> None:

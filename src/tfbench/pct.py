@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
 from .evaluate import extract_ridge
-from .tfd import TFDGrid, _band_indices, _short_time
+from .tfd import TFDGrid, _short_time
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,8 @@ def _fit_ridge_poly(grid: TFDGrid, cfg: PCTConfig) -> tuple[np.ndarray, float]:
             f"{n_valid} valid ridge frames, need at least {cfg.order + 1} "
             f"for an order-{cfg.order} fit"
         )
-    band = _band_indices(grid.freqs_hz, cfg.ridge_band_hz)
-    peaks = grid.values[:, band].max(axis=1)
+    # each frame's band peak, read at its ridge bin (PCT values are non-negative)
+    peaks = grid.values[np.arange(grid.n_times), np.searchsorted(grid.freqs_hz, ridge.freqs_hz)]
     tt = ridge.times_s[valid]
     ff = ridge.freqs_hz[valid]
     w = np.sqrt(peaks[valid])

@@ -21,16 +21,16 @@ Conventions
   lo <= f <= hi (edges included); an empty band raises ValueError.  Those
   columns, their axis and the meta are bit-identical to the full grid's;
   only the grid is narrower.  ``None`` (the default) keeps the whole axis.
-* One producer, two readers.  Every transform (WVD family, STFT, PCT) is
-  produced in row blocks of about ``_BLOCK_BYTES`` of work
-  (``_transform_rows``), on up to min(4, usable CPUs) threads, the
-  caller's first: a one-block transform never leaves the calling thread.
-  Each block goes to one reader: the grid, where it writes only its own
-  rows, or a band scan (``_BandReader``), which keeps per row the argmax
-  (first of equals) and the peak and per column the sum over rows, so no
-  grid is built.  ``_band_magnitudes`` runs the same scan over the row
-  blocks of a stored grid, for ``psd_from_tfd`` and the ridge and
-  dominant-frequency readers.
+* One runner, two ``add``s.  Every transform (WVD family, STFT, PCT) and
+  every scan of a stored grid runs in row blocks of about ``_BLOCK_BYTES``
+  of work through ``_in_rows``, on up to min(4, usable CPUs) threads, the
+  caller's first: a one-block input never leaves the calling thread.  Each
+  block goes to one ``add``: the grid's, which writes only the block's own
+  rows, or a band scan's (``_BandReader.add``), which keeps per row the
+  argmax (first of equals) and the peak and per column the sum over rows,
+  so no grid is built.  ``_band_magnitudes`` scans the row blocks of a
+  stored grid, for ``psd_from_tfd`` and the ridge and dominant-frequency
+  readers.
 * Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
   ranges are added in order onto that range's running sum, and the ranges
   are added in order at the end.  A worker takes whole ranges.  So the
@@ -159,7 +159,7 @@ def _workers() -> int:
 
 def _pool() -> ThreadPoolExecutor:
     """The module's thread pool, made on first use in each process: a forked
-    child cannot use its parent's threads.  Threads start only as ranges are
+    child cannot use its parent's threads.  Threads start only as parts are
     submitted, so the pool holds at most workers - 1 of them."""
     global _pool_owner, _pool_executor
     with _pool_lock:
@@ -175,16 +175,28 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-def _in_parts(edges: list, rows: int, work: Callable[[slice], None]) -> None:
-    """Call ``work(at)`` for each block of ``rows`` rows that cuts a part
-    edges[i]..edges[i+1] from its start (a part's last block may be short).
-    The first part runs on the calling thread, each other part on a pool
-    thread, its blocks in order.  Every part finishes before the first
-    failing part's error is raised."""
+def _in_rows(
+    n: int,
+    rows: int,
+    block: Callable[[slice], np.ndarray],
+    add: Callable[[slice, np.ndarray], None],
+) -> None:
+    """Call ``add(at, block(at))`` for rows 0..n in blocks of at most
+    ``rows`` rows; ``add`` may overwrite a writable block.
+
+    The rows split into min(workers, blocks) parts of whole ``_SUM_RANGES``
+    ranges, and each part is cut into blocks of ``rows`` rows from its start
+    (its last block may be short).  The first part runs on the calling
+    thread, so a one-block input never asks for the pool, and each other
+    part on a pool thread, its blocks in order.  Every part finishes before
+    the first failing part's error is raised."""
+    parts = max(1, min(_workers(), -(-n // rows)))
+    edges = [n * (_SUM_RANGES * i // parts) // _SUM_RANGES for i in range(parts + 1)]
 
     def run(lo: int, hi: int) -> None:
         for start in range(lo, hi, rows):
-            work(slice(start, min(start + rows, hi)))
+            at = slice(start, min(start + rows, hi))
+            add(at, block(at))
 
     futures = [_pool().submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
     try:
@@ -193,22 +205,6 @@ def _in_parts(edges: list, rows: int, work: Callable[[slice], None]) -> None:
         wait(futures)
     for future in futures:
         future.result()
-
-
-def _parts(n: int, rows: int) -> int:
-    """Workers for n rows in blocks of ``rows``: one per block at most, so a
-    single block runs on the caller alone."""
-    return max(1, min(_workers(), -(-n // rows)))
-
-
-def _in_blocks(n: int, rows: int, work: Callable[[int, slice], None]) -> None:
-    """Call ``work(b, at)`` for every block b of ``rows`` rows of 0..n, ``at``
-    its rows (the last block may be short).  Contiguous ranges of blocks go
-    one to each worker (see ``_in_parts``), so the blocks do not depend on
-    the thread count."""
-    n_blocks, parts = -(-n // rows), _parts(n, rows)
-    edges = [min(n, rows * (n_blocks * i // parts)) for i in range(parts + 1)]
-    _in_parts(edges, rows, lambda at: work(at.start // rows, at))
 
 
 class _BandScan(NamedTuple):
@@ -228,28 +224,20 @@ class _BandReader:
     Each range's rows are added in order onto its running sum, whatever
     blocks they come in (``piece[0] += sum; piece.sum(axis=0, out=sum)``:
     numpy adds a C-contiguous piece row by row), and the ranges are added in
-    order at the end.  Workers take whole ranges, so the sums are the same
-    bits for any block size and thread count, and they hold ``_SUM_RANGES``
-    rows of k, not one row per block.
+    order at the end.  ``_in_rows`` gives each worker whole ranges, so the
+    sums are the same bits for any block size and thread count, and they
+    hold ``_SUM_RANGES`` rows of k, not one row per block.
     """
 
     def __init__(self, n: int, k: int, magnitude: bool):
-        self.n = n
         self.magnitude = magnitude
         self.argmax = np.empty(n, dtype=np.intp)
         self.peak = np.empty(n)
         self.edges = [n * r // _SUM_RANGES for r in range(_SUM_RANGES + 1)]
         self.sums = np.zeros((_SUM_RANGES, k))
 
-    def read(self, rows: int, block: Callable[[slice], np.ndarray]) -> None:
-        """Scan rows 0..n in blocks of at most ``rows`` rows, ``block(at)``
-        giving rows ``at``; a writable block is overwritten.  One worker's
-        part is whole sum ranges, cut into blocks from its start."""
-        parts = _parts(self.n, rows)
-        edges = [self.edges[_SUM_RANGES * i // parts] for i in range(parts + 1)]
-        _in_parts(edges, rows, lambda at: self._add(at, block(at)))
-
-    def _add(self, at: slice, values: np.ndarray) -> None:
+    def add(self, at: slice, values: np.ndarray) -> None:
+        """Read rows ``at``, ``values``; a writable ``values`` is overwritten."""
         if self.magnitude:
             values = np.abs(values)
         elif not values.flags.writeable:
@@ -271,31 +259,6 @@ class _BandReader:
         return _BandScan(band, self.argmax, self.peak, self.sums.sum(axis=0))
 
 
-def _transform_rows(
-    n: int,
-    row_length: int,
-    k: int,
-    block: Callable[[slice], np.ndarray],
-    reader: Optional[_BandReader] = None,
-) -> Optional[np.ndarray]:
-    """Rows 0..n of k values, rows ``at`` being ``block(at)``, produced in
-    row blocks at 16 * row_length bytes of work per row: a WVD-family row's
-    lags or half-spectrum input and its real output, or a short-time row's
-    spectrum.  The blocks go to ``reader`` when one is given and None is
-    returned; otherwise they fill an N x k array, which is returned."""
-    rows = _block_rows(16 * row_length)
-    if reader is not None:
-        reader.read(rows, block)
-        return None
-    values = np.empty((n, k))
-
-    def transform(b: int, at: slice) -> None:
-        values[at] = block(at)
-
-    _in_blocks(n, rows, transform)
-    return values
-
-
 def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     """One band scan (see ``_BandReader``) of the grid's columns inside
     ``band_hz``; WVD-family columns by absolute value.  Rows are read in
@@ -306,7 +269,7 @@ def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     vals = g.values[:, band]
     n, k = vals.shape
     reader = _BandReader(n, k, g.method in WVD_METHODS)
-    reader.read(_block_rows(8 * max(k, 1)), lambda at: vals[at])
+    _in_rows(n, _block_rows(8 * max(k, 1)), lambda at: vals[at], reader.add)
     return reader.scan(band)
 
 
@@ -336,12 +299,11 @@ def _short_time(
     windowing.  ``band_hz`` keeps only the bins inside it; an empty band
     raises ValueError.  ``meta`` adds or overrides grid meta keys.
 
-    Frames are transformed in row blocks (see ``_transform_rows``): each
-    block gathers, shifts and windows its frames, takes their FFT and stores
-    |.|^2 of the kept bins of its own rows, so no all-frames x fft_length
-    spectrum is built.  Frames that fit in one block, as those of
-    ``compare``'s STFT of a 1 s record do, are transformed on the calling
-    thread.
+    Frames are transformed in row blocks (see ``_in_rows``): each block
+    gathers, shifts and windows its frames, takes their FFT and keeps |.|^2
+    of the kept bins, so no all-frames x fft_length spectrum is built.
+    Frames that fit in one block, as those of ``compare``'s STFT of a 1 s
+    record do, are transformed on the calling thread.
     """
     if hop_samples < 1:
         raise ValueError("hop_samples must be >= 1")
@@ -372,7 +334,8 @@ def _short_time(
         spectra = np.fft.fft(frames * taps[None, :], n=fft_length, axis=1)
         return np.abs(spectra[:, band]) ** 2
 
-    values = _transform_rows(starts.size, fft_length, band.stop - band.start, power)
+    values = np.empty((starts.size, band.stop - band.start))
+    _in_rows(starts.size, _block_rows(16 * fft_length), power, values.__setitem__)
     meta = {
         "sample_rate_hz": fs,
         "window": _window_meta(window),
@@ -425,7 +388,7 @@ def _wvd_family(
     first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
     h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.
 
-    Rows are produced in blocks (see ``_transform_rows``).  A block builds
+    Rows are produced in blocks (see ``_in_rows``).  A block builds
     its own lag rows from two strided views of the signal, then tapers,
     folds and transforms them and keeps only the band's bins; only a kernel
     that smooths in time builds the whole N x (L+1) lag product first.  The
@@ -486,8 +449,10 @@ def _wvd_family(
 
     k = band.stop - band.start
     reader = _BandReader(n, k, magnitude=True) if scan else None
-    # a row's work is its lag row or its spectrum, whichever is longer
-    values = _transform_rows(n, max(fft_length, max_lag + 1), k, spectra, reader)
+    values = None if scan else np.empty((n, k))
+    # a row's work, 16 bytes a value: its lag row or its spectrum, whichever is longer
+    rows = _block_rows(16 * max(fft_length, max_lag + 1))
+    _in_rows(n, rows, spectra, reader.add if scan else values.__setitem__)
 
     times = x.start_time_s + np.arange(n) / fs
     meta = {

@@ -204,6 +204,17 @@ def test_analyze_reads_wav(tmp_path):
     assert (tmp_path / "tone.stft.csv").exists()
 
 
+def test_compare_bad_wav_exits_validation_naming_the_file(tmp_path, capsys):
+    _, truth = synth(tmp_path)
+    wav = tmp_path / "cut.wav"
+    wav.write_bytes(b"RIFF\0\0")
+    argv = ["compare", str(wav), "--truth", str(truth), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {wav}: truncated WAV header")
+    wav.unlink()
+    assert main(argv) == EXIT_IO
+
+
 def test_analyze_decimates_high_rate_input(tmp_path):
     fs = 3200.0
     t = np.arange(3200) / fs

@@ -108,6 +108,31 @@ def test_wav_validation(tmp_path):
         read_wav(stereo)
 
 
+@pytest.mark.parametrize(
+    "name, contents, message",
+    [
+        ("truncated", b"RIFF\0\0", "truncated WAV header"),
+        ("empty", np.zeros(0, dtype=np.float32), "non-empty"),
+        ("nan", np.array([0.0, np.nan, 0.5], dtype=np.float32), "finite"),
+        ("not-riff", b"hello, not a WAV file", "not understood"),
+    ],
+)
+def test_bad_wav_raises_value_error_naming_the_file(tmp_path, name, contents, message):
+    path = tmp_path / f"{name}.wav"
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    else:
+        wavfile.write(path, 320, contents)
+    with pytest.raises(ValueError, match=message) as raised:
+        read_wav(path)
+    assert str(raised.value).startswith(f"{path}: ")
+
+
+def test_missing_wav_is_not_a_value_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_wav(tmp_path / "none.wav")
+
+
 def test_signal_csv_rejects_complex_samples(tmp_path):
     z = SampledSignal(np.exp(2j * np.pi * np.arange(8) / 8), 8.0)
     path = tmp_path / "z.csv"

@@ -485,8 +485,9 @@ def test_wvd_family_delay_shifts_rows(method, core, margins, delay, nfft, flen, 
 @pytest.mark.parametrize("n, one_row_blocks", [(37, False), (64, False), (37, True)])
 def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one_row_blocks):
     """Serial (one worker) and three-worker grids are equal bit for bit, with
-    N not a multiple of the block rows (37 = 13 + 13 + 11, 64 = 22 + 22 + 20)
-    and with one-row blocks."""
+    N not a multiple of the block rows (three parts, 37 = 12 + 12 + 13 rows
+    in blocks of 13, 64 = 21 + 21 + 22 in blocks of 22) and with one-row
+    blocks."""
     x = SampledSignal(np.random.default_rng(n).normal(size=n), 100.0)
     nfft = 64
     with mock.patch.object(tfd, "_workers", lambda: 1):
@@ -525,6 +526,56 @@ def test_block_rows_fill_the_budget(row_bytes, rows):
     assert rows == 1 or rows * row_bytes <= tfd._BLOCK_BYTES < (rows + 1) * row_bytes
 
 
+def _check_in_rows(n, row_bytes, rows, workers):
+    """Run ``_in_rows`` on n rows under a budget of ``rows`` rows of
+    ``row_bytes`` and check its layout: each row is added once, from its own
+    block; every block fits the budget; min(workers, blocks) parts, whose
+    edges are ``_SUM_RANGES`` edges, are each cut into blocks from their
+    start; the first part runs on the calling thread and the others on the
+    pool; and a one-block input never asks for the pool."""
+    budget, real_pool = rows * row_bytes, tfd._pool
+    asked, parts, added = [], [], []
+
+    class Pool:  # notes each part handed to the pool and runs it there
+        def submit(self, run, lo, hi):
+            parts.append((lo, hi))
+            return real_pool().submit(run, lo, hi)
+
+    def pool():
+        asked.append(True)
+        return Pool()
+
+    def add(at, values):
+        added.append((at, threading.current_thread()))
+        assert np.array_equal(values, np.arange(at.start, at.stop, dtype=float)[:, None])
+
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_BLOCK_BYTES", budget
+    ), mock.patch.object(tfd, "_pool", pool):
+        assert tfd._block_rows(row_bytes) == rows
+        tfd._in_rows(n, rows, lambda at: np.arange(at.start, at.stop, dtype=float)[:, None], add)
+    n_blocks = -(-n // rows)
+    if n_blocks <= 1:
+        assert not asked
+    first = parts[0][0] if parts else n
+    edges = [0, first] + [hi for _, hi in parts]
+    assert [lo for lo, _ in parts] == edges[1:-1] and edges[-1] == n
+    assert len(edges) - 1 == max(1, min(workers, n_blocks))
+    assert set(edges) <= {n * r // tfd._SUM_RANGES for r in range(tfd._SUM_RANGES + 1)}
+    blocks = sorted((at for at, _ in added), key=lambda at: at.start)
+    assert blocks == [
+        slice(start, min(start + rows, hi))
+        for lo, hi in zip(edges, edges[1:])
+        for start in range(lo, hi, rows)
+    ]
+    assert sorted(row for at in blocks for row in range(at.start, at.stop)) == list(range(n))
+    assert all((at.stop - at.start) * row_bytes <= budget for at in blocks)
+    caller = threading.current_thread()
+    for at, thread in added:
+        assert (thread is caller) == (at.stop <= first)
+        assert thread is caller or thread.name.startswith("tfbench")
+
+
 @pytest.mark.parametrize(
     "n, fft_length, workers, rows",
     [
@@ -532,50 +583,25 @@ def test_block_rows_fill_the_budget(row_bytes, rows):
         (1280, 8192, 2, 64),  # WVD family at N=1280: 20 blocks, 10 + 10
         (257, 1024, 3, 86),
         (37, 64, 3, 13),
-        (5, 64, 4, 2),  # 3 blocks on 4 workers: one range each, one worker idle
+        (5, 64, 4, 2),  # 3 blocks on 4 workers: one part each, one worker idle
         (1, 1 << 30, 4, 1),  # one block stays on the caller
     ],
 )
 def test_fft_rows_split_over_the_workers_within_the_budget(n, fft_length, workers, rows):
-    """With a budget of ``rows`` rows at ``fft_length``, ``_transform_rows``
-    fills each row once in blocks of ``rows`` rows, the last one short; the
-    first of min(workers, blocks) contiguous ranges of blocks runs on the
-    calling thread and the rest on the pool."""
-    budget = rows * 16 * fft_length
-    seen = []
-
-    def block(at):
-        seen.append((at, threading.current_thread()))
-        return np.arange(at.start, at.stop, dtype=float)[:, None]
-
-    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-        tfd, "_BLOCK_BYTES", budget
-    ):
-        assert tfd._block_rows(16 * fft_length) == rows
-        values = tfd._transform_rows(n, fft_length, 1, block)
-    n_blocks = -(-n // rows)
-    on_caller = n_blocks // min(workers, n_blocks)
-    assert np.array_equal(values, np.arange(n, dtype=float)[:, None])
-    seen.sort(key=lambda s: s[0].start)
-    assert [at for at, _ in seen] == [
-        slice(b * rows, min((b + 1) * rows, n)) for b in range(n_blocks)
-    ]
-    assert all((at.stop - at.start) * 16 * fft_length <= budget for at, _ in seen)
-    caller = threading.current_thread()
-    assert [thread is caller for _, thread in seen] == [b < on_caller for b in range(n_blocks)]
-    assert all(t.name.startswith("tfbench") for _, t in seen[on_caller:])
+    """Transform rows of 16 * fft_length bytes of work, at a budget of
+    ``rows`` of them, laid out as ``_check_in_rows`` says."""
+    _check_in_rows(n, 16 * fft_length, rows, workers)
 
 
-@pytest.mark.parametrize("n, rows", [(0, 4), (1, 4), (37, 1), (37, 7), (64, 16), (5, 64)])
-def test_in_blocks_visits_the_same_blocks_for_any_worker_count(n, rows):
-    """Each block of ``rows`` rows is visited once with its own index, the
-    last one short, and the blocks do not depend on the worker count."""
-    want = [(b, slice(b * rows, min((b + 1) * rows, n))) for b in range(-(-n // rows))]
+@pytest.mark.parametrize(
+    "n, rows",
+    [(0, 4), (1, 4), (5, 64), (37, 1), (37, 7), (64, 16), (257, 86), (1217, 305), (1280, 64)],
+)
+def test_in_rows_cuts_part_blocks_for_any_worker_count(n, rows):
+    """Blocks never outgrow the budget and every row is added once on one
+    to four workers; only where the blocks start depends on the count."""
     for workers in (1, 2, 3, 4):
-        seen = []
-        with mock.patch.object(tfd, "_workers", lambda: workers):
-            tfd._in_blocks(n, rows, lambda b, at: seen.append((b, at)))
-        assert sorted(seen, key=lambda block: block[0]) == want
+        _check_in_rows(n, 8 * 30, rows, workers)
 
 
 def test_one_block_stays_on_the_calling_thread():
