@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin, lfilter
 
 
 class InsufficientDataError(ValueError):
@@ -152,7 +151,8 @@ def decimate(x: SampledSignal, factor: int) -> SampledSignal:
     A Hamming-windowed-sinc FIR low-pass (64 taps per unit of decimation
     factor, cutoff at 0.8x the new Nyquist) runs forward-backward before
     sample selection, so the result is zero-phase and ridge timing is
-    preserved.
+    preserved.  The filter design (scipy's ``firwin``) and the passes
+    (scipy's ``filtfilt``) are written out in numpy with scipy's bits.
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"decimation factor must be a positive integer, got {factor}")
@@ -165,18 +165,29 @@ def decimate(x: SampledSignal, factor: int) -> SampledSignal:
     new_rate = x.sample_rate_hz / factor
     cutoff_hz = 0.8 * (new_rate / 2.0)
     taps = 64 * factor + 1  # odd length keeps the FIR symmetric
-    b = firwin(taps, cutoff_hz, window="hamming", fs=x.sample_rate_hz)
+    # scipy's firwin(taps, cutoff_hz, window="hamming", fs=...), written out:
+    # the windowed ideal low-pass, scaled to unit gain at DC
+    c = cutoff_hz / (0.5 * x.sample_rate_hz)
+    b = c * np.sinc(c * (np.arange(taps) - 0.5 * (taps - 1)))
+    # 1 - 0.54, not 0.46: the two differ in the last bit
+    b *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    b /= np.sum(b)
     # scipy's filtfilt(b, [1.0], x, padlen=pad), written out: odd extension,
     # then forward and backward passes started from the step-response steady
     # state.  For an FIR filter that state is the reversed cumulative sum of
-    # b[1:], which filtfilt would get from a dense (taps-1)-square solve.
+    # b[1:], which filtfilt would get from a dense (taps-1)-square solve, and
+    # each pass is lfilter's: the full convolution with the state added to
+    # its first taps-1 outputs, cut to the input's length.
     pad = min(3 * taps, len(x) - 1)
     s = x.samples
     ext = np.concatenate((2 * s[:1] - s[pad:0:-1], s, 2 * s[-1:] - s[-2 : -pad - 2 : -1]))
     zi = np.cumsum(b[:0:-1])[::-1]
-    y, _ = lfilter(b, [1.0], ext, zi=zi * ext[:1])
-    y, _ = lfilter(b, [1.0], y[::-1], zi=zi * y[-1:])
-    filtered = y[::-1][pad:-pad]
+    y = ext
+    for _ in range(2):  # forward, then backward: each pass's output comes out reversed
+        full = np.convolve(b, y)
+        full[: taps - 1] += zi * y[0]
+        y = full[: y.size][::-1]
+    filtered = y[pad:-pad]
     return SampledSignal(filtered[::factor], new_rate, x.start_time_s)
 
 

@@ -14,7 +14,6 @@ import struct
 from typing import Optional
 
 import numpy as np
-from scipy.io import wavfile
 
 from .core import SampledSignal
 from .evaluate import IFTrajectory
@@ -26,6 +25,11 @@ _UNIFORMITY_TOL = 1e-6
 
 # the lowest level, in dB below the peak, that a dB heatmap shows
 _PGM_FLOOR_DB = -60.0
+
+# WAV format tags; WAVE_FORMAT_EXTENSIBLE holds the plain tag in the first
+# four bytes of a subformat GUID that ends in fields 0, 0x10, then these bytes
+_WAV_PCM, _WAV_FLOAT, _WAV_EXTENSIBLE = 1, 3, 0xFFFE
+_WAV_GUID_END = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 def _real_samples(x: SampledSignal, where: str) -> np.ndarray:
@@ -92,46 +96,97 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def write_wav(path, x: SampledSignal, dtype: str = "float32") -> None:
-    """Single-channel WAV; dtype 'float32' or 'int16' (values scaled by 2^15)."""
+    """Single-channel WAV; dtype 'float32' or 'int16' (values scaled by 2^15),
+    with the bytes ``scipy.io.wavfile.write`` gives them."""
     samples = _real_samples(x, "WAV")
     rate = x.sample_rate_hz
     if abs(rate - round(rate)) > 1e-9:
         raise ValueError(f"WAV requires an integer sample rate, got {rate}")
+    rate = int(round(rate))
     if dtype == "float32":
-        data = samples.astype(np.float32)
+        data = samples.astype("<f4")
+        tag, fmt_tail, fact = _WAV_FLOAT, b"\0\0", b"fact" + struct.pack("<II", 4, data.size)
     elif dtype == "int16":
         peak = float(np.max(np.abs(samples))) or 1.0
         if peak > 1.0:
             raise ValueError("int16 WAV needs samples within [-1, 1]")
-        data = np.round(samples * 32767.0).astype(np.int16)
+        data = np.round(samples * 32767.0).astype("<i2")
+        tag, fmt_tail, fact = _WAV_PCM, b"", b""
     else:
         raise ValueError(f"unsupported WAV dtype {dtype!r}")
-    wavfile.write(path, int(round(rate)), data)
+    width = data.itemsize
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width) + fmt_tail
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+            + b"data" + struct.pack("<I", data.nbytes) + data.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 def read_wav(path) -> SampledSignal:
-    """Read a single-channel WAV; integer PCM is scaled to [-1, 1].  A file
-    that does not parse or whose samples are no valid signal (none, or one
-    not finite) raises ValueError naming the file."""
+    """Read a single-channel WAV; integer PCM is scaled to [-1, 1].
+
+    Reads RIFF (little-endian) and RIFX (big-endian) files of PCM at 8
+    (unsigned), 16, 24 or 32 bits or IEEE float at 32 or 64 bits, plain or
+    as WAVE_FORMAT_EXTENSIBLE; chunks other than fmt and data are skipped.
+    A file that does not parse, whose data chunk is shorter than its header
+    says, or whose samples are no valid signal (none, or one not finite)
+    raises ValueError naming the file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        rate, data = wavfile.read(path)
-        if data.ndim != 1:
-            raise ValueError(f"expected a single channel, got shape {data.shape}")
-        if data.dtype == np.int16:
-            samples = data / 32768.0
-        elif data.dtype == np.int32:
-            samples = data / 2147483648.0
-        elif data.dtype in (np.float32, np.float64):
-            samples = data.astype(np.float64)
-        elif data.dtype == np.uint8:
-            samples = (data.astype(np.float64) - 128.0) / 128.0
-        else:
-            raise ValueError(f"unsupported WAV sample format {data.dtype}")
+        rate, samples = _parse_wav(blob)
         return SampledSignal(samples, float(rate))
-    except struct.error as exc:
-        raise ValueError(f"{path}: truncated WAV header ({exc})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_wav(blob: bytes) -> tuple:
+    """(rate, float64 samples) of the bytes of a single-channel WAV file."""
+    if len(blob) < 12:
+        raise ValueError(f"truncated WAV header ({len(blob)} bytes)")
+    order = {b"RIFF": "<", b"RIFX": ">"}.get(blob[:4])
+    if order is None or blob[8:12] != b"WAVE":
+        raise ValueError(f"file format {blob[:4]!r} {blob[8:12]!r} not understood; "
+                         "expected a RIFF or RIFX WAVE file")
+    fmt, at = None, 12
+    while True:
+        if at + 8 > len(blob):
+            raise ValueError("truncated WAV header: no data chunk")
+        chunk, (size,) = blob[at : at + 4], struct.unpack(order + "I", blob[at + 4 : at + 8])
+        body = blob[at + 8 : at + 8 + size]
+        if chunk == b"fmt ":
+            if len(body) < 16:
+                raise ValueError(f"truncated WAV header: fmt chunk of {len(body)} bytes")
+            fmt = body
+        elif chunk == b"data":
+            break
+        at += 8 + size + size % 2  # chunks start at even offsets
+    if fmt is None:
+        raise ValueError("data chunk before the fmt chunk")
+    if len(body) < size:
+        raise ValueError(f"data chunk holds {len(body)} bytes, header says {size}")
+    tag, channels, rate, byte_rate, width, bits = struct.unpack(order + "HHIIHH", fmt[:16])
+    if tag == _WAV_EXTENSIBLE and fmt[28:40] == struct.pack(order + "HH", 0, 0x10) + _WAV_GUID_END:
+        (tag,) = struct.unpack(order + "I", fmt[24:28])
+    if channels != 1:
+        raise ValueError(f"expected a single channel, got {channels}")
+    if tag == _WAV_PCM and byte_rate != rate * width:
+        raise ValueError(f"WAV header gives {byte_rate} bytes/s, not rate x block align "
+                         f"= {rate} x {width}")
+    raw = np.frombuffer(body, np.uint8, size - size % max(width, 1))
+    if tag == _WAV_PCM and width == 1:
+        return rate, (raw - 128.0) / 128.0
+    if tag == _WAV_PCM and width == 2:
+        return rate, raw.view(order + "i2") / 32768.0
+    if tag == _WAV_PCM and width in (3, 4):
+        # 24-bit samples left-justified in 32 bits, as scipy reads them
+        wide = np.zeros((raw.size // width, 4), np.uint8)
+        wide[:, slice(4 - width, 4) if order == "<" else slice(0, width)] = raw.reshape(-1, width)
+        return rate, wide.view(order + "i4")[:, 0] / 2147483648.0
+    if tag == _WAV_FLOAT and bits in (32, 64) and width == bits // 8:
+        return rate, raw.view(f"{order}f{width}").astype(np.float64)
+    raise ValueError(f"unsupported WAV sample format: tag {tag:#x}, {bits} bits "
+                     f"in {width} bytes")
 
 
 def write_truth_json(path, sig: SyntheticSignal) -> None:

@@ -13,9 +13,11 @@ Conventions
   bilinear kernel oscillates at twice the signal frequency in lag.  Real
   (non-analytic) inputs consequently fold above a quarter of the sample
   rate; analytic inputs are clean up to half.
-* A WVD-family row is one Hermitian real FFT of lags 0..L: the lag product
-  is Hermitian and the lag kernel even, so the lag DFT is real.  Lags past
-  the Hermitian half are folded first (see ``_wvd_family``).
+* A WVD-family row is one Hermitian real FFT of lags 0..L (numpy's
+  ``np.fft.hfft``): the lag product is Hermitian and the lag kernel even, so
+  the lag DFT is real.  Lags past the Hermitian half are folded first (see
+  ``_wvd_family``).  SPWVD's time smoothing, ``_smooth_rows``, gives the
+  bits of scipy's ``fftconvolve``, so the module needs numpy alone.
 * ``wvd``, ``pwvd``, ``spwvd`` and ``pct.pct_transform`` take
   ``band_hz=(lo, hi)`` to keep only the bins of their frequency axis with
   lo <= f <= hi (edges included); an empty band raises ValueError.  Those
@@ -50,8 +52,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
-from scipy.signal import fftconvolve
 
 from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_window
 
@@ -366,6 +366,33 @@ def _window_meta(spec: WindowSpec) -> dict:
     return meta
 
 
+def _fast_fft_length(n: int) -> int:
+    """The smallest 2, 3, 5, 7, 11-smooth number >= n: pocketfft's good
+    size for a complex transform (scipy's ``next_fast_len(n, real=False)``)."""
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _smooth_rows(q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``fftconvolve(q, h[:, None], mode="same", axes=0)`` for complex ``q``
+    and odd-length real ``h``, with scipy's bits: h's spectrum is pocketfft's
+    complex FFT of a real input (the real FFT, mirrored and conjugated)."""
+    if h.size == 1:
+        return q * h
+    size = _fast_fft_length(q.shape[0] + h.size - 1)
+    half = np.fft.rfft(h, size)
+    kernel = np.concatenate([half, np.conj(half[1 : (size + 1) // 2][::-1])])
+    full = np.fft.ifft(np.fft.fft(q, size, axis=0) * kernel[:, None], axis=0)
+    start = (h.size - 1) // 2
+    return full[start : start + q.shape[0]]
+
+
 def _wvd_family(
     method: str,
     x: SampledSignal,
@@ -382,8 +409,9 @@ def _wvd_family(
 
     The lag product q[n, m] = z[n+m] conj(z[n-m]) is Hermitian in m, and the
     kernel is real and even in m, so only lags m = 0..L are built and each
-    row is one Hermitian real FFT of lags 0..L.  L = (N-1)//2, cut to the
-    lag window's half-span; products that index outside the signal are zero.
+    row is one Hermitian real FFT of lags 0..L (``np.fft.hfft``, which gives
+    scipy's ``hfft`` bits).  L = (N-1)//2, cut to the lag window's
+    half-span; products that index outside the signal are zero.
     Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
     first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
     h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.
@@ -391,7 +419,8 @@ def _wvd_family(
     Rows are produced in blocks (see ``_in_rows``).  A block builds
     its own lag rows from two strided views of the signal, then tapers,
     folds and transforms them and keeps only the band's bins; only a kernel
-    that smooths in time builds the whole N x (L+1) lag product first.  The
+    that smooths in time builds the whole N x (L+1) lag product first and
+    smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.  The
     blocks fill the returned grid, or with ``scan`` they go to a band scan
     of the band's bins by magnitude and ``(_Axes, _BandScan)`` of the band
     grid is returned, so no grid is built.
@@ -429,7 +458,7 @@ def _wvd_family(
     smoothed = None
     if time_window is not None:
         h = make_window(time_window)
-        smoothed = fftconvolve(fwd * bwd, (h / h.sum())[:, None], mode="same", axes=0)
+        smoothed = _smooth_rows(fwd * bwd, h / h.sum())
     taper = None
     if freq_window is not None:
         taper = make_window(freq_window)[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
@@ -445,7 +474,7 @@ def _wvd_family(
             q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length)))
             q = q.reshape(q.shape[0], -1, fft_length).sum(1)
             q = q[:, half] + np.conj(q[:, -half % fft_length])
-        return sp_fft.hfft(q, n=fft_length, axis=1)[:, band]
+        return np.fft.hfft(q, n=fft_length, axis=1)[:, band]
 
     k = band.stop - band.start
     reader = _BandReader(n, k, magnitude=True) if scan else None

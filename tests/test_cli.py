@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tfbench
 from tfbench import evaluate, tfd
 from tfbench.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, _compare_config, main
 from tfbench.io import read_signal_csv, read_truth_json, write_signal_csv, write_wav
@@ -213,6 +217,49 @@ def test_compare_bad_wav_exits_validation_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {wav}: truncated WAV header")
     wav.unlink()
     assert main(argv) == EXIT_IO
+
+
+def test_wav_cut_short_exits_validation(tmp_path, capsys):
+    """A 4 s 1600 Hz x2 WAV cut to half its bytes names the file and the
+    missing bytes, in analyze and in compare, and writes nothing."""
+    main(["synth", "x2", "--rate", "1600", "--duration", "4", "--out", str(tmp_path)])
+    wav = tmp_path / "x2.wav"
+    write_wav(wav, read_signal_csv(tmp_path / "x2.csv"))
+    wav.write_bytes(wav.read_bytes()[: wav.stat().st_size // 2])
+    out = tmp_path / "out"
+    for argv in (["analyze", str(wav), "--method", "stft"],
+                 ["compare", str(wav), "--truth", str(tmp_path / "x2.truth.json")]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {wav}: data chunk holds ")
+    assert not out.exists()
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """Importing tfbench and running synth, compare, and analyze of a WAV
+    that is decimated loads no scipy module."""
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(tfbench.__file__).parents[1])!r})
+import tfbench, tfbench.cli
+from tfbench.cli import main
+from tfbench.core import SampledSignal
+from tfbench.io import read_signal_csv, write_wav
+out = {str(tmp_path)!r}
+assert main(["synth", "x1", "--out", out]) == 0
+assert main(["compare", out + "/x1.csv", "--truth", out + "/x1.truth.json",
+             "--out", out + "/compare"]) == 0
+x = read_signal_csv(out + "/x1.csv")
+write_wav(out + "/x1.wav", SampledSignal(x.samples, 1600.0))
+assert main(["analyze", out + "/x1.wav", "--method", "spwvd", "--out", out + "/analyze"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "analyze" / "x1.spwvd.meta.json").read_text())[
+        "meta"]["decimation_factor"] == 5
 
 
 def test_analyze_decimates_high_rate_input(tmp_path):

@@ -241,6 +241,19 @@ def test_decimate_equals_filtfilt_bit_for_bit(fs, factor, n):
     assert y.sample_rate_hz == fs / factor and y.start_time_s == 0.5
 
 
+@pytest.mark.parametrize("factor", range(2, 17))
+def test_decimate_equals_scipy_firwin_and_filtfilt_for_every_factor(factor):
+    """The written-out FIR design and filter passes give scipy's bits at
+    every factor, for rates from 1 kHz to 48 kHz."""
+    for fs in (1000.0, 1600.0, 8000.0, 22050.0, 48000.0):
+        n = int(fs) // 2
+        x = SampledSignal(np.random.default_rng(factor).normal(size=n), fs)
+        taps = 64 * factor + 1
+        b = firwin(taps, 0.8 * (fs / factor / 2.0), window="hamming", fs=fs)
+        want = filtfilt(b, [1.0], x.samples, padlen=min(3 * taps, n - 1))[::factor]
+        assert np.array_equal(decimate(x, factor).samples, want)
+
+
 def test_add_white_noise_power_calibration():
     fs = 1000.0
     t = np.arange(100000) / fs

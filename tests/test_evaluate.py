@@ -274,7 +274,7 @@ def test_worker_error_becomes_the_method_error_row():
     """A ValueError in a pooled lag-transform block is that method's error
     row, and the pool still serves the next transform."""
     sig, methods = gen_x1(), ("stft", "spwvd")
-    real_hfft, calls = tfd.sp_fft.hfft, itertools.count()
+    real_hfft, calls = tfd.np.fft.hfft, itertools.count()
 
     def hfft(*args, **kwargs):
         if next(calls) == 1:
@@ -286,7 +286,7 @@ def test_worker_error_becomes_the_method_error_row():
         tfd, "_BLOCK_BYTES", -(-n // 3) * 16 * 2048
     ):
         assert -(-n // tfd._block_rows(16 * 2048)) == 3  # one block per worker
-        with mock.patch.object(tfd.sp_fft, "hfft", hfft):
+        with mock.patch.object(tfd.np.fft, "hfft", hfft):
             failed = compare_methods(sig.signal, sig.true_if, methods=methods)
         again = compare_methods(sig.signal, sig.true_if, methods=methods)
         want = compare_methods(sig.signal, sig.true_if, methods=methods)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,93 @@ def test_bad_wav_raises_value_error_naming_the_file(tmp_path, name, contents, me
     with pytest.raises(ValueError, match=message) as raised:
         read_wav(path)
     assert str(raised.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int16"])
+@pytest.mark.parametrize("n", [1, 2, 101, 4096])
+def test_wav_writer_bytes_equal_scipy(tmp_path, dtype, n):
+    x = SampledSignal(np.clip(random_signal(n=n, seed=n).samples / 4.0, -1.0, 1.0), 1600.0)
+    write_wav(tmp_path / "ours.wav", x, dtype=dtype)
+    data = x.samples.astype(np.float32) if dtype == "float32" else np.round(
+        x.samples * 32767.0).astype(np.int16)
+    wavfile.write(tmp_path / "scipy.wav", 1600, data)
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def _scaled(data: np.ndarray) -> np.ndarray:
+    """Samples of a ``wavfile.read`` result, scaled as ``read_wav`` scales them."""
+    if data.dtype == np.uint8:
+        return (data.astype(np.float64) - 128.0) / 128.0
+    if data.dtype.kind == "i":
+        return data / 2.0 ** (8 * data.dtype.itemsize - 1)
+    return data.astype(np.float64)
+
+
+def _wav_bytes(tag, width, payload, order="<", extensible=False, extra=b"") -> bytes:
+    """A one-channel WAV of ``payload`` with ``extra`` chunks before its fmt chunk."""
+    rif, u32 = (b"RIFF", "<I") if order == "<" else (b"RIFX", ">I")
+    fmt = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag, 1, 800, 800 * width,
+                      width, 8 * width)
+    if extensible:
+        guid = struct.pack(order + "I", tag) + (
+            b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71" if order == "<"
+            else b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71")
+        fmt += struct.pack(order + "HHI", 22, 8 * width, 4) + guid
+    body = (b"WAVE" + extra + b"fmt " + struct.pack(u32, len(fmt)) + fmt
+            + b"data" + struct.pack(u32, len(payload)) + payload)
+    return rif + struct.pack(u32, len(body)) + body
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize(
+    "tag, width", [(1, 1), (1, 2), (1, 3), (1, 4), (3, 4), (3, 8)],
+    ids=["pcm8", "pcm16", "pcm24", "pcm32", "float32", "float64"],
+)
+def test_wav_reader_samples_equal_scipy(tmp_path, tag, width, extensible, order):
+    """Every format read_wav reads, plain and extensible, little- and
+    big-endian, after an odd-sized unknown chunk and its pad byte."""
+    rng = np.random.default_rng(width)
+    if tag == 3:
+        payload = rng.normal(size=37).astype(f"{order}f{width}").tobytes()
+    else:
+        payload = rng.integers(0, 256, 37 * width, dtype=np.uint8).tobytes()
+    path = tmp_path / "x.wav"
+    unknown = b"LIST" + struct.pack(order + "I", 3) + b"abc\0"
+    path.write_bytes(_wav_bytes(tag, width, payload, order, extensible, extra=unknown))
+    rate, data = wavfile.read(path)
+    got = read_wav(path)
+    assert got.sample_rate_hz == rate == 800
+    assert np.array_equal(got.samples, _scaled(data))
+
+
+def test_wav_roundtrip_through_scipy_reader(tmp_path):
+    x = SampledSignal(np.clip(random_signal(n=257).samples / 4.0, -1.0, 1.0), 1600.0)
+    for dtype in ("float32", "int16"):
+        write_wav(tmp_path / "x.wav", x, dtype=dtype)
+        assert np.array_equal(read_wav(tmp_path / "x.wav").samples,
+                              _scaled(wavfile.read(tmp_path / "x.wav")[1]))
+
+
+def test_wav_with_a_short_data_chunk_is_rejected(tmp_path):
+    """A file cut short holds fewer data bytes than its header says: a
+    4 s 1600 Hz x2 WAV cut to half its bytes."""
+    path = tmp_path / "x2.wav"
+    write_wav(path, gen_x2(snr=10.0, sample_rate_hz=1600.0, duration_s=4.0).signal)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+    held = len(blob) // 2 - 58  # a float32 WAV's header is 58 bytes
+    with pytest.raises(ValueError, match=f"^{path}: data chunk holds {held} bytes, "
+                                         f"header says {4 * 6400}$"):
+        read_wav(path)
+
+
+def test_wav_data_chunk_before_fmt_is_rejected(tmp_path):
+    path = tmp_path / "x.wav"
+    body = b"WAVE" + b"data" + struct.pack("<I", 4) + b"\0" * 4
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(ValueError, match=f"^{path}: data chunk before the fmt chunk"):
+        read_wav(path)
 
 
 def test_missing_wav_is_not_a_value_error(tmp_path):

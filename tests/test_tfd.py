@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from tfbench import tfd
 from tfbench.core import SampledSignal, WindowSpec, analytic_signal, make_window
@@ -286,6 +288,26 @@ def test_spwvd_degenerate_equals_wvd():
     np.testing.assert_allclose(a.values, b.values, atol=1e-9 * np.abs(b.values).max())
 
 
+def test_fast_fft_length_equals_scipy_next_fast_len():
+    assert [tfd._fast_fft_length(n) for n in range(1, 5000)] == [
+        next_fast_len(n, real=False) for n in range(1, 5000)]
+
+
+@pytest.mark.parametrize("n", [4, 100, 320, 1280, 1281])
+@pytest.mark.parametrize("w", [1, 7, 31, 63])
+def test_time_smoothing_equals_scipy_fftconvolve(n, w):
+    """SPWVD's time smoothing gives scipy's fftconvolve bits, for lag
+    products as wide as the signal's Hermitian half and windows longer than
+    the signal."""
+    rng = np.random.default_rng(n + w)
+    q = rng.normal(size=(n, min(n // 2, 160))) + 1j * rng.normal(size=(n, min(n // 2, 160)))
+    for kind in ("hamming", "gaussian"):
+        h = make_window(WindowSpec(kind, w))
+        h = h / h.sum()
+        want = fftconvolve(q, h[:, None], mode="same", axes=0)
+        assert np.array_equal(tfd._smooth_rows(q, h), want)
+
+
 def test_spwvd_suppresses_cross_term():
     fs, n = 320.0, 256
     t = np.arange(n) / fs
@@ -492,7 +514,7 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     nfft = 64
     with mock.patch.object(tfd, "_workers", lambda: 1):
         serial = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
-    real_hfft, threads = tfd.sp_fft.hfft, set()
+    real_hfft, threads = tfd.np.fft.hfft, set()
 
     def hfft(*args, **kwargs):
         threads.add(threading.current_thread().name)
@@ -501,7 +523,7 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     rows = 1 if one_row_blocks else -(-n // 3)
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
         tfd, "_BLOCK_BYTES", rows * 16 * nfft
-    ), mock.patch.object(tfd.sp_fft, "hfft", hfft):
+    ), mock.patch.object(tfd.np.fft, "hfft", hfft):
         assert tfd._block_rows(16 * nfft) == rows
         pooled = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
     assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
