@@ -9,7 +9,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
@@ -107,11 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    with open(p) as fh:
-        doc = json.load(fh)
+    doc = tfio.read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config root must be a JSON object")
     return doc

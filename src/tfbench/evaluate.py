@@ -118,7 +118,7 @@ def extract_ridge(
     """
     if not 0.0 <= amp_threshold_frac < 1.0:
         raise ValueError("amp_threshold_frac must lie in [0, 1)")
-    return _ridge(g, _band_magnitudes(g, band_hz), amp_threshold_frac)
+    return _ridge(_band_magnitudes(g, band_hz), amp_threshold_frac)
 
 
 def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
@@ -129,25 +129,25 @@ def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
     only its argmax matters, so it is not normalized.  A band that is all
     zero has no dominant frequency and raises InsufficientDataError.
     """
-    return _dominant(g, _band_magnitudes(g, band_hz))
+    return _dominant(_band_magnitudes(g, band_hz))
 
 
-def _ridge(g, scan: _BandScan, amp_threshold_frac: float) -> IFTrajectory:
-    """``extract_ridge`` from a band scan of g, a grid or its ``_Axes``."""
+def _ridge(scan: _BandScan, amp_threshold_frac: float) -> IFTrajectory:
+    """``extract_ridge`` from a band scan."""
     global_peak = float(scan.peak.max(initial=0.0))
     if global_peak == 0.0:
         valid = np.zeros(scan.peak.size, dtype=bool)
     else:
         valid = scan.peak >= amp_threshold_frac * global_peak
-    return IFTrajectory(g.times_s.copy(), g.freqs_hz[scan.band][scan.argmax], valid)
+    return IFTrajectory(scan.times_s.copy(), scan.freqs_hz[scan.argmax], valid)
 
 
-def _dominant(g, scan: _BandScan) -> float:
-    """``dominant_frequency`` from a band scan of g, a grid or its ``_Axes``."""
-    power = scan.col_sum / g.times_s.size
+def _dominant(scan: _BandScan) -> float:
+    """``dominant_frequency`` from a band scan."""
+    power = scan.col_sum / scan.times_s.size
     if not power.any():
         raise InsufficientDataError("grid is all zero in the band; no dominant frequency")
-    return float(g.freqs_hz[scan.band][np.argmax(power)])
+    return float(scan.freqs_hz[np.argmax(power)])
 
 
 @dataclass
@@ -265,13 +265,15 @@ def compare_methods(
     """Run each requested transform, extract its ridge, and score it.
 
     Per-method failures are captured in the result row rather than aborting
-    the remaining methods.
+    the remaining methods; a bad ``amp_threshold_frac`` raises before any runs.
     """
     if len(methods) == 0:
         raise ValueError("at least one method must be requested")
     if truth is not None and len(truth) == 0:
         raise ValueError("truth must hold at least one trajectory")
     cfg = config if config is not None else CompareConfig()
+    if not 0.0 <= cfg.amp_threshold_frac < 1.0:
+        raise ValueError(f"amp_threshold_frac must lie in [0, 1), got {cfg.amp_threshold_frac!r}")
     results = [_run_method(x, truth, method, cfg) for method in methods]
     return ComparisonReport(signal_id=signal_id, results=results)
 
@@ -284,12 +286,11 @@ def _run_method(
 ) -> MethodResult:
     result = MethodResult(method=method)
     try:
-        g, scan = _scan_method(x, method, cfg)
-        result.converged = g.meta.get("converged")
-        result.resolution = resolution_report(g)
-        result.dominant_freq_hz = _dominant(g, scan)
-        ridge = _ridge(g, scan, cfg.amp_threshold_frac)
-        result.ridge = ridge
+        scan = _scan_method(x, method, cfg)
+        result.converged = scan.meta.get("converged")
+        result.resolution = resolution_report(scan)
+        result.dominant_freq_hz = _dominant(scan)
+        result.ridge = ridge = _ridge(scan, cfg.amp_threshold_frac)
         if truth is not None:
             result.rmse_hz, result.nrmse, result.n_scored = _score(
                 ridge, truth, cfg.score_component
@@ -301,18 +302,17 @@ def _run_method(
     return result
 
 
-def _scan_method(x: SampledSignal, method: str, cfg: CompareConfig) -> tuple:
-    """(grid or its ``_Axes``, band scan) of one method: all that compare
-    reads of it, from one scan of ``cfg.band_hz``.  The WVD family's row
-    blocks go straight into the scan, so no grid of theirs is built."""
+def _scan_method(x: SampledSignal, method: str, cfg: CompareConfig) -> _BandScan:
+    """The band scan of ``cfg.band_hz`` of one method: all that compare
+    reads of it.  The WVD family's row blocks go straight into the scan, so
+    no grid of theirs is built."""
     if method in WVD_METHODS:
         time_window = cfg.spwvd_time_window if method == "spwvd" else None
         freq_window = cfg.spwvd_freq_window if method != "wvd" else None
         return _wvd_family(
             method, x, _wvd_fft(x, cfg), True, time_window, freq_window, cfg.band_hz, scan=True
         )
-    grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
-    return grid, _band_magnitudes(grid, cfg.band_hz)
+    return _band_magnitudes(run_transform(x, method, cfg, band_hz=cfg.band_hz), cfg.band_hz)
 
 
 def _wvd_fft(x: SampledSignal, cfg: CompareConfig) -> int:

@@ -42,8 +42,9 @@ def _write_table(path, header: str, times: np.ndarray, columns: np.ndarray) -> N
     """CSV of one header line, then per row its time and its ``columns`` row."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for t, row in zip(times.tolist(), columns.tolist()):
-            fh.write(",".join(map(repr, [t, *row])) + "\n")
+        # a row at a time: the whole grid as Python floats is 4x its array
+        for t, row in zip(times.tolist(), columns):
+            fh.write(",".join(map(repr, [t, *row.tolist()])) + "\n")
 
 
 def _read_table(path, leading: list, expected: str, finite: int = 0) -> tuple:
@@ -212,8 +213,7 @@ def write_truth_json(path, sig: SyntheticSignal) -> None:
 
 def read_truth_json(path) -> tuple[list, dict]:
     """Returns (trajectories, meta) where meta holds everything else."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         times = np.asarray(doc["times_s"], dtype=np.float64)
         trajectories = [
@@ -257,6 +257,15 @@ def grid_meta_dict(g: TFDGrid) -> dict:
     if g.n_freqs > 1:
         d["freq_step_hz"] = float(g.freqs_hz[1] - g.freqs_hz[0])
     return d
+
+
+def read_json(path):
+    """A file's JSON document; a file that is not UTF-8 JSON raises ValueError naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(path, doc: dict) -> None:

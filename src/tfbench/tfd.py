@@ -30,9 +30,11 @@ Conventions
   block goes to one ``add``: the grid's, which writes only the block's own
   rows, or a band scan's (``_BandReader.add``), which keeps per row the
   argmax (first of equals) and the peak and per column the sum over rows,
-  so no grid is built.  ``_band_magnitudes`` scans the row blocks of a
-  stored grid, for ``psd_from_tfd`` and the ridge and dominant-frequency
-  readers.
+  so no grid is built.  A band scan (``_BandScan``) holds the band grid's
+  axes, method and meta next to those reductions, stored grid or not; it
+  reads WVD-family values by magnitude.  ``_band_magnitudes`` scans the row
+  blocks of a stored grid, for ``psd_from_tfd`` and the ridge and
+  dominant-frequency readers.
 * Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
   ranges are added in order onto that range's running sum, and the ranges
   are added in order at the end.  A worker takes whole ranges.  So the
@@ -182,7 +184,7 @@ def _in_rows(
     add: Callable[[slice, np.ndarray], None],
 ) -> None:
     """Call ``add(at, block(at))`` for rows 0..n in blocks of at most
-    ``rows`` rows; ``add`` may overwrite a writable block.
+    ``rows`` rows.
 
     The rows split into min(workers, blocks) parts of whole ``_SUM_RANGES``
     ranges, and each part is cut into blocks of ``rows`` rows from its start
@@ -208,17 +210,23 @@ def _in_rows(
 
 
 class _BandScan(NamedTuple):
-    band: slice  # the band's columns of the grid
+    """The band scan of a band grid, stored or not, with its axes, method and meta."""
+
+    times_s: np.ndarray
+    freqs_hz: np.ndarray  # the band's bins
+    method: str
+    meta: dict
     argmax: np.ndarray  # per row: band column of the largest value, first of equals
     peak: np.ndarray  # per row: that value
     col_sum: np.ndarray  # per band column: sum over rows
 
 
 class _BandReader:
-    """The band scan of n rows of k columns, read one row block at a time:
-    per row the argmax (first of equals) and the peak, per column the sum
-    over rows.  ``magnitude`` reads values by absolute value, so negative
-    WVD-family lobes count by magnitude.
+    """The band scan of a band grid with the given axes, method and meta,
+    read one row block at a time: per row the argmax (first of equals) and
+    the peak, per column the sum over rows.  WVD-family values are read by
+    absolute value, so negative lobes count by magnitude; other values as
+    they are, from a copy of each block, since the column sums add into it.
 
     Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
     Each range's rows are added in order onto its running sum, whatever
@@ -229,19 +237,18 @@ class _BandReader:
     hold ``_SUM_RANGES`` rows of k, not one row per block.
     """
 
-    def __init__(self, n: int, k: int, magnitude: bool):
-        self.magnitude = magnitude
+    def __init__(self, times_s: np.ndarray, freqs_hz: np.ndarray, method: str, meta: dict):
+        self.axes = (times_s, freqs_hz, method, meta)
+        self.magnitude = method in WVD_METHODS
+        n, k = times_s.size, freqs_hz.size
         self.argmax = np.empty(n, dtype=np.intp)
         self.peak = np.empty(n)
         self.edges = [n * r // _SUM_RANGES for r in range(_SUM_RANGES + 1)]
         self.sums = np.zeros((_SUM_RANGES, k))
 
     def add(self, at: slice, values: np.ndarray) -> None:
-        """Read rows ``at``, ``values``; a writable ``values`` is overwritten."""
-        if self.magnitude:
-            values = np.abs(values)
-        elif not values.flags.writeable:
-            values = values.copy()
+        """Read rows ``at``, ``values``."""
+        values = np.abs(values) if self.magnitude else values.copy()
         argmax = values.argmax(axis=1)
         self.argmax[at] = argmax
         self.peak[at] = values[np.arange(argmax.size), argmax]
@@ -254,9 +261,8 @@ class _BandReader:
                 piece.sum(axis=0, out=running)
             r += 1
 
-    def scan(self, band: slice) -> _BandScan:
-        """The scan, ``band`` naming its columns of the grid."""
-        return _BandScan(band, self.argmax, self.peak, self.sums.sum(axis=0))
+    def scan(self) -> _BandScan:
+        return _BandScan(*self.axes, self.argmax, self.peak, self.sums.sum(axis=0))
 
 
 def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
@@ -267,19 +273,9 @@ def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     """
     band = _band_indices(g.freqs_hz, band_hz)
     vals = g.values[:, band]
-    n, k = vals.shape
-    reader = _BandReader(n, k, g.method in WVD_METHODS)
-    _in_rows(n, _block_rows(8 * max(k, 1)), lambda at: vals[at], reader.add)
-    return reader.scan(band)
-
-
-class _Axes(NamedTuple):
-    """The axes, method and meta of a grid that was scanned, not stored."""
-
-    times_s: np.ndarray
-    freqs_hz: np.ndarray
-    method: str
-    meta: dict
+    reader = _BandReader(g.times_s, g.freqs_hz[band], g.method, g.meta)
+    _in_rows(g.n_times, _block_rows(8 * max(vals.shape[1], 1)), lambda at: vals[at], reader.add)
+    return reader.scan()
 
 
 def _short_time(
@@ -421,9 +417,9 @@ def _wvd_family(
     folds and transforms them and keeps only the band's bins; only a kernel
     that smooths in time builds the whole N x (L+1) lag product first and
     smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.  The
-    blocks fill the returned grid, or with ``scan`` they go to a band scan
-    of the band's bins by magnitude and ``(_Axes, _BandScan)`` of the band
-    grid is returned, so no grid is built.
+    blocks fill the returned grid, or with ``scan`` they go to a
+    ``_BandReader`` and the band grid's ``_BandScan`` is returned, so no
+    grid is built.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
@@ -476,13 +472,6 @@ def _wvd_family(
             q = q[:, half] + np.conj(q[:, -half % fft_length])
         return np.fft.hfft(q, n=fft_length, axis=1)[:, band]
 
-    k = band.stop - band.start
-    reader = _BandReader(n, k, magnitude=True) if scan else None
-    values = None if scan else np.empty((n, k))
-    # a row's work, 16 bytes a value: its lag row or its spectrum, whichever is longer
-    rows = _block_rows(16 * max(fft_length, max_lag + 1))
-    _in_rows(n, rows, spectra, reader.add if scan else values.__setitem__)
-
     times = x.start_time_s + np.arange(n) / fs
     meta = {
         "sample_rate_hz": fs,
@@ -493,9 +482,12 @@ def _wvd_family(
         "folding_hz": fs / 2.0 if analytic else fs / 4.0,
     }
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
-    if scan:
-        return _Axes(times, freqs[band], method, meta), reader.scan(slice(0, k))
-    return TFDGrid(times, freqs[band], values, method, meta)
+    reader = _BandReader(times, freqs[band], method, meta) if scan else None
+    values = None if scan else np.empty((n, band.stop - band.start))
+    # a row's work, 16 bytes a value: its lag row or its spectrum, whichever is longer
+    rows = _block_rows(16 * max(fft_length, max_lag + 1))
+    _in_rows(n, rows, spectra, reader.add if scan else values.__setitem__)
+    return reader.scan() if scan else TFDGrid(times, freqs[band], values, method, meta)
 
 
 def wvd(
@@ -561,7 +553,7 @@ def psd_from_tfd(g: TFDGrid) -> PSD:
 
 def resolution_report(g: TFDGrid) -> ResolutionReport:
     """Axis spacings plus Nyquist and folding frequency for a grid, or for
-    the ``_Axes`` of one that was scanned and not stored.
+    the ``_BandScan`` of one, stored or not.
 
     The frequency spacing comes from ``fft_length`` in the meta when it is
     there, so a band grid reports the bits of its full grid; otherwise it is

@@ -385,7 +385,7 @@ def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
     def scan_full_grid(x, method, cfg):
         grid = evaluate.run_transform(x, method, cfg)
         scanned.append((method, grid.freqs_hz[0]))
-        return grid, tfd._band_magnitudes(grid, cfg.band_hz)
+        return tfd._band_magnitudes(grid, cfg.band_hz)
 
     monkeypatch.setattr(evaluate, "_scan_method", scan_full_grid)
     assert main([*argv, "--out", str(tmp_path / "full")]) == EXIT_OK
@@ -607,6 +607,38 @@ def test_compare_rejects_malformed_truth(tmp_path, capsys, edit):
     assert rc == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(truth_path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["truth", "config"])
+@pytest.mark.parametrize("contents", [b'{"signal_id": "x1", "n_', b"\xff\xfe{}"],
+                         ids=["truncated", "not-utf8"])
+def test_json_file_that_does_not_parse_exits_validation_naming_the_file(
+    tmp_path, capsys, kind, contents
+):
+    csv_path, _ = synth(tmp_path)
+    bad = tmp_path / f"bad.{kind}.json"
+    bad.write_bytes(contents)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), f"--{kind}", str(bad), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frac", [-0.5, 1.0])
+def test_compare_rejects_an_out_of_range_threshold(tmp_path, capsys, frac):
+    # PCT's own threshold is valid, so only compare_methods can reject it
+    csv_path, truth_path = synth(tmp_path, "x2", "--snr", "10")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amp_threshold_frac": frac, "pct": {"amp_threshold_frac": 0.05}}))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["compare", str(csv_path), "--truth", str(truth_path),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: amp_threshold_frac must lie in [0, 1)")
     assert not out.exists()
 
 

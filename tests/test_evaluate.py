@@ -21,6 +21,7 @@ from tfbench.evaluate import (
     run_transform,
 )
 from tfbench import evaluate, tfd
+from tfbench.pct import PCTConfig
 from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import (
     ResolutionReport,
@@ -337,6 +338,17 @@ def test_compare_methods_rejects_empty_truth():
     sig = gen_x1()
     with pytest.raises(ValueError, match="at least one trajectory"):
         compare_methods(sig.signal, [], methods=("stft",))
+
+
+@pytest.mark.parametrize("frac", [-0.5, 1.0, math.nan])
+def test_compare_methods_rejects_an_out_of_range_threshold_before_any_method(frac):
+    sig = gen_x2(snr=10.0, seed=1)
+    cfg = default_config("x2")
+    cfg.amp_threshold_frac = frac
+    cfg.pct = PCTConfig(ridge_band_hz=cfg.band_hz)
+    with mock.patch.object(evaluate, "_run_method", side_effect=AssertionError("a method ran")):
+        with pytest.raises(ValueError, match=r"amp_threshold_frac must lie in \[0, 1\)"):
+            compare_methods(sig.signal, sig.true_if, config=cfg)
 
 
 def test_compare_methods_score_component():

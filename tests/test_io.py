@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,24 @@ def test_grid_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(h.freqs_hz, g.freqs_hz)
     np.testing.assert_array_equal(h.values, g.values)
     assert resolution_report(h).spectral_resolution_hz == pytest.approx(2.5)
+
+
+def test_grid_csv_is_written_a_row_at_a_time(tmp_path):
+    """Writing a grid holds one row as Python floats, not the whole grid: the
+    traced peak stays below the grid's own array."""
+    g = TFDGrid(np.arange(500.0), np.arange(1000.0),
+                np.random.default_rng(0).normal(size=(500, 1000)), "stft")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_grid_csv(tmp_path / "grid.csv", g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < g.values.nbytes
 
 
 def test_grid_csv_rejects_missing_corner(tmp_path):
