@@ -20,6 +20,7 @@ from .tfd import (
     TFDGrid,
     _band_magnitudes,
     _BandScan,
+    _short_time,
     _wvd_family,
     next_pow2,
     pwvd,
@@ -265,10 +266,14 @@ def compare_methods(
     """Run each requested transform, extract its ridge, and score it.
 
     Per-method failures are captured in the result row rather than aborting
-    the remaining methods; a bad ``amp_threshold_frac`` raises before any runs.
+    the remaining methods; a bad ``amp_threshold_frac`` or a method named
+    twice raises before any runs.
     """
     if len(methods) == 0:
         raise ValueError("at least one method must be requested")
+    duplicates = sorted({m for m in methods if list(methods).count(m) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate methods {duplicates}")
     if truth is not None and len(truth) == 0:
         raise ValueError("truth must hold at least one trajectory")
     cfg = config if config is not None else CompareConfig()
@@ -304,26 +309,31 @@ def _run_method(
 
 def _scan_method(x: SampledSignal, method: str, cfg: CompareConfig) -> _BandScan:
     """The band scan of ``cfg.band_hz`` of one method: all that compare
-    reads of it.  The WVD family's row blocks go straight into the scan, so
-    no grid of theirs is built."""
+    reads of it.  Every method's row blocks go straight into the scan (PCT's
+    kernel iterations too), so no grid is built; the scan is the one
+    ``_band_magnitudes`` takes of ``run_transform``'s grid."""
     if method in WVD_METHODS:
         time_window = cfg.spwvd_time_window if method == "spwvd" else None
         freq_window = cfg.spwvd_freq_window if method != "wvd" else None
         return _wvd_family(
             method, x, _wvd_fft(x, cfg), True, time_window, freq_window, cfg.band_hz, scan=True
         )
-    return _band_magnitudes(run_transform(x, method, cfg, band_hz=cfg.band_hz), cfg.band_hz)
+    if method == "stft":
+        return _short_time("stft", x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft,
+                           band_hz=cfg.band_hz, scan=True)
+    if method == "pct":
+        return _pct_scan(x, _pct_config(cfg), cfg.band_hz)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _wvd_fft(x: SampledSignal, cfg: CompareConfig) -> int:
     return cfg.wvd_fft if cfg.wvd_fft is not None else next_pow2(4 * len(x))
 
 
-def _pct(x: SampledSignal, cfg: CompareConfig, band_hz: Optional[tuple]) -> TFDGrid:
-    pct_cfg = cfg.pct if cfg.pct is not None else PCTConfig(
+def _pct_config(cfg: CompareConfig) -> PCTConfig:
+    return cfg.pct if cfg.pct is not None else PCTConfig(
         ridge_band_hz=cfg.band_hz, amp_threshold_frac=cfg.amp_threshold_frac
     )
-    return pct_auto(x, pct_cfg, band_hz)
 
 
 # method name -> grid builder (x, cfg, band_hz).  The WVD family and PCT build
@@ -337,7 +347,7 @@ METHODS = {
     "spwvd": lambda x, cfg, band: spwvd(
         x, cfg.spwvd_time_window, cfg.spwvd_freq_window, _wvd_fft(x, cfg), band_hz=band
     ),
-    "pct": lambda x, cfg, band: _pct(x, cfg, band),
+    "pct": lambda x, cfg, band: pct_auto(x, _pct_config(cfg), band),
 }
 
 
@@ -355,4 +365,4 @@ def run_transform(
 
 
 # pct imports extract_ridge from this module, so it is imported last
-from .pct import PCTConfig, pct_auto  # noqa: E402
+from .pct import PCTConfig, _pct_scan, pct_auto  # noqa: E402

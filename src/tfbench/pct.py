@@ -13,20 +13,24 @@ is carried by the frequency axis itself):
 A component whose IF matches the kernel polynomial is concentrated as if it
 were a stationary tone; a zero kernel reduces the transform to the STFT.
 ``estimate_kernel`` alternates transform, ridge extraction, and weighted
-polynomial fitting until the fitted IF stops moving.
+polynomial fitting until the fitted IF stops moving.  Its iterations read
+band scans of the ridge band, not grids; ``compare`` reads PCT through
+``_pct_scan``, which scans the kept kernel's transform too, so it builds no
+PCT grid at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
-from .evaluate import extract_ridge
-from .tfd import TFDGrid, _short_time
+from .evaluate import _ridge
+from .evaluate import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
+from .tfd import TFDGrid, _BandScan, _short_time
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,19 @@ def pct_transform(
     concentration requires an analytic input, since the rotation operator
     would defocus a real signal's mirrored spectrum.
     """
+    return _chirplet(z, kernel, cfg, band_hz)
+
+
+def _chirplet(
+    z: SampledSignal,
+    kernel: PolynomialKernel,
+    cfg: PCTConfig,
+    band_hz: Optional[tuple] = None,
+    scan: bool = False,
+    **meta,
+):
+    """``pct_transform``'s grid, or with ``scan`` the band scan of that grid
+    (see ``tfd._short_time``), so no grid is built; ``meta`` adds meta keys."""
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
     rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
@@ -124,8 +141,10 @@ def pct_transform(
         cfg.fft_length,
         kernel.local_if,
         band_hz,
+        scan,
         analytic_input=bool(np.iscomplexobj(z.samples)),
         kernel_coeffs=list(kernel.coeffs),
+        **meta,
     )
 
 
@@ -149,9 +168,10 @@ class KernelFit:
         return npoly.polyval(np.asarray(times_s, dtype=np.float64), self.if_coeffs)
 
 
-def _fit_ridge_poly(grid: TFDGrid, cfg: PCTConfig) -> tuple[np.ndarray, float]:
-    """Weighted LS polynomial through the ridge; returns (coeffs, residual)."""
-    ridge = extract_ridge(grid, cfg.ridge_band_hz, cfg.amp_threshold_frac)
+def _fit_ridge_poly(scan: _BandScan, cfg: PCTConfig) -> tuple[np.ndarray, float]:
+    """Weighted LS polynomial through the ridge of a ridge-band scan, each
+    frame weighted by the square root of its peak; returns (coeffs, residual)."""
+    ridge = _ridge(scan, cfg.amp_threshold_frac)
     valid = ridge.valid
     n_valid = int(valid.sum())
     if n_valid < cfg.order + 1:
@@ -159,11 +179,9 @@ def _fit_ridge_poly(grid: TFDGrid, cfg: PCTConfig) -> tuple[np.ndarray, float]:
             f"{n_valid} valid ridge frames, need at least {cfg.order + 1} "
             f"for an order-{cfg.order} fit"
         )
-    # each frame's band peak, read at its ridge bin (PCT values are non-negative)
-    peaks = grid.values[np.arange(grid.n_times), np.searchsorted(grid.freqs_hz, ridge.freqs_hz)]
     tt = ridge.times_s[valid]
     ff = ridge.freqs_hz[valid]
-    w = np.sqrt(peaks[valid])
+    w = np.sqrt(scan.peak[valid])
     poly = npoly.Polynomial.fit(tt, ff, deg=cfg.order, w=w)
     coeffs = np.zeros(cfg.order + 1)
     conv = poly.convert().coef
@@ -171,6 +189,29 @@ def _fit_ridge_poly(grid: TFDGrid, cfg: PCTConfig) -> tuple[np.ndarray, float]:
     resid = ff - npoly.polyval(tt, coeffs)
     residual = float(np.sqrt(np.sum((w * resid) ** 2) / np.sum(w**2)))
     return coeffs, residual
+
+
+def _iterate(z: SampledSignal, cfg: PCTConfig) -> tuple[tuple, int, bool]:
+    """``estimate_kernel``'s loop; returns (kept IF coeffs, iterations,
+    converged).  Each iteration reads a band scan of ``ridge_band_hz``, so
+    no grid is built."""
+    kernel = PolynomialKernel.zero(cfg.order)
+    prev_fitted: Optional[np.ndarray] = None
+    kept = (np.inf, None)  # (residual, coeffs)
+    for iterations in range(1, cfg.max_iterations + 1):
+        scan = _chirplet(z, kernel, cfg, cfg.ridge_band_hz, scan=True)
+        coeffs, residual = _fit_ridge_poly(scan, cfg)
+        fitted = npoly.polyval(scan.times_s, coeffs)
+        converged = prev_fitted is not None and bool(
+            np.max(np.abs(fitted - prev_fitted)) < cfg.convergence_tol_hz
+        )
+        if converged or residual < kept[0]:
+            kept = (residual, coeffs)
+        if converged:
+            break
+        prev_fitted = fitted
+        kernel = PolynomialKernel(tuple(coeffs[1:]))
+    return tuple(kept[1]), iterations, converged
 
 
 def estimate_kernel(
@@ -184,34 +225,18 @@ def estimate_kernel(
     one with the lowest residual so far (the first of equals).
     Deterministic.
 
-    The iterations read only the ridge band, so their transforms keep only
-    the ``ridge_band_hz`` columns; those are the full grid's bits, so every
-    ridge, residual and fit is the full grid's too.  The kept kernel's final
-    transform, ``KernelFit.grid``, keeps the bins inside ``band_hz`` as in
+    The iterations read only the ridge band, so each one's transform goes
+    straight into a band scan of the ``ridge_band_hz`` columns and builds no
+    grid; those are the full grid's bits, so every ridge, residual and fit
+    is the full grid's too.  The kept kernel's final transform,
+    ``KernelFit.grid``, keeps the bins inside ``band_hz`` as in
     ``pct_transform``; ``None`` (the default) keeps the whole axis.
     """
     cfg = cfg if cfg is not None else PCTConfig()
-    kernel = PolynomialKernel.zero(cfg.order)
-    prev_fitted: Optional[np.ndarray] = None
-    kept = (np.inf, None)  # (residual, coeffs)
-    for iterations in range(1, cfg.max_iterations + 1):
-        grid = pct_transform(z, kernel, cfg, band_hz=cfg.ridge_band_hz)
-        coeffs, residual = _fit_ridge_poly(grid, cfg)
-        fitted = npoly.polyval(grid.times_s, coeffs)
-        converged = prev_fitted is not None and bool(
-            np.max(np.abs(fitted - prev_fitted)) < cfg.convergence_tol_hz
-        )
-        if converged or residual < kept[0]:
-            kept = (residual, coeffs)
-        if converged:
-            break
-        prev_fitted = fitted
-        kernel = PolynomialKernel(tuple(coeffs[1:]))
-    if_coeffs = tuple(kept[1])
+    if_coeffs, iterations, converged = _iterate(z, cfg)
     kernel = PolynomialKernel(if_coeffs[1:])
-    grid = pct_transform(z, kernel, cfg, band_hz)
-    final_grid = replace(grid, meta={**grid.meta, "iterations": iterations, "converged": converged})
-    return KernelFit(kernel, final_grid, iterations, converged, if_coeffs)
+    grid = _chirplet(z, kernel, cfg, band_hz, iterations=iterations, converged=converged)
+    return KernelFit(kernel, grid, iterations, converged, if_coeffs)
 
 
 def pct_auto(
@@ -222,3 +247,13 @@ def pct_auto(
     cfg = cfg if cfg is not None else PCTConfig()
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
     return estimate_kernel(z, cfg, band_hz).grid
+
+
+def _pct_scan(x: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple]) -> _BandScan:
+    """The band scan of ``pct_auto(x, cfg, band_hz)``'s grid, with no grid
+    built: the kernel iterations and the kept kernel's transform all go
+    straight into band scans."""
+    z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
+    if_coeffs, iterations, converged = _iterate(z, cfg)
+    return _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan=True,
+                     iterations=iterations, converged=converged)

@@ -30,11 +30,12 @@ Conventions
   block goes to one ``add``: the grid's, which writes only the block's own
   rows, or a band scan's (``_BandReader.add``), which keeps per row the
   argmax (first of equals) and the peak and per column the sum over rows,
-  so no grid is built.  A band scan (``_BandScan``) holds the band grid's
-  axes, method and meta next to those reductions, stored grid or not; it
-  reads WVD-family values by magnitude.  ``_band_magnitudes`` scans the row
-  blocks of a stored grid, for ``psd_from_tfd`` and the ridge and
-  dominant-frequency readers.
+  so no grid is built.  Both producers, ``_wvd_family`` (WVD family) and
+  ``_short_time`` (STFT and PCT), feed either one (``scan=True``).  A band
+  scan (``_BandScan``) holds the band grid's axes, method and meta next to
+  those reductions, stored grid or not; it reads WVD-family values by
+  magnitude.  ``_band_magnitudes`` scans the row blocks of a stored grid,
+  for ``psd_from_tfd`` and the ridge and dominant-frequency readers.
 * Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
   ranges are added in order onto that range's running sum, and the ranges
   are added in order at the end.  A worker takes whole ranges.  So the
@@ -226,7 +227,8 @@ class _BandReader:
     read one row block at a time: per row the argmax (first of equals) and
     the peak, per column the sum over rows.  WVD-family values are read by
     absolute value, so negative lobes count by magnitude; other values as
-    they are, from a copy of each block, since the column sums add into it.
+    they are, in the block itself, since the column sums add into it: a
+    caller hands ``add`` blocks it may overwrite.
 
     Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
     Each range's rows are added in order onto its running sum, whatever
@@ -248,7 +250,8 @@ class _BandReader:
 
     def add(self, at: slice, values: np.ndarray) -> None:
         """Read rows ``at``, ``values``."""
-        values = np.abs(values) if self.magnitude else values.copy()
+        if self.magnitude:
+            values = np.abs(values)
         argmax = values.argmax(axis=1)
         self.argmax[at] = argmax
         self.peak[at] = values[np.arange(argmax.size), argmax]
@@ -274,7 +277,9 @@ def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     band = _band_indices(g.freqs_hz, band_hz)
     vals = g.values[:, band]
     reader = _BandReader(g.times_s, g.freqs_hz[band], g.method, g.meta)
-    _in_rows(g.n_times, _block_rows(8 * max(vals.shape[1], 1)), lambda at: vals[at], reader.add)
+    # the reader adds into non-WVD blocks, and the grid's rows are not its own
+    block = (lambda at: vals[at]) if reader.magnitude else (lambda at: vals[at].copy())
+    _in_rows(g.n_times, _block_rows(8 * max(vals.shape[1], 1)), block, reader.add)
     return reader.scan()
 
 
@@ -286,8 +291,9 @@ def _short_time(
     fft_length: int,
     shift_hz=None,
     band_hz: Optional[tuple] = None,
+    scan: bool = False,
     **meta,
-) -> TFDGrid:
+):
     """The framing ``stft`` documents, as a grid named ``method``.
 
     ``shift_hz`` maps frame centers to Hz; when given, frame k is multiplied
@@ -299,7 +305,9 @@ def _short_time(
     gathers, shifts and windows its frames, takes their FFT and keeps |.|^2
     of the kept bins, so no all-frames x fft_length spectrum is built.
     Frames that fit in one block, as those of ``compare``'s STFT of a 1 s
-    record do, are transformed on the calling thread.
+    record do, are transformed on the calling thread.  The blocks fill the
+    returned grid, or with ``scan`` they go to a ``_BandReader`` and the
+    band grid's ``_BandScan`` is returned, so no grid is built.
     """
     if hop_samples < 1:
         raise ValueError("hop_samples must be >= 1")
@@ -322,16 +330,22 @@ def _short_time(
         frame_index = starts[at, None] + offsets[None, :]
         frames = x.samples[frame_index]
         if shift_at is not None:
-            # named, not inlined: numpy may compute an inlined temporary's
-            # product as shift * frames, which rounds differently on large grids
+            # frames *= shift, not an inlined product: numpy may compute an
+            # inlined temporary's product as shift * frames, which rounds
+            # differently on large grids
             shift = np.exp(2j * np.pi * shift_at[at, None] * sample_times[frame_index])
-            frames = frames * shift
+            frames *= shift
+            del shift
+        del frame_index
+        windowed = frames * taps[None, :]
+        del frames
         # numpy's FFT, not scipy's: the two differ in the last bits on real frames
-        spectra = np.fft.fft(frames * taps[None, :], n=fft_length, axis=1)
-        return np.abs(spectra[:, band]) ** 2
+        spectra = np.fft.fft(windowed, n=fft_length, axis=1)
+        del windowed
+        magnitude = np.abs(spectra[:, band])
+        del spectra
+        return np.square(magnitude, out=magnitude)
 
-    values = np.empty((starts.size, band.stop - band.start))
-    _in_rows(starts.size, _block_rows(16 * fft_length), power, values.__setitem__)
     meta = {
         "sample_rate_hz": fs,
         "window": _window_meta(window),
@@ -340,7 +354,11 @@ def _short_time(
         "analytic_input": bool(np.iscomplexobj(x.samples)),
         **meta,
     }
-    return TFDGrid(times, freqs[band], values, method, meta)
+    reader = _BandReader(times, freqs[band], method, meta) if scan else None
+    values = None if scan else np.empty((starts.size, band.stop - band.start))
+    _in_rows(starts.size, _block_rows(16 * fft_length), power,
+             reader.add if scan else values.__setitem__)
+    return reader.scan() if scan else TFDGrid(times, freqs[band], values, method, meta)
 
 
 def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int) -> TFDGrid:
@@ -378,13 +396,17 @@ def _fast_fft_length(n: int) -> int:
 def _smooth_rows(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``fftconvolve(q, h[:, None], mode="same", axes=0)`` for complex ``q``
     and odd-length real ``h``, with scipy's bits: h's spectrum is pocketfft's
-    complex FFT of a real input (the real FFT, mirrored and conjugated)."""
+    complex FFT of a real input (the real FFT, mirrored and conjugated).
+    The product and the inverse FFT overwrite q's spectrum, so one padded
+    array is built (``out=`` needs numpy 2)."""
     if h.size == 1:
         return q * h
     size = _fast_fft_length(q.shape[0] + h.size - 1)
     half = np.fft.rfft(h, size)
     kernel = np.concatenate([half, np.conj(half[1 : (size + 1) // 2][::-1])])
-    full = np.fft.ifft(np.fft.fft(q, size, axis=0) * kernel[:, None], axis=0)
+    full = np.fft.fft(q, size, axis=0)
+    full *= kernel[:, None]
+    np.fft.ifft(full, axis=0, out=full)
     start = (h.size - 1) // 2
     return full[start : start + q.shape[0]]
 

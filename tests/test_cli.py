@@ -313,6 +313,21 @@ def test_compare_unknown_method(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+def test_compare_duplicate_method_exits_validation_with_no_output(tmp_path, capsys):
+    csv_path, truth_path = synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main([
+        "compare", str(csv_path), "--truth", str(truth_path),
+        "--methods", "stft,wvd,stft", "--out", str(out),
+    ])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate methods ['stft']" in captured.err
+    assert not out.exists()
+
+
 def test_compare_truth_length_mismatch(tmp_path):
     _, truth_path = synth(tmp_path / "short", "x1")
     long_csv, _ = synth(tmp_path / "long", "x1", "--duration", "1.25")
@@ -378,8 +393,8 @@ def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
             "--methods", "stft,wvd,pwvd,spwvd,pct"]
     assert main([*argv, "--out", str(tmp_path / "band")]) == EXIT_OK
 
-    # compare scans WVD-family rows as they are made and builds a band PCT
-    # grid; here every method builds its full grid, which is then scanned
+    # compare scans every method's rows as they are made; here every method
+    # builds its full grid, which is then scanned
     scanned = []
 
     def scan_full_grid(x, method, cfg):

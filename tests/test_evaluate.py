@@ -27,6 +27,8 @@ from tfbench.tfd import (
     ResolutionReport,
     TFDGrid,
     _band_indices,
+    _band_magnitudes,
+    _BandScan,
     psd_from_tfd,
     resolution_report,
     spwvd,
@@ -434,10 +436,12 @@ def test_compare_methods_propagates_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the transform")
 
-    monkeypatch.setattr(evaluate, "stft", broken)
     sig = gen_x1()
-    with pytest.raises(TypeError, match="bug in the transform"):
-        compare_methods(sig.signal, sig.true_if, methods=("stft",))
+    with monkeypatch.context() as patched:
+        # compare's STFT scan runs numpy's FFT on its frames
+        patched.setattr(np.fft, "fft", broken)
+        with pytest.raises(TypeError, match="bug in the transform"):
+            compare_methods(sig.signal, sig.true_if, methods=("stft",))
     # data and parameter errors still become error rows
     row = compare_methods(SampledSignal(np.zeros(320), 320.0), methods=("wvd",)).results[0]
     assert "all zero" in row.error
@@ -530,3 +534,84 @@ def test_compare_wvd_family_memory_is_bounded_by_blocks_not_by_n_squared():
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_compare_methods_rejects_a_duplicate_method_before_any_runs(monkeypatch):
+    ran = []
+    real = evaluate._scan_method
+    monkeypatch.setattr(evaluate, "_scan_method",
+                        lambda x, method, cfg: ran.append(method) or real(x, method, cfg))
+    sig = gen_x1()
+    with pytest.raises(ValueError, match=r"^duplicate methods \['pct', 'stft'\]$"):
+        compare_methods(sig.signal, sig.true_if, ("stft", "pct", "wvd", "pct", "stft"))
+    assert ran == []
+
+
+@pytest.fixture(scope="module")
+def stored_grid_scans():
+    """Each signal's STFT and PCT band scans, read from run_transform's grids."""
+    scans = {}
+    for signal_id, make in COMPARE_SIGNALS.items():
+        x, _ = make()
+        cfg = default_config(signal_id[:2])
+        for method in ("stft", "pct"):
+            grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
+            scans[signal_id, method] = (x, cfg, _band_magnitudes(grid, cfg.band_hz))
+    return scans
+
+
+@pytest.mark.parametrize("signal_id", list(COMPARE_SIGNALS))
+@pytest.mark.parametrize("method", ["stft", "pct"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", [None, 20000])
+def test_streamed_scan_equals_the_scan_of_the_stored_grid(stored_grid_scans, signal_id, method,
+                                                          workers, budget):
+    """compare's STFT and PCT scans, PCT's kernel iterations included, are
+    streamed from row blocks; they are the band scans of the stored grids
+    field for field and bit for bit, for any thread count and block size
+    (20000 bytes is one or two rows of a 512- or 1024-point FFT)."""
+    x, cfg, want = stored_grid_scans[signal_id, method]
+    with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+        tfd, "_BLOCK_BYTES", tfd._BLOCK_BYTES if budget is None else budget
+    ):
+        got = evaluate._scan_method(x, method, cfg)
+    assert isinstance(got, _BandScan)
+    assert (got.method, got.meta) == (want.method, want.meta)
+    for name in ("times_s", "freqs_hz", "argmax", "peak", "col_sum"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_compare_builds_no_grid(monkeypatch):
+    def no_grid(self):
+        raise ValueError("compare built a grid")
+
+    monkeypatch.setattr(TFDGrid, "__post_init__", no_grid)
+    for signal_id in ("x1", "x2-snr10"):
+        x, truth = COMPARE_SIGNALS[signal_id]()
+        report = compare_methods(x, truth, ALL_METHODS, default_config(signal_id[:2]))
+        assert [r.method for r in report.results] == list(ALL_METHODS)
+        assert [r.error for r in report.results] == [None] * len(ALL_METHODS)
+    with pytest.raises(ValueError, match="compare built a grid"):
+        run_transform(x, "stft", default_config("x2"))
+
+
+def test_compare_pct_memory_is_bounded_by_blocks_not_by_grids():
+    """compare's PCT on the 4 s record holds no grid: the kernel iterations
+    and the final transform are read in row blocks.  One 1217 x 241 band
+    grid alone is 2.3 MB; two workers' blocks stay under 2 MiB."""
+    x, _ = _long_x2()
+    cfg = default_config("x2")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(tfd, "_workers", lambda: 2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scan = evaluate._scan_method(x, "pct", cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert scan.times_s.size == 1217 and scan.freqs_hz.size == 241
+    assert peak < 2 * 1024 * 1024

@@ -283,8 +283,9 @@ def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
 @pytest.mark.parametrize("compare_cfg", [False, True])
 def test_estimate_kernel_band_iterations_equal_full_grid_iterations(monkeypatch, signal,
                                                                     compare_cfg):
-    """Iterations on ridge-band grids give the fit and the final grid of
-    iterations on full grids, bit for bit; only the final transform is full."""
+    """Iterations on ridge-band scans give the fit and the final grid of
+    iterations on full grids, bit for bit; only the final transform is a
+    grid, and a full one."""
     z = {
         "x1": lambda: analytic_signal(gen_x1().signal),
         "x2-snr10": lambda: analytic_signal(gen_x2(snr=10.0, seed=1).signal),
@@ -293,17 +294,23 @@ def test_estimate_kernel_band_iterations_equal_full_grid_iterations(monkeypatch,
     cc = CompareConfig()
     cfg = PCTConfig(ridge_band_hz=cc.band_hz, amp_threshold_frac=cc.amp_threshold_frac) \
         if compare_cfg else PCTConfig()
-    real, bands = pct.pct_transform, []
+    real, calls = pct._chirplet, []
 
-    def spy(z, kernel, cfg, band_hz=None):
-        bands.append(band_hz)
-        return real(z, kernel, cfg, band_hz=band_hz)
+    def spy(z, kernel, cfg, band_hz=None, scan=False, **meta):
+        calls.append((band_hz, scan))
+        return real(z, kernel, cfg, band_hz, scan, **meta)
 
-    monkeypatch.setattr(pct, "pct_transform", spy)
+    monkeypatch.setattr(pct, "_chirplet", spy)
     got = estimate_kernel(z, cfg)
-    assert bands == [cfg.ridge_band_hz] * got.iterations + [None]
-    monkeypatch.setattr(pct, "pct_transform",
-                        lambda z, kernel, cfg, band_hz=None: real(z, kernel, cfg))
+    assert calls == [(cfg.ridge_band_hz, True)] * got.iterations + [(None, False)]
+
+    def full_grids(z, kernel, cfg, band_hz=None, scan=False, **meta):
+        # every transform builds its full grid; an iteration reads the ridge
+        # band of it, as extract_ridge reads a grid
+        grid = real(z, kernel, cfg, None, **meta)
+        return tfd._band_magnitudes(grid, band_hz) if scan else grid
+
+    monkeypatch.setattr(pct, "_chirplet", full_grids)
     want = estimate_kernel(z, cfg)
     assert (got.iterations, got.converged, got.if_coeffs) == (
         want.iterations, want.converged, want.if_coeffs
