@@ -1,9 +1,9 @@
 """Batch command-line interface: synth | analyze | compare.
 
-Exit codes are stable for scripting: 0 success, 2 usage, 3 validation,
-4 I/O.  All computation happens before any output file is opened, so a
-failing run leaves no partial outputs.  Reruns with identical flags produce
-byte-identical files.
+Exit codes are stable for scripting: 0 success, 2 usage, 3 validation
+(arrays too large for memory included), 4 I/O.  All computation happens
+before any output file is opened, so a failing run leaves no partial
+outputs.  Reruns with identical flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -331,6 +331,11 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # flags or an input whose arrays do not fit, such as synth --duration
+        # 1e9 or analyze --method wvd of a long record; numpy names the size
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -202,8 +202,9 @@ class CompareConfig:
     """Per-method parameters for ``compare_methods``.
 
     ``wvd_fft = None`` selects the smallest power of two at or above four
-    times the signal length, which keeps the WVD-family frequency spacing
-    near 0.1 Hz for one-second records at 320 Hz.
+    times the signal length N, so the WVD-family frequency spacing is
+    fs / (2 * next_pow2(4N)): 0.078 Hz for one-second records at 320 Hz
+    (N = 320) and 0.0195 Hz at N = 1280.
 
     ``band_hz`` bounds both ridge extraction and scoring.  The 5 Hz floor
     keeps ridge picks off near-DC leakage; the 80 Hz ceiling is a quarter

@@ -30,7 +30,7 @@ from numpy.polynomial import polynomial as npoly
 from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
 from .evaluate import _ridge
 from .evaluate import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
-from .tfd import TFDGrid, _BandScan, _short_time
+from .tfd import TFDGrid, _BandDFT, _BandScan, _frame_dft, _short_time
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,13 @@ def _chirplet(
     cfg: PCTConfig,
     band_hz: Optional[tuple] = None,
     scan: bool = False,
+    dft: Optional[_BandDFT] = None,
     **meta,
 ):
     """``pct_transform``'s grid, or with ``scan`` the band scan of that grid
-    (see ``tfd._short_time``), so no grid is built; ``meta`` adds meta keys."""
+    (see ``tfd._short_time``), so no grid is built.  ``dft`` is the frame
+    DFT of ``cfg``'s window (``tfd._frame_dft``), built once by a caller that
+    transforms many times; ``meta`` adds meta keys."""
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
     rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
@@ -142,6 +145,7 @@ def _chirplet(
         kernel.local_if,
         band_hz,
         scan,
+        dft,
         analytic_input=bool(np.iscomplexobj(z.samples)),
         kernel_coeffs=list(kernel.coeffs),
         **meta,
@@ -191,15 +195,17 @@ def _fit_ridge_poly(scan: _BandScan, cfg: PCTConfig) -> tuple[np.ndarray, float]
     return coeffs, residual
 
 
-def _iterate(z: SampledSignal, cfg: PCTConfig) -> tuple[tuple, int, bool]:
+def _iterate(
+    z: SampledSignal, cfg: PCTConfig, dft: Optional[_BandDFT]
+) -> tuple[tuple, int, bool]:
     """``estimate_kernel``'s loop; returns (kept IF coeffs, iterations,
     converged).  Each iteration reads a band scan of ``ridge_band_hz``, so
-    no grid is built."""
+    no grid is built; all of them use the frame DFT ``dft``."""
     kernel = PolynomialKernel.zero(cfg.order)
     prev_fitted: Optional[np.ndarray] = None
     kept = (np.inf, None)  # (residual, coeffs)
     for iterations in range(1, cfg.max_iterations + 1):
-        scan = _chirplet(z, kernel, cfg, cfg.ridge_band_hz, scan=True)
+        scan = _chirplet(z, kernel, cfg, cfg.ridge_band_hz, scan=True, dft=dft)
         coeffs, residual = _fit_ridge_poly(scan, cfg)
         fitted = npoly.polyval(scan.times_s, coeffs)
         converged = prev_fitted is not None and bool(
@@ -233,9 +239,11 @@ def estimate_kernel(
     ``pct_transform``; ``None`` (the default) keeps the whole axis.
     """
     cfg = cfg if cfg is not None else PCTConfig()
-    if_coeffs, iterations, converged = _iterate(z, cfg)
+    dft = _frame_dft(cfg.window, cfg.fft_length)
+    if_coeffs, iterations, converged = _iterate(z, cfg, dft)
     kernel = PolynomialKernel(if_coeffs[1:])
-    grid = _chirplet(z, kernel, cfg, band_hz, iterations=iterations, converged=converged)
+    grid = _chirplet(z, kernel, cfg, band_hz, dft=dft, iterations=iterations,
+                     converged=converged)
     return KernelFit(kernel, grid, iterations, converged, if_coeffs)
 
 
@@ -254,6 +262,7 @@ def _pct_scan(x: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple]) -> _Ba
     built: the kernel iterations and the kept kernel's transform all go
     straight into band scans."""
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
-    if_coeffs, iterations, converged = _iterate(z, cfg)
-    return _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan=True,
+    dft = _frame_dft(cfg.window, cfg.fft_length)
+    if_coeffs, iterations, converged = _iterate(z, cfg, dft)
+    return _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan=True, dft=dft,
                      iterations=iterations, converged=converged)

@@ -13,11 +13,27 @@ Conventions
   bilinear kernel oscillates at twice the signal frequency in lag.  Real
   (non-analytic) inputs consequently fold above a quarter of the sample
   rate; analytic inputs are clean up to half.
-* A WVD-family row is one Hermitian real FFT of lags 0..L (numpy's
-  ``np.fft.hfft``): the lag product is Hermitian and the lag kernel even, so
-  the lag DFT is real.  Lags past the Hermitian half are folded first (see
-  ``_wvd_family``).  SPWVD's time smoothing, ``_smooth_rows``, gives the
-  bits of scipy's ``fftconvolve``, so the module needs numpy alone.
+* A WVD-family row is the real DFT of lags 0..L: the lag product is
+  Hermitian and the lag kernel even, so the lag DFT is real.  SPWVD's time
+  smoothing, ``_smooth_rows``, gives the bits of scipy's ``fftconvolve``,
+  so the module needs numpy alone.
+* Band DFT.  A short row (PWVD/SPWVD lags under a lag window, PCT's
+  windowed frames) takes only its band's bins, as real matrix products
+  against one chunk of the DFT matrix (``_band_dft``, ``_dft_rows``), in
+  place of an FFT of the whole axis and a slice; other rows (plain WVD's
+  N/2 lags, STFT's 128-tap frames) keep ``np.fft.hfft`` (lags past the
+  Hermitian half folded first) or ``np.fft.fft``.  The choice is a pure
+  function of the taps and fft_length (the cost rule in ``_band_dft``), so
+  a band grid and the full grid take the same path.  Every product has
+  one shape per transform, R rows x 2*taps x at most 128 columns with R
+  and the columns at least 2, of at most 2**18 multiply-adds: OpenBLAS
+  runs it on the calling thread as one dgemm, and a row's bits depend on
+  neither its place in the product nor the other rows.  Chunks start at
+  multiples of their width on the full axis and short products are
+  zero-padded, so a bin's bits depend on neither the band, the block size
+  nor the thread count (of tfbench or of OpenBLAS).  They do depend on the
+  BLAS build and the machine: the band DFT's bits differ from the FFT's
+  by a few 1e-15 of the grid peak.
 * ``wvd``, ``pwvd``, ``spwvd`` and ``pct.pct_transform`` take
   ``band_hz=(lo, hi)`` to keep only the bins of their frequency axis with
   lo <= f <= hi (edges included); an empty band raises ValueError.  Those
@@ -63,6 +79,15 @@ WVD_METHODS = ("wvd", "pwvd", "spwvd")
 # bytes of one row block's work, small enough to stay in a core's cache
 _BLOCK_BYTES = 1 << 19
 _MAX_WORKERS = 4
+# multiply-adds of one band DFT matrix product: OpenBLAS runs a dgemm of at
+# most 65536 x 4 of them on the calling thread alone, whatever its threads
+_GEMM_MACS = 1 << 18
+# columns of a band DFT matrix: the bins of one chunk, or the real and
+# imaginary parts of half as many
+_DFT_COLS = 128
+# a row takes the band DFT when that costs at most this many times the FFT
+# (see _band_dft)
+_DFT_COST = 14
 # row ranges that column sums run over, one running sum each: a multiple of
 # every worker count up to _MAX_WORKERS, so each worker takes whole ranges
 _SUM_RANGES = 12
@@ -233,10 +258,11 @@ class _BandReader:
     Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
     Each range's rows are added in order onto its running sum, whatever
     blocks they come in (``piece[0] += sum; piece.sum(axis=0, out=sum)``:
-    numpy adds a C-contiguous piece row by row), and the ranges are added in
-    order at the end.  ``_in_rows`` gives each worker whole ranges, so the
-    sums are the same bits for any block size and thread count, and they
-    hold ``_SUM_RANGES`` rows of k, not one row per block.
+    numpy adds a piece whose rows are each contiguous row by row, a band
+    DFT block's view of its products as a C-contiguous one), and the ranges
+    are added in order at the end.  ``_in_rows`` gives each worker whole
+    ranges, so the sums are the same bits for any block size and thread
+    count, and they hold ``_SUM_RANGES`` rows of k, not one row per block.
     """
 
     def __init__(self, times_s: np.ndarray, freqs_hz: np.ndarray, method: str, meta: dict):
@@ -283,6 +309,113 @@ def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     return reader.scan()
 
 
+class _BandDFT(NamedTuple):
+    """A direct DFT of short rows, taken one column chunk of ``cols`` bins at
+    a time (see ``_band_dft`` and ``_dft_rows``)."""
+
+    matrix: np.ndarray  # 2 * taps x (cols, or 2 * cols with ``power``): bins 0..cols-1
+    phases: np.ndarray  # chunks of the axis x taps: chunk j's exp(-2j*pi*j*cols*m/n)
+    cols: int
+    rows: int  # rows of every matrix product
+    power: bool
+
+
+def _band_dft(weights: np.ndarray, fft_length: int, power: bool) -> Optional[_BandDFT]:
+    """The band DFT of rows of ``weights.size`` complex inputs u, or None
+    where the FFT costs less.
+
+    With ``power``, bin b of a row is |sum_t w_t u_t exp(-2j*pi*b*t/n)|^2, on
+    the n//2 + 1 bins of [0, fs/2] (a frame and its window taps); without,
+    it is sum_m w_m Re(u_m exp(-2j*pi*b*m/n)), on the n bins of [0, fs/2)
+    (lags 0..L with the lag taper and the Hermitian weights 1, 2, 2, ...,
+    which is the hfft of the lag row, no folding needed).  n = fft_length.
+
+    ``matrix`` holds bins 0..cols-1 with the weights built in, rows
+    interleaved as a complex row viewed as floats: row 2m takes Re u_m, row
+    2m+1 takes Im u_m; with ``power`` its first cols columns give Re and the
+    next cols Im of each bin.  Chunk j, bins j*cols..(j+1)*cols-1, is the
+    same matrix applied to u_m * ``phases[j, m]``, so only taps x cols of
+    matrix is held.  Each product is ``rows`` x 2*taps x matrix columns,
+    at most ``_GEMM_MACS`` multiply-adds, so it is a dgemm on the calling
+    thread, and a row's bits depend on neither its place in the product
+    nor the other rows in it.
+
+    Cost rule: the band DFT is taken when its multiply-adds over the whole
+    axis, 2*taps per real output (n outputs, or 2*(n//2 + 1) with
+    ``power``), are at most ``_DFT_COST`` times n*log2(n) (a complex FFT),
+    or half that without ``power`` (a Hermitian FFT), and its products have
+    at least 2 rows and 2 columns.  Per row on one thread of a 2-vCPU
+    AVX-512 Xeon (OpenBLAS 0.3.31, medians of 25 interleaved blocks), the
+    band DFT of the whole axis took 0.73 of the FFT's time at 12.8 by the
+    rule (PCT's 64-tap frames at n = 1024), 0.43 at 9.8 and 0.60 at 11.6
+    (SPWVD's 32 lags at n = 8192 and 2048), and 1.19 at 16.1 (64-tap frames
+    at n = 256); over compare's bands PCT took 0.66 (241 bins) and SPWVD
+    0.18 (3841 bins).  Plain WVD's lags (58 and 197 at N = 320 and 1280)
+    and STFT's 128-tap frames (28.6 at n = 512) stay on the FFT.  The rule
+    reads the whole axis, not the band, so a band grid is the full grid's
+    columns bit for bit."""
+    n, taps = fft_length, weights.size
+    bins = n // 2 + 1 if power else n
+    outputs, fft_cost = (2 * bins, n * np.log2(n)) if power else (bins, n * np.log2(n) / 2)
+    cols = min(_DFT_COLS // 2 if power else _DFT_COLS, bins)
+    width = 2 * cols if power else cols
+    rows = _GEMM_MACS // (2 * taps * width)
+    if 2 * taps * outputs > _DFT_COST * fft_cost or min(rows, cols) < 2:
+        return None
+    lags = np.arange(taps)[:, None]
+    angle = (2 * np.pi / n) * (lags * np.arange(cols) % n)
+    cos, sin = weights[:, None] * np.cos(angle), weights[:, None] * np.sin(angle)
+    matrix = np.empty((2 * taps, width))
+    matrix[0::2, :cols], matrix[1::2, :cols] = cos, sin
+    if power:
+        matrix[0::2, cols:], matrix[1::2, cols:] = -sin, cos
+    chunks = np.arange(-(-bins // cols))[:, None]
+    phases = np.exp((-2j * np.pi / n) * (chunks * cols * lags.T % n))
+    return _BandDFT(matrix, phases, cols, rows, power)
+
+
+def _dft_row_bytes(dft: _BandDFT, band: slice) -> int:
+    """Bytes of work of one row of ``_dft_rows``: its inputs moved to each
+    chunk of the band and their products."""
+    chunks = -(-band.stop // dft.cols) - band.start // dft.cols
+    return 8 * chunks * sum(dft.matrix.shape)
+
+
+def _dft_rows(u: np.ndarray, dft: _BandDFT, band: slice) -> np.ndarray:
+    """The ``band`` bins of each row of ``u`` under ``dft``: a rows x band
+    bins view whose rows are contiguous.
+
+    Only the chunks that hold band bins are computed, chunk j always as
+    bins j*cols..(j+1)*cols-1, so a bin's bits depend on neither the band
+    nor the rows around it.  The rows moved to each chunk are stacked and
+    zero-padded to whole products of ``dft.rows`` rows; one batched
+    ``np.matmul`` multiplies each product by the one matrix, one dgemm
+    call each."""
+    first = band.start // dft.cols
+    phases = dft.phases[first : -(-band.stop // dft.cols)]
+    n_rows, taps = u.shape[0], phases.shape[1]
+    stacked = n_rows * phases.shape[0]
+    padded = -(-stacked // dft.rows) * dft.rows
+    moved = np.empty((padded, taps), dtype=np.complex128)
+    np.multiply(u[:, None, :], phases, out=moved[:stacked].reshape(n_rows, -1, taps))
+    moved[stacked:] = 0.0
+    out = np.matmul(moved.view(np.float64).reshape(-1, dft.rows, 2 * taps), dft.matrix)
+    del moved
+    out = out.reshape(padded, -1)[:stacked]
+    if dft.power:
+        power = np.square(out[:, : dft.cols])
+        power += np.square(out[:, dft.cols :])
+        out = power
+    lo = band.start - first * dft.cols
+    return out.reshape(n_rows, -1)[:, lo : lo + band.stop - band.start]
+
+
+def _frame_dft(window: WindowSpec, fft_length: int) -> Optional[_BandDFT]:
+    """``_band_dft`` of frames windowed by ``window``: None where the FFT
+    costs less."""
+    return _band_dft(make_window(window), fft_length, power=True)
+
+
 def _short_time(
     method: str,
     x: SampledSignal,
@@ -292,6 +425,7 @@ def _short_time(
     shift_hz=None,
     band_hz: Optional[tuple] = None,
     scan: bool = False,
+    dft: Optional[_BandDFT] = None,
     **meta,
 ):
     """The framing ``stft`` documents, as a grid named ``method``.
@@ -299,15 +433,23 @@ def _short_time(
     ``shift_hz`` maps frame centers to Hz; when given, frame k is multiplied
     by exp(2j*pi*shift_hz(center_k)*t) at its sample times t before
     windowing.  ``band_hz`` keeps only the bins inside it; an empty band
-    raises ValueError.  ``meta`` adds or overrides grid meta keys.
+    raises ValueError.  ``dft`` is ``_frame_dft(window, fft_length)``, for a
+    caller that transforms many times with one window (PCT's kernel
+    iterations); it is built here when not given.  ``meta`` adds or
+    overrides grid meta keys.
 
     Frames are transformed in row blocks (see ``_in_rows``): each block
-    gathers, shifts and windows its frames, takes their FFT and keeps |.|^2
-    of the kept bins, so no all-frames x fft_length spectrum is built.
-    Frames that fit in one block, as those of ``compare``'s STFT of a 1 s
-    record do, are transformed on the calling thread.  The blocks fill the
-    returned grid, or with ``scan`` they go to a ``_BandReader`` and the
-    band grid's ``_BandScan`` is returned, so no grid is built.
+    gathers and shifts its frames, then either takes the band DFT of the
+    kept bins (``_dft_rows``, the window taps in its matrix; PCT's 64-tap
+    frames at fft_length 1024) or windows them, takes their FFT and keeps
+    |.|^2 of the kept bins (STFT's 128-tap frames), by ``_band_dft``'s cost
+    rule.  So no all-frames x fft_length spectrum is built.  A block holds
+    16 * fft_length bytes of work per frame on the FFT path and
+    ``_dft_row_bytes`` on the band DFT's.  Frames that fit in one block, as
+    those of ``compare``'s STFT of a 1 s record do, are transformed on the
+    calling thread.  The blocks fill the returned grid, or with ``scan``
+    they go to a ``_BandReader`` and the band grid's ``_BandScan`` is
+    returned, so no grid is built.
     """
     if hop_samples < 1:
         raise ValueError("hop_samples must be >= 1")
@@ -323,6 +465,8 @@ def _short_time(
     offsets = np.arange(wlen)
     times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
     taps = make_window(window)
+    if dft is None:
+        dft = _frame_dft(window, fft_length)
     shift_at = shift_hz(times) if shift_hz is not None else None
     sample_times = x.times()
 
@@ -337,6 +481,8 @@ def _short_time(
             frames *= shift
             del shift
         del frame_index
+        if dft is not None:
+            return _dft_rows(frames, dft, band)
         windowed = frames * taps[None, :]
         del frames
         # numpy's FFT, not scipy's: the two differ in the last bits on real frames
@@ -356,7 +502,8 @@ def _short_time(
     }
     reader = _BandReader(times, freqs[band], method, meta) if scan else None
     values = None if scan else np.empty((starts.size, band.stop - band.start))
-    _in_rows(starts.size, _block_rows(16 * fft_length), power,
+    row_bytes = 16 * fft_length if dft is None else _dft_row_bytes(dft, band)
+    _in_rows(starts.size, _block_rows(row_bytes), power,
              reader.add if scan else values.__setitem__)
     return reader.scan() if scan else TFDGrid(times, freqs[band], values, method, meta)
 
@@ -426,18 +573,24 @@ def _wvd_family(
     bins inside it; an empty band raises ValueError.
 
     The lag product q[n, m] = z[n+m] conj(z[n-m]) is Hermitian in m, and the
-    kernel is real and even in m, so only lags m = 0..L are built and each
-    row is one Hermitian real FFT of lags 0..L (``np.fft.hfft``, which gives
-    scipy's ``hfft`` bits).  L = (N-1)//2, cut to the lag window's
-    half-span; products that index outside the signal are zero.
-    Past the Hermitian half, L > (fft_length-1)//2, the lags are folded
-    first: lag 0 halved, lags summed modulo ``fft_length`` into p, then
-    h[j] = p[j] + conj(p[-j mod fft_length]) for j = 0..fft_length//2.
+    kernel is real and even in m, so only lags m = 0..L are built and bin b
+    of row n is sum_m w_m g_m Re(q[n, m] exp(-2j*pi*b*m/fft_length)), with
+    the Hermitian weights w = 1, 2, 2, ... and the lag taper g.  L = (N-1)//2,
+    cut to the lag window's half-span; products that index outside the
+    signal are zero.  Where ``_band_dft``'s cost rule allows (PWVD's and
+    SPWVD's 32 lags at fft_length 2048 and 8192), a row takes that sum for
+    the band's bins only, w and g built into the matrix (``_dft_rows``).
+    Otherwise (plain WVD) it is one Hermitian real FFT of the tapered lags
+    (``np.fft.hfft``, scipy's ``hfft`` bits); past the Hermitian half,
+    L > (fft_length-1)//2, the lags are folded first: lag 0 halved, lags
+    summed modulo ``fft_length`` into p, then h[j] = p[j] +
+    conj(p[-j mod fft_length]) for j = 0..fft_length//2.
 
-    Rows are produced in blocks (see ``_in_rows``).  A block builds
-    its own lag rows from two strided views of the signal, then tapers,
-    folds and transforms them and keeps only the band's bins; only a kernel
-    that smooths in time builds the whole N x (L+1) lag product first and
+    Rows are produced in blocks (see ``_in_rows``), of 512 KiB of lag rows
+    and spectra on the FFT path and of moved rows and products on the band
+    DFT's (``_dft_row_bytes``).  A block builds its own lag rows from two
+    strided views of the signal and transforms them; only a kernel that
+    smooths in time builds the whole N x (L+1) lag product first and
     smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.  The
     blocks fill the returned grid, or with ``scan`` they go to a
     ``_BandReader`` and the band grid's ``_BandScan`` is returned, so no
@@ -480,11 +633,16 @@ def _wvd_family(
     taper = None
     if freq_window is not None:
         taper = make_window(freq_window)[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
+    weights = np.full(max_lag + 1, 2.0)
+    weights[0] = 1.0
+    dft = _band_dft(weights if taper is None else weights * taper, fft_length, power=False)
     fold = max_lag > (fft_length - 1) // 2
     half = np.arange(fft_length // 2 + 1)
 
     def spectra(at: slice) -> np.ndarray:
         q = fwd[at] * bwd[at] if smoothed is None else smoothed[at]
+        if dft is not None:
+            return _dft_rows(q, dft, band)
         if taper is not None:
             q *= taper
         if fold:
@@ -506,9 +664,10 @@ def _wvd_family(
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
     reader = _BandReader(times, freqs[band], method, meta) if scan else None
     values = None if scan else np.empty((n, band.stop - band.start))
-    # a row's work, 16 bytes a value: its lag row or its spectrum, whichever is longer
-    rows = _block_rows(16 * max(fft_length, max_lag + 1))
-    _in_rows(n, rows, spectra, reader.add if scan else values.__setitem__)
+    # a row's work on the FFT path, 16 bytes a value: its lag row or its
+    # spectrum, whichever is longer
+    row_bytes = 16 * max(fft_length, max_lag + 1) if dft is None else _dft_row_bytes(dft, band)
+    _in_rows(n, _block_rows(row_bytes), spectra, reader.add if scan else values.__setitem__)
     return reader.scan() if scan else TFDGrid(times, freqs[band], values, method, meta)
 
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -688,3 +690,51 @@ def test_compare_accepts_truth_at_an_inexact_rate(tmp_path):
     assert read_signal_csv(csv_path).sample_rate_hz != 333.3
     rc = main(["compare", str(csv_path), "--truth", str(truth_path), "--out", str(tmp_path)])
     assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 2.33 TiB for an array with shape "
+                                    "(320000000000,) and data type float64", ""])
+def test_synth_out_of_memory_exits_3_and_writes_nothing(tmp_path, capsys, detail):
+    """synth x1 --duration 1e9 asks numpy for a 2.33 TiB time axis."""
+    out = tmp_path / "out"
+    with mock.patch("tfbench.synth._bursts", side_effect=MemoryError(detail)):
+        rc = main(["synth", "x1", "--duration", "1e9", "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (f"error: out of memory: {detail}\n" if detail else "error: out of memory\n")
+    assert not out.exists()
+
+
+def test_analyze_out_of_memory_exits_3_and_writes_nothing(tmp_path, capsys):
+    """analyze --method wvd of a 120 s x2 record asks for a 75 GiB grid."""
+    csv_path, _ = synth(tmp_path / "sig", "x2")
+    out = tmp_path / "out"
+    detail = "Unable to allocate 75.0 GiB for an array with shape (38400, 262144)"
+    with mock.patch("tfbench.cli.run_transform", side_effect=MemoryError(detail)):
+        rc = main(["analyze", str(csv_path), "--method", "wvd", "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: out of memory: {detail}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["pct", "spwvd"])
+def test_analyze_bits_do_not_depend_on_blas_threads(tmp_path, method):
+    """analyze's PCT frames and SPWVD lags take the band DFT, whose matrix
+    products stay on the calling thread: OpenBLAS with one thread and with
+    two writes the same bytes."""
+    csv_path, _ = synth(tmp_path / "sig", "x2", "--snr", "10")
+    src = str(Path(tfbench.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-m", "tfbench.cli", "analyze", str(csv_path), "--method", method,
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == [f"x2.{method}.csv", f"x2.{method}.meta.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

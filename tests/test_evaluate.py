@@ -277,19 +277,19 @@ def test_worker_error_becomes_the_method_error_row():
     """A ValueError in a pooled lag-transform block is that method's error
     row, and the pool still serves the next transform."""
     sig, methods = gen_x1(), ("stft", "spwvd")
-    real_hfft, calls = tfd.np.fft.hfft, itertools.count()
+    real_dft_rows, calls = tfd._dft_rows, itertools.count()
 
-    def hfft(*args, **kwargs):
+    def dft_rows(*args, **kwargs):
+        # one call per lag block: SPWVD's 32 lags take the band DFT
         if next(calls) == 1:
             raise ValueError("hfft failed on the second block")
-        return real_hfft(*args, **kwargs)
+        return real_dft_rows(*args, **kwargs)
 
     n = len(sig.signal)
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
-        tfd, "_BLOCK_BYTES", -(-n // 3) * 16 * 2048
+        tfd, "_block_rows", lambda row_bytes: -(-n // 3)  # one block per worker
     ):
-        assert -(-n // tfd._block_rows(16 * 2048)) == 3  # one block per worker
-        with mock.patch.object(tfd.np.fft, "hfft", hfft):
+        with mock.patch.object(tfd, "_dft_rows", dft_rows):
             failed = compare_methods(sig.signal, sig.true_if, methods=methods)
         again = compare_methods(sig.signal, sig.true_if, methods=methods)
         want = compare_methods(sig.signal, sig.true_if, methods=methods)
@@ -445,6 +445,25 @@ def test_compare_methods_propagates_programming_errors(monkeypatch):
     # data and parameter errors still become error rows
     row = compare_methods(SampledSignal(np.zeros(320), 320.0), methods=("wvd",)).results[0]
     assert "all zero" in row.error
+
+
+@pytest.mark.parametrize("method", ["pct", "spwvd"])
+def test_compare_methods_propagates_band_dft_programming_errors(monkeypatch, method):
+    """A TypeError in a pooled block's band DFT is a bug, not an error row."""
+    real_dft_rows, calls = tfd._dft_rows, itertools.count()
+
+    def broken(*args, **kwargs):
+        if next(calls) == 1:
+            raise TypeError("bug in the band DFT")
+        return real_dft_rows(*args, **kwargs)
+
+    sig = gen_x1()
+    monkeypatch.setattr(tfd, "_workers", lambda: 3)
+    monkeypatch.setattr(tfd, "_block_rows", lambda row_bytes: 100)
+    monkeypatch.setattr(tfd, "_dft_rows", broken)
+    with pytest.raises(TypeError, match="bug in the band DFT"):
+        compare_methods(sig.signal, sig.true_if, methods=(method,))
+    assert next(calls) > 2  # the other blocks of that transform still ran
 
 
 ALL_METHODS = ("stft", "wvd", "pwvd", "spwvd", "pct")

@@ -251,27 +251,29 @@ def test_pct_empty_band_raises():
 def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
     """Pooled, one-row and 7-row blocks give the serial one-block grid bit
     for bit; the 257 frames leave a short last block for 7 rows and for the
-    budget's 32 rows (8 x 32 + 1)."""
+    budget's rows (28 over the whole axis, 64 over the band).  The frames
+    take the band DFT."""
     z = analytic_signal(gen_x2(snr=10.0, seed=1).signal)
     kernel, cfg = PolynomialKernel((-430.0, 2610.0)), PCTConfig()
     n_frames = len(z) - cfg.window.length_samples + 1
-    row_bytes = 16 * cfg.fft_length
+    dft = tfd._frame_dft(cfg.window, cfg.fft_length)
+    band = tfd._band_indices(np.arange(cfg.fft_length // 2 + 1) * 320.0 / cfg.fft_length,
+                             band_hz)
     with mock.patch.object(tfd, "_workers", lambda: 1), mock.patch.object(
-        tfd, "_BLOCK_BYTES", n_frames * row_bytes
+        tfd, "_block_rows", lambda row_bytes: n_frames
     ):
-        assert tfd._block_rows(row_bytes) == n_frames  # one block
-        serial = pct_transform(z, kernel, cfg, band_hz=band_hz)
-    real_fft, threads = np.fft.fft, set()
+        serial = pct_transform(z, kernel, cfg, band_hz=band_hz)  # one block
+    real_dft_rows, threads = tfd._dft_rows, set()
 
-    def fft(*args, **kwargs):
+    def dft_rows(*args, **kwargs):
         threads.add(threading.current_thread().name)
-        return real_fft(*args, **kwargs)
+        return real_dft_rows(*args, **kwargs)
 
-    budget = tfd._BLOCK_BYTES if rows is None else rows * row_bytes
+    assert tfd._block_rows(tfd._dft_row_bytes(dft, band)) == (28 if band_hz is None else 64)
+    blocks = tfd._block_rows if rows is None else (lambda row_bytes: rows)
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-        tfd, "_BLOCK_BYTES", budget
-    ), mock.patch.object(tfd.np.fft, "fft", fft):
-        assert tfd._block_rows(row_bytes) == (32 if rows is None else rows)
+        tfd, "_block_rows", blocks
+    ), mock.patch.object(tfd, "_dft_rows", dft_rows):
         got = pct_transform(z, kernel, cfg, band_hz=band_hz)
     assert any(name.startswith("tfbench") for name in threads) == (workers > 1)
     assert np.array_equal(got.values, serial.values)
@@ -327,20 +329,19 @@ def test_frame_fft_error_becomes_the_pct_error_row():
     raised after every block of that transform ran, and the pool still
     serves the next compare."""
     sig = gen_x1()
-    real_fft, calls = np.fft.fft, itertools.count()
+    real_dft_rows, calls = tfd._dft_rows, itertools.count()
 
-    def fft(a, n=None, axis=-1, *args, **kwargs):
-        # count the frame blocks only, not the analytic signal's FFT
-        if axis == 1 and next(calls) == 1:
+    def dft_rows(*args, **kwargs):
+        # one call per frame block: PCT's frames take the band DFT
+        if next(calls) == 1:
             raise ValueError("fft failed on the second block")
-        return real_fft(a, n, axis, *args, **kwargs)
+        return real_dft_rows(*args, **kwargs)
 
     n_frames = len(sig.signal) - PCTConfig().window.length_samples + 1
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
-        tfd, "_BLOCK_BYTES", -(-n_frames // 3) * 16 * 1024
+        tfd, "_block_rows", lambda row_bytes: -(-n_frames // 3)  # one block per worker
     ):
-        assert -(-n_frames // tfd._block_rows(16 * 1024)) == 3  # one block per worker
-        with mock.patch.object(tfd.np.fft, "fft", fft):
+        with mock.patch.object(tfd, "_dft_rows", dft_rows):
             failed = compare_methods(sig.signal, sig.true_if, methods=("pct",))
         assert next(calls) == 3  # every block of the first transform ran
         again = compare_methods(sig.signal, sig.true_if, methods=("pct",))

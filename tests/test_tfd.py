@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
@@ -509,22 +509,26 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     """Serial (one worker) and three-worker grids are equal bit for bit, with
     N not a multiple of the block rows (three parts, 37 = 12 + 12 + 13 rows
     in blocks of 13, 64 = 21 + 21 + 22 in blocks of 22) and with one-row
-    blocks."""
+    blocks.  PWVD's and SPWVD's 11 lags, and WVD's 19 at N=37, take the band
+    DFT; WVD's 32 at N=64 take hfft."""
     x = SampledSignal(np.random.default_rng(n).normal(size=n), 100.0)
     nfft = 64
     with mock.patch.object(tfd, "_workers", lambda: 1):
         serial = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
-    real_hfft, threads = tfd.np.fft.hfft, set()
+    real_hfft, real_dft_rows, threads = tfd.np.fft.hfft, tfd._dft_rows, set()
 
     def hfft(*args, **kwargs):
         threads.add(threading.current_thread().name)
         return real_hfft(*args, **kwargs)
 
+    def dft_rows(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real_dft_rows(*args, **kwargs)
+
     rows = 1 if one_row_blocks else -(-n // 3)
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
-        tfd, "_BLOCK_BYTES", rows * 16 * nfft
-    ), mock.patch.object(tfd.np.fft, "hfft", hfft):
-        assert tfd._block_rows(16 * nfft) == rows
+        tfd, "_block_rows", lambda row_bytes: rows
+    ), mock.patch.object(tfd.np.fft, "hfft", hfft), mock.patch.object(tfd, "_dft_rows", dft_rows):
         pooled = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
     assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
     assert np.array_equal(pooled.values, serial.values)
@@ -820,3 +824,169 @@ def test_folded_lag_blocks_do_not_depend_on_the_block_size(method, n, nfft):
             tfd, "_BLOCK_BYTES", rows * 16 * max(nfft, lags)
         ):
             assert np.array_equal(_wvd_method(method, x, nfft, 9, 41).values, want.values)
+
+
+def _lag_weights(lags):
+    return np.r_[1.0, np.full(lags - 1, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "power, taps, nfft, direct",
+    [
+        (False, 32, 8192, True),  # SPWVD's lags at N=1280
+        (False, 32, 2048, True),  # SPWVD's lags at N=320
+        (False, 640, 8192, False),  # plain WVD at N=1280
+        (False, 160, 2048, False),  # plain WVD at N=320
+        (True, 64, 1024, True),  # PCT's frames
+        (True, 128, 512, False),  # STFT frames of x1
+        (True, 128, 128, False),  # STFT frames of x2
+        (True, 64, 256, False),  # the STFT thread-count tests' frames
+        (False, 1, 1, False),  # a one-bin axis: no FFT cost to undercut
+    ],
+)
+def test_band_dft_cost_rule(power, taps, nfft, direct):
+    """The band DFT replaces the FFT where its multiply-adds over the whole
+    axis are at most _DFT_COST times n log2 n (half that for hfft), and
+    every one of its products stays within OpenBLAS's one-thread size."""
+    weights = np.hanning(taps) if power else _lag_weights(taps)
+    dft = tfd._band_dft(weights, nfft, power)
+    assert (dft is not None) == direct
+    if dft is not None:
+        assert dft.rows >= 2 and dft.cols >= 2
+        assert dft.rows * dft.matrix.size <= tfd._GEMM_MACS
+        assert dft.matrix.shape == (2 * taps, 2 * dft.cols if power else dft.cols)
+        bins = nfft // 2 + 1 if power else nfft
+        assert dft.phases.shape == (-(-bins // dft.cols), taps)
+
+
+def _band_dft_grid(method, x, nfft, flen, band_hz=None):
+    if method == "pct":
+        cfg = PCTConfig(window=WindowSpec("hann", flen), fft_length=nfft)
+        return pct_transform(x, PolynomialKernel((3.0, -7.5)), cfg, band_hz)
+    return _wvd_method(method, x, nfft, 7, flen, band_hz=band_hz)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    method=st.sampled_from(["pwvd", "spwvd", "pct"]),
+    n=st.integers(70, 260),
+    nfft=st.sampled_from([60, 64, 100, 256, 1000, 1024, 2048]),
+    flen=st.sampled_from([9, 21, 33, 63]),
+    analytic=st.booleans(),
+    bins=st.tuples(st.integers(0, 2047), st.integers(0, 2047)),
+    between=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_dft_bits_do_not_depend_on_blocks_workers_or_band(
+    method, n, nfft, flen, analytic, bins, between, seed
+):
+    """On the band DFT path a row's bits depend on neither its block (its
+    offset in the products, one-row, 7-row and budget blocks, a short last
+    block), nor the worker count (1 and 3), nor the band: a band grid is the
+    full grid's columns, band edges on bins or between them, the axis' last
+    chunk short."""
+    fs = 100.0
+    x = SampledSignal(np.random.default_rng(seed).normal(size=n), fs, start_time_s=0.25)
+    x = analytic_signal(x) if analytic else x
+    power = method == "pct"
+    taps = flen if power else min((n - 1) // 2, (flen - 1) // 2) + 1
+    weights = np.hanning(taps) if power else _lag_weights(taps)
+    assume(tfd._band_dft(weights, nfft, power) is not None)  # the FFT path has its own tests
+    with mock.patch.object(tfd, "_workers", lambda: 1), mock.patch.object(
+        tfd, "_block_rows", lambda row_bytes: n
+    ):
+        want = _band_dft_grid(method, x, nfft, flen)  # one block, one worker
+    f = want.freqs_hz
+    lo_k, hi_k = sorted(min(b, f.size - 1) for b in bins)
+    step = fs / (2.0 * nfft) if power else fs / (4.0 * nfft)
+    band_hz = (f[lo_k] + (step if between[0] else 0.0), f[hi_k] + (step if between[1] else 0.0))
+    keep = (f >= band_hz[0]) & (f <= band_hz[1])
+    for rows in (1, 7, None):
+        for workers in (1, 3):
+            blocks = (lambda row_bytes: rows) if rows else tfd._block_rows
+            with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+                tfd, "_block_rows", blocks
+            ):
+                full = _band_dft_grid(method, x, nfft, flen)
+                if not keep.any():
+                    with pytest.raises(ValueError, match="band"):
+                        _band_dft_grid(method, x, nfft, flen, band_hz)
+                    continue
+                band = _band_dft_grid(method, x, nfft, flen, band_hz)
+            assert np.array_equal(full.values, want.values)
+            assert np.array_equal(band.values, want.values[:, keep])
+            assert np.array_equal(band.freqs_hz, f[keep])
+
+
+@pytest.mark.parametrize("method", ["pct", "spwvd"])
+def test_band_dft_products_have_one_shape(method):
+    """Every matrix product of one transform has one shape, R x 2*taps x
+    columns with R and the columns at least 2 and at most _GEMM_MACS
+    multiply-adds, whatever the band, block size or worker count."""
+    x = gen_x2(snr=10.0, seed=1).signal
+    real_matmul, shapes = np.matmul, set()
+
+    def matmul(a, b, *args, **kwargs):
+        shapes.add((a.shape[1:], b.shape))
+        return real_matmul(a, b, *args, **kwargs)
+
+    cases = [(None, 1, None), ((5.0, 80.0), 3, 1), ((40.0, 40.0), 2, 7), ((0.5, 150.0), 3, None)]
+    for band_hz, workers, rows in cases:
+        blocks = (lambda row_bytes: rows) if rows else tfd._block_rows
+        with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+            tfd, "_block_rows", blocks
+        ), mock.patch.object(tfd.np, "matmul", matmul):
+            if method == "pct":
+                pct_transform(analytic_signal(x), PolynomialKernel((3.0, -7.5)), PCTConfig(),
+                              band_hz)
+            else:
+                spwvd(x, WindowSpec("hann", 31), WindowSpec("hann", 63), 2048, band_hz=band_hz)
+    assert len(shapes) == 1
+    ((rows, inputs), (inputs_b, cols)), = shapes
+    assert inputs == inputs_b and rows >= 2 and cols >= 2
+    assert rows * inputs * cols <= tfd._GEMM_MACS
+
+
+# n = 47 gives L = 10 for the 21-tap lag window: nfft 12, 16 and 20 fold
+# lags past the Hermitian half, 21, 22 and 64 do not; each takes the band DFT
+@pytest.mark.parametrize("nfft", [12, 16, 20, 21, 22, 64])
+@pytest.mark.parametrize("method", ["pwvd", "spwvd"])
+def test_band_dft_wvd_family_matches_double_sum(method, nfft):
+    n = 47
+    rng = np.random.default_rng(nfft)
+    z = SampledSignal(rng.normal(size=n) + 1j * rng.normal(size=n), 64.0)
+    tw, fw = WindowSpec("hann", 7), WindowSpec("hann", 21)
+    assert tfd._band_dft(make_window(fw)[10:] * _lag_weights(11), nfft, False) is not None
+    if method == "pwvd":
+        got, want = pwvd(z, fw, nfft), _double_sum_wvd(z.samples, nfft, freq_window=fw)
+    else:
+        got, want = spwvd(z, tw, fw, nfft), _double_sum_wvd(z.samples, nfft, tw, fw)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def _pct_fft_oracle(z, kernel, cfg):
+    """PCT by the formula: rotate, shift each frame, window, numpy's FFT,
+    |.|^2 of bins 0..nfft//2."""
+    rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
+    wlen, fs = cfg.window.length_samples, z.sample_rate_hz
+    starts = np.arange(0, len(z) - wlen + 1, cfg.hop_samples)
+    index = starts[:, None] + np.arange(wlen)
+    centers = z.start_time_s + (starts + (wlen - 1) / 2.0) / fs
+    shift = np.exp(2j * np.pi * kernel.local_if(centers)[:, None] * z.times()[index])
+    frames = rotated[index] * shift * make_window(cfg.window)
+    spectra = np.fft.fft(frames, n=cfg.fft_length, axis=1)[:, : cfg.fft_length // 2 + 1]
+    return np.abs(spectra) ** 2
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0), (3.0, -7.5), (-430.0, 2610.0)])
+@pytest.mark.parametrize("hop", [1, 3])
+def test_band_dft_pct_matches_fft_oracle(analytic, coeffs, hop):
+    x = gen_x2(snr=10.0, seed=2).signal
+    z = analytic_signal(x) if analytic else x
+    cfg = PCTConfig(hop_samples=hop)
+    assert tfd._frame_dft(cfg.window, cfg.fft_length) is not None
+    kernel = PolynomialKernel(coeffs)
+    got, want = pct_transform(z, kernel, cfg), _pct_fft_oracle(z, kernel, cfg)
+    assert got.values.shape == want.shape
+    assert np.max(np.abs(got.values - want)) <= 1e-14 * want.max()
