@@ -9,6 +9,7 @@ outputs.  Reruns with identical flags produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
@@ -46,8 +47,13 @@ _COMPARE_KEYS = {
 
 _JSON_TYPES = {
     str: "a string", int: "an integer", float: "a number", bool: "true or false",
-    tuple: "a list of two numbers",
+    tuple: "a list of two finite numbers, low <= high",
 }
+
+
+def _ordered(band) -> bool:
+    """Both edges of a band are finite and the low one is at most the high."""
+    return all(abs(edge) < math.inf for edge in band) and band[0] <= band[1]
 
 
 def _band(text: str) -> tuple:
@@ -56,8 +62,8 @@ def _band(text: str) -> tuple:
         band = (float(lo), float(hi))
     except ValueError:
         raise argparse.ArgumentTypeError(f"band must look like 'lo:hi', got {text!r}")
-    if band[0] > band[1]:
-        raise argparse.ArgumentTypeError(f"band low exceeds high in {text!r}")
+    if not _ordered(band):
+        raise argparse.ArgumentTypeError(f"band must be finite with low <= high, got {text!r}")
     return band
 
 
@@ -116,7 +122,8 @@ def _load_config(path) -> dict:
 
 def _typed(value, hint, where: str):
     """Check one JSON value against a field annotation.  Integers widen to
-    float; a bare ``tuple`` is a band, two numbers kept as given."""
+    float; a bare ``tuple`` is a band, two finite numbers, low <= high, kept
+    as given."""
     if type(None) in get_args(hint):  # Optional[X]
         if value is None:
             return None
@@ -125,7 +132,8 @@ def _typed(value, hint, where: str):
         return _from_dict(hint, value, where)
     number = (int, float)
     if hint is tuple:
-        if isinstance(value, list) and len(value) == 2 and all(type(v) in number for v in value):
+        if (isinstance(value, list) and len(value) == 2
+                and all(type(v) in number for v in value) and _ordered(value)):
             return tuple(value)
     elif hint is float:
         if type(value) in number:

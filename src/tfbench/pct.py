@@ -14,9 +14,9 @@ A component whose IF matches the kernel polynomial is concentrated as if it
 were a stationary tone; a zero kernel reduces the transform to the STFT.
 ``estimate_kernel`` alternates transform, ridge extraction, and weighted
 polynomial fitting until the fitted IF stops moving.  Its iterations read
-band scans of the ridge band, not grids; ``compare`` reads PCT through
-``_pct_scan``, which scans the kept kernel's transform too, so it builds no
-PCT grid at all.
+band scans of the ridge band, not grids.  ``_pct`` is ``pct_auto``'s one
+path: with ``scan`` it scans the kept kernel's transform too, so
+``compare`` builds no PCT grid at all.
 """
 
 from __future__ import annotations
@@ -101,23 +101,16 @@ class PCTConfig:
             raise ValueError("amp_threshold_frac must lie in [0, 1)")
 
 
-def pct_transform(
-    z: SampledSignal,
-    kernel: PolynomialKernel,
-    cfg: PCTConfig,
-    band_hz: Optional[tuple] = None,
-) -> TFDGrid:
+def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) -> TFDGrid:
     """Polynomial chirplet transform, squared magnitudes.
 
     The STFT framing of the rotated signal, each frame shifted by the
     kernel's IF at its center, so axes and meta keys match ``stft`` plus
-    ``kernel_coeffs``.  ``band_hz`` keeps only the bins inside it, as in
-    ``tfd.wvd``: the kept columns, their axis and the meta are bit-identical
-    to the full grid's, and an empty band raises ValueError.  Meaningful
-    concentration requires an analytic input, since the rotation operator
-    would defocus a real signal's mirrored spectrum.
+    ``kernel_coeffs``.  Meaningful concentration requires an analytic
+    input, since the rotation operator would defocus a real signal's
+    mirrored spectrum.
     """
-    return _chirplet(z, kernel, cfg, band_hz)
+    return _chirplet(z, kernel, cfg)
 
 
 def _chirplet(
@@ -129,10 +122,11 @@ def _chirplet(
     dft: Optional[_BandDFT] = None,
     **meta,
 ):
-    """``pct_transform``'s grid, or with ``scan`` the band scan of that grid
-    (see ``tfd._short_time``), so no grid is built.  ``dft`` is the frame
-    DFT of ``cfg``'s window (``tfd._frame_dft``), built once by a caller that
-    transforms many times; ``meta`` adds meta keys."""
+    """``pct_transform``'s grid, its bins inside ``band_hz`` only, or with
+    ``scan`` the band scan of that grid (see ``tfd._short_time``), so no
+    grid is built.  ``dft`` is the frame DFT of ``cfg``'s window
+    (``tfd._frame_dft``), built once by a caller that transforms many
+    times; ``meta`` adds meta keys."""
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
     rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
@@ -220,9 +214,7 @@ def _iterate(
     return tuple(kept[1]), iterations, converged
 
 
-def estimate_kernel(
-    z: SampledSignal, cfg: Optional[PCTConfig] = None, band_hz: Optional[tuple] = None
-) -> KernelFit:
+def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> KernelFit:
     """Alternate transform, ridge extraction, and polynomial fitting.
 
     Starts from a zero kernel (plain STFT view).  Converged when the fitted
@@ -235,34 +227,28 @@ def estimate_kernel(
     straight into a band scan of the ``ridge_band_hz`` columns and builds no
     grid; those are the full grid's bits, so every ridge, residual and fit
     is the full grid's too.  The kept kernel's final transform,
-    ``KernelFit.grid``, keeps the bins inside ``band_hz`` as in
-    ``pct_transform``; ``None`` (the default) keeps the whole axis.
+    ``KernelFit.grid``, is a full grid.
     """
     cfg = cfg if cfg is not None else PCTConfig()
     dft = _frame_dft(cfg.window, cfg.fft_length)
     if_coeffs, iterations, converged = _iterate(z, cfg, dft)
     kernel = PolynomialKernel(if_coeffs[1:])
-    grid = _chirplet(z, kernel, cfg, band_hz, dft=dft, iterations=iterations,
-                     converged=converged)
+    grid = _chirplet(z, kernel, cfg, dft=dft, iterations=iterations, converged=converged)
     return KernelFit(kernel, grid, iterations, converged, if_coeffs)
 
 
-def pct_auto(
-    x: SampledSignal, cfg: Optional[PCTConfig] = None, band_hz: Optional[tuple] = None
-) -> TFDGrid:
-    """Analytic conversion, kernel estimation, final transform in one call;
-    ``band_hz`` as in ``estimate_kernel``."""
-    cfg = cfg if cfg is not None else PCTConfig()
-    z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
-    return estimate_kernel(z, cfg, band_hz).grid
+def pct_auto(x: SampledSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:
+    """Analytic conversion, kernel estimation, final transform in one call:
+    ``estimate_kernel``'s grid, with the input made analytic when it is real."""
+    return _pct(x, cfg if cfg is not None else PCTConfig())
 
 
-def _pct_scan(x: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple]) -> _BandScan:
-    """The band scan of ``pct_auto(x, cfg, band_hz)``'s grid, with no grid
-    built: the kernel iterations and the kept kernel's transform all go
-    straight into band scans."""
+def _pct(x: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple] = None, scan: bool = False):
+    """``pct_auto``'s grid, its bins inside ``band_hz`` only, or with ``scan``
+    the band scan of that grid: the kernel iterations and the kept kernel's
+    transform all go straight into band scans, so no grid is built."""
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
     dft = _frame_dft(cfg.window, cfg.fft_length)
     if_coeffs, iterations, converged = _iterate(z, cfg, dft)
-    return _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan=True, dft=dft,
+    return _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan, dft,
                      iterations=iterations, converged=converged)

@@ -24,7 +24,7 @@ Conventions
   N/2 lags, STFT's 128-tap frames) keep ``np.fft.hfft`` (lags past the
   Hermitian half folded first) or ``np.fft.fft``.  The choice is a pure
   function of the taps and fft_length (the cost rule in ``_band_dft``), so
-  a band grid and the full grid take the same path.  Every product has
+  a band scan and the full grid take the same path.  Every product has
   one shape per transform, R rows x 2*taps x at most 128 columns with R
   and the columns at least 2, of at most 2**18 multiply-adds: OpenBLAS
   runs it on the calling thread as one dgemm, and a row's bits depend on
@@ -34,11 +34,11 @@ Conventions
   nor the thread count (of tfbench or of OpenBLAS).  They do depend on the
   BLAS build and the machine: the band DFT's bits differ from the FFT's
   by a few 1e-15 of the grid peak.
-* ``wvd``, ``pwvd``, ``spwvd`` and ``pct.pct_transform`` take
-  ``band_hz=(lo, hi)`` to keep only the bins of their frequency axis with
-  lo <= f <= hi (edges included); an empty band raises ValueError.  Those
-  columns, their axis and the meta are bit-identical to the full grid's;
-  only the grid is narrower.  ``None`` (the default) keeps the whole axis.
+* The public transforms return the whole frequency axis.  The producers,
+  ``_wvd_family`` and ``_short_time``, take ``band_hz=(lo, hi)`` to make
+  only the bins with lo <= f <= hi (edges included), for a band scan; an
+  empty band raises ValueError.  Those bins, their axis and the meta are
+  the full grid's bit for bit.
 * One runner, two ``add``s.  Every transform (WVD family, STFT, PCT) and
   every scan of a stored grid runs in row blocks of about ``_BLOCK_BYTES``
   of work through ``_in_rows``, on up to min(4, usable CPUs) threads, the
@@ -47,16 +47,17 @@ Conventions
   rows, or a band scan's (``_BandReader.add``), which keeps per row the
   argmax (first of equals) and the peak and per column the sum over rows,
   so no grid is built.  Both producers, ``_wvd_family`` (WVD family) and
-  ``_short_time`` (STFT and PCT), feed either one (``scan=True``).  A band
-  scan (``_BandScan``) holds the band grid's axes, method and meta next to
-  those reductions, stored grid or not; it reads WVD-family values by
-  magnitude.  ``_band_magnitudes`` scans the row blocks of a stored grid,
+  ``_short_time`` (STFT and PCT), feed either one (``scan=True``) through
+  one tail, ``_rows_out``.  A band scan (``_BandScan``) holds the band
+  grid's axes, method and meta next to those reductions, stored grid or
+  not; it reads WVD-family values by magnitude.  ``_band_magnitudes`` scans the row blocks of a stored grid,
   for ``psd_from_tfd`` and the ridge and dominant-frequency readers.
 * Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
   ranges are added in order onto that range's running sum, and the ranges
-  are added in order at the end.  A worker takes whole ranges.  So the
-  sums hold O(k) values for k columns, and their bits, like every grid's,
-  depend on neither the block size nor the thread count.
+  are added in order at the end, one column as any other.  A worker takes
+  whole ranges.  So the sums hold O(k) values for k columns, and their
+  bits, like every grid's, depend on neither the block size nor the thread
+  count.
 """
 
 from __future__ import annotations
@@ -252,17 +253,20 @@ class _BandReader:
     read one row block at a time: per row the argmax (first of equals) and
     the peak, per column the sum over rows.  WVD-family values are read by
     absolute value, so negative lobes count by magnitude; other values as
-    they are, in the block itself, since the column sums add into it: a
-    caller hands ``add`` blocks it may overwrite.
+    they are.  Both are read in the block itself, since the magnitudes and
+    the column sums are written into it: a caller hands ``add`` blocks it
+    may overwrite.
 
     Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
     Each range's rows are added in order onto its running sum, whatever
     blocks they come in (``piece[0] += sum; piece.sum(axis=0, out=sum)``:
     numpy adds a piece whose rows are each contiguous row by row, a band
     DFT block's view of its products as a C-contiguous one), and the ranges
-    are added in order at the end.  ``_in_rows`` gives each worker whole
-    ranges, so the sums are the same bits for any block size and thread
-    count, and they hold ``_SUM_RANGES`` rows of k, not one row per block.
+    are added in order at the end (``np.add.accumulate``).  A one-column
+    piece is one column numpy would sum pairwise, so it is accumulated too.
+    ``_in_rows`` gives each worker whole ranges, so the sums are the same
+    bits for any block size and thread count, and they hold
+    ``_SUM_RANGES`` rows of k, not one row per block.
     """
 
     def __init__(self, times_s: np.ndarray, freqs_hz: np.ndarray, method: str, meta: dict):
@@ -277,7 +281,7 @@ class _BandReader:
     def add(self, at: slice, values: np.ndarray) -> None:
         """Read rows ``at``, ``values``."""
         if self.magnitude:
-            values = np.abs(values)
+            np.abs(values, out=values)
         argmax = values.argmax(axis=1)
         self.argmax[at] = argmax
         self.peak[at] = values[np.arange(argmax.size), argmax]
@@ -287,11 +291,36 @@ class _BandReader:
             if piece.size:
                 running = self.sums[r]
                 piece[0] += running
-                piece.sum(axis=0, out=running)
+                if piece.shape[1] > 1:
+                    piece.sum(axis=0, out=running)
+                else:
+                    running[0] = np.add.accumulate(piece[:, 0])[-1]
             r += 1
 
     def scan(self) -> _BandScan:
-        return _BandScan(*self.axes, self.argmax, self.peak, self.sums.sum(axis=0))
+        return _BandScan(*self.axes, self.argmax, self.peak, np.add.accumulate(self.sums)[-1])
+
+
+def _rows_out(
+    times: np.ndarray,
+    freqs: np.ndarray,
+    method: str,
+    meta: dict,
+    row_bytes: int,
+    rows: Callable[[slice], np.ndarray],
+    scan: bool,
+):
+    """Run ``rows`` over every row of a grid with these axes (see
+    ``_in_rows``, blocks of ``row_bytes`` bytes of work a row) and return
+    that grid, or with ``scan`` its ``_BandScan`` without building it."""
+    if scan:
+        reader = _BandReader(times, freqs, method, meta)
+        add = reader.add
+    else:
+        values = np.empty((times.size, freqs.size))
+        add = values.__setitem__
+    _in_rows(times.size, _block_rows(row_bytes), rows, add)
+    return reader.scan() if scan else TFDGrid(times, freqs, values, method, meta)
 
 
 def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
@@ -303,9 +332,9 @@ def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     band = _band_indices(g.freqs_hz, band_hz)
     vals = g.values[:, band]
     reader = _BandReader(g.times_s, g.freqs_hz[band], g.method, g.meta)
-    # the reader adds into non-WVD blocks, and the grid's rows are not its own
-    block = (lambda at: vals[at]) if reader.magnitude else (lambda at: vals[at].copy())
-    _in_rows(g.n_times, _block_rows(8 * max(vals.shape[1], 1)), block, reader.add)
+    # the reader overwrites its blocks, and the grid's rows are not its own
+    _in_rows(g.n_times, _block_rows(8 * max(vals.shape[1], 1)), lambda at: vals[at].copy(),
+             reader.add)
     return reader.scan()
 
 
@@ -352,8 +381,8 @@ def _band_dft(weights: np.ndarray, fft_length: int, power: bool) -> Optional[_Ba
     at n = 256); over compare's bands PCT took 0.66 (241 bins) and SPWVD
     0.18 (3841 bins).  Plain WVD's lags (58 and 197 at N = 320 and 1280)
     and STFT's 128-tap frames (28.6 at n = 512) stay on the FFT.  The rule
-    reads the whole axis, not the band, so a band grid is the full grid's
-    columns bit for bit."""
+    reads the whole axis, not the band, so a band scan reads the full
+    grid's columns bit for bit."""
     n, taps = fft_length, weights.size
     bins = n // 2 + 1 if power else n
     outputs, fft_cost = (2 * bins, n * np.log2(n)) if power else (bins, n * np.log2(n) / 2)
@@ -500,12 +529,8 @@ def _short_time(
         "analytic_input": bool(np.iscomplexobj(x.samples)),
         **meta,
     }
-    reader = _BandReader(times, freqs[band], method, meta) if scan else None
-    values = None if scan else np.empty((starts.size, band.stop - band.start))
     row_bytes = 16 * fft_length if dft is None else _dft_row_bytes(dft, band)
-    _in_rows(starts.size, _block_rows(row_bytes), power,
-             reader.add if scan else values.__setitem__)
-    return reader.scan() if scan else TFDGrid(times, freqs[band], values, method, meta)
+    return _rows_out(times, freqs[band], method, meta, row_bytes, power, scan)
 
 
 def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int) -> TFDGrid:
@@ -662,43 +687,27 @@ def _wvd_family(
         "folding_hz": fs / 2.0 if analytic else fs / 4.0,
     }
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
-    reader = _BandReader(times, freqs[band], method, meta) if scan else None
-    values = None if scan else np.empty((n, band.stop - band.start))
     # a row's work on the FFT path, 16 bytes a value: its lag row or its
     # spectrum, whichever is longer
     row_bytes = 16 * max(fft_length, max_lag + 1) if dft is None else _dft_row_bytes(dft, band)
-    _in_rows(n, _block_rows(row_bytes), spectra, reader.add if scan else values.__setitem__)
-    return reader.scan() if scan else TFDGrid(times, freqs[band], values, method, meta)
+    return _rows_out(times, freqs[band], method, meta, row_bytes, spectra, scan)
 
 
-def wvd(
-    x: SampledSignal,
-    fft_length: int,
-    use_analytic: bool = True,
-    band_hz: Optional[tuple] = None,
-) -> TFDGrid:
+def wvd(x: SampledSignal, fft_length: int, use_analytic: bool = True) -> TFDGrid:
     """Wigner-Ville distribution at per-sample time resolution (hop 1).
 
     The input is replaced by its analytic associate unless ``use_analytic``
     is False; real inputs then fold above a quarter of the sample rate.
-    ``band_hz`` keeps only the bins inside it (see the module notes).
     """
-    return _wvd_family("wvd", x, fft_length, use_analytic, band_hz=band_hz)
+    return _wvd_family("wvd", x, fft_length, use_analytic)
 
 
 def pwvd(
-    x: SampledSignal,
-    freq_window: WindowSpec,
-    fft_length: int,
-    use_analytic: bool = True,
-    band_hz: Optional[tuple] = None,
+    x: SampledSignal, freq_window: WindowSpec, fft_length: int, use_analytic: bool = True
 ) -> TFDGrid:
     """Pseudo-WVD: the lag product is tapered by ``freq_window`` before the
-    DFT, smoothing the distribution along frequency.  ``band_hz`` as in
-    ``wvd``."""
-    return _wvd_family(
-        "pwvd", x, fft_length, use_analytic, freq_window=freq_window, band_hz=band_hz
-    )
+    DFT, smoothing the distribution along frequency."""
+    return _wvd_family("pwvd", x, fft_length, use_analytic, freq_window=freq_window)
 
 
 def spwvd(
@@ -707,15 +716,13 @@ def spwvd(
     freq_window: WindowSpec,
     fft_length: int,
     use_analytic: bool = True,
-    band_hz: Optional[tuple] = None,
 ) -> TFDGrid:
     """Smoothed pseudo-WVD with a separable kernel.
 
     The lag product is averaged along time with ``time_window`` (normalized
-    to unit sum) and tapered along lag with ``freq_window``.  ``band_hz``
-    as in ``wvd``.
+    to unit sum) and tapered along lag with ``freq_window``.
     """
-    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window, band_hz)
+    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window)
 
 
 def psd_from_tfd(g: TFDGrid) -> PSD:
@@ -737,7 +744,7 @@ def resolution_report(g: TFDGrid) -> ResolutionReport:
     the ``_BandScan`` of one, stored or not.
 
     The frequency spacing comes from ``fft_length`` in the meta when it is
-    there, so a band grid reports the bits of its full grid; otherwise it is
+    there, so a band scan reports the bits of its full grid; otherwise it is
     the difference of the first two bins.  The folding frequency is the
     meta's ``folding_hz``, which the WVD family writes, and Nyquist when the
     meta has none.

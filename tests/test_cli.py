@@ -15,7 +15,7 @@ from tfbench.io import read_signal_csv, read_truth_json, write_signal_csv, write
 from tfbench.core import SampledSignal, WindowSpec
 from tfbench.evaluate import default_config
 from tfbench.pct import PCTConfig
-from tfbench.tfd import next_pow2, wvd
+from tfbench.tfd import next_pow2
 
 
 def synth(tmp_path, signal_id="x1", *extra):
@@ -380,8 +380,10 @@ def test_compare_band_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", str(csv_path), "--band", "60", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["compare", str(csv_path), "--band", "60:10", "--out", str(tmp_path)])
+    for band in ("60:10", "nan:10", "5:inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(csv_path), "--band", band, "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
@@ -389,7 +391,7 @@ def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
     # apart to the last bit, so spectral_resolution_hz must come from the meta
     csv_path, truth_path = synth(tmp_path, "x1", "--rate", str(1000.0 / 3.0))
     x = read_signal_csv(csv_path)
-    band = wvd(x, next_pow2(4 * len(x)), band_hz=(5.0, 80.0))
+    band = tfd._wvd_family("wvd", x, next_pow2(4 * len(x)), True, band_hz=(5.0, 80.0), scan=True)
     assert band.freqs_hz[1] - band.freqs_hz[0] != x.sample_rate_hz / (2.0 * band.meta["fft_length"])
     argv = ["compare", str(csv_path), "--truth", str(truth_path),
             "--methods", "stft,wvd,pwvd,spwvd,pct"]
@@ -475,6 +477,35 @@ def test_config_bad_keys_exit_validation(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("band", ["[60, 10]", "[NaN, 10]", "[5, Infinity]"])
+@pytest.mark.parametrize("command", [["analyze", "--method", "stft"],
+                                     ["analyze", "--method", "wvd"],
+                                     ["analyze", "--method", "pct"], ["compare"]])
+def test_config_band_is_checked_before_any_method_runs(tmp_path, capsys, monkeypatch, band,
+                                                       command):
+    """A band in the config file must be finite with low <= high, as --band
+    must be: exit 3 with one message naming band_hz, before any method runs
+    and with no output; null stays valid."""
+    csv_path, _ = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    argv = [command[0], str(csv_path), *command[1:], "--config", str(cfg), "--out", str(out)]
+    cfg.write_text('{"band_hz": %s}' % band)
+
+    def no_method(method):
+        raise AssertionError(f"{method} ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(evaluate, "_producer", no_method)
+        assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.band_hz ") and err.count("\n") == 1
+    assert err.count("band_hz") == 1
+    assert not out.exists()
+    cfg.write_text('{"band_hz": null}')
+    assert main(argv) == EXIT_OK
 
 
 def test_config_every_key_reaches_its_field():

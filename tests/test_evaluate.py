@@ -200,14 +200,18 @@ def test_dominant_frequency_judges_the_band_only():
 
 
 def test_band_grids_give_the_full_grids_ridge_and_dominant_frequency():
+    """The WVD family's band scans, made from its row blocks, give the ridge
+    and dominant frequency that the public readers find in the full grid."""
     sig = gen_x1().signal
     band = (5.0, 80.0)
     tw, fw = WindowSpec("hann", 31), WindowSpec("hann", 63)
-    for build in (lambda **kw: wvd(sig, 1280, **kw), lambda **kw: spwvd(sig, tw, fw, 1280, **kw)):
-        full, limited = build(), build(band_hz=band)
-        assert limited.n_freqs < full.n_freqs
-        assert dominant_frequency(limited, band) == dominant_frequency(full, band)
-        a, b = extract_ridge(full, band, 0.05), extract_ridge(limited, band, 0.05)
+    for method, time_window, freq_window in (("wvd", None, None), ("spwvd", tw, fw)):
+        full = (wvd(sig, 1280) if method == "wvd" else spwvd(sig, tw, fw, 1280))
+        limited = tfd._wvd_family(method, sig, 1280, True, time_window, freq_window, band,
+                                  scan=True)
+        assert limited.freqs_hz.size < full.n_freqs
+        assert evaluate._dominant(limited) == dominant_frequency(full, band)
+        a, b = extract_ridge(full, band, 0.05), evaluate._ridge(limited, 0.05)
         assert np.array_equal(a.freqs_hz, b.freqs_hz) and np.array_equal(a.valid, b.valid)
 
 
@@ -568,27 +572,30 @@ def test_compare_methods_rejects_a_duplicate_method_before_any_runs(monkeypatch)
 
 @pytest.fixture(scope="module")
 def stored_grid_scans():
-    """Each signal's STFT and PCT band scans, read from run_transform's grids."""
+    """Each signal's band scans of every method, read from run_transform's
+    full grids."""
     scans = {}
     for signal_id, make in COMPARE_SIGNALS.items():
         x, _ = make()
         cfg = default_config(signal_id[:2])
-        for method in ("stft", "pct"):
-            grid = run_transform(x, method, cfg, band_hz=cfg.band_hz)
+        for method in ALL_METHODS:
+            grid = run_transform(x, method, cfg)
             scans[signal_id, method] = (x, cfg, _band_magnitudes(grid, cfg.band_hz))
+            del grid
     return scans
 
 
 @pytest.mark.parametrize("signal_id", list(COMPARE_SIGNALS))
-@pytest.mark.parametrize("method", ["stft", "pct"])
+@pytest.mark.parametrize("method", ALL_METHODS)
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("budget", [None, 20000])
 def test_streamed_scan_equals_the_scan_of_the_stored_grid(stored_grid_scans, signal_id, method,
                                                           workers, budget):
-    """compare's STFT and PCT scans, PCT's kernel iterations included, are
-    streamed from row blocks; they are the band scans of the stored grids
-    field for field and bit for bit, for any thread count and block size
-    (20000 bytes is one or two rows of a 512- or 1024-point FFT)."""
+    """compare's scans of every method, PCT's kernel iterations included, are
+    streamed from row blocks; they are the band scans of run_transform's
+    stored full grids field for field and bit for bit, for any thread count
+    and block size (20000 bytes is one or two rows of a 512- or 1024-point
+    FFT): the method table's grid use and scan use agree."""
     x, cfg, want = stored_grid_scans[signal_id, method]
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
         tfd, "_BLOCK_BYTES", tfd._BLOCK_BYTES if budget is None else budget

@@ -206,63 +206,68 @@ def test_pct_transform_validation():
         pct_transform(linear_chirp(n=16), PolynomialKernel.zero(2), cfg)
 
 
+def _same_scan(got, want):
+    """Two band scans agree field for field and bit for bit."""
+    return (got.method, got.meta) == (want.method, want.meta) and all(
+        np.array_equal(a, b) for a, b in zip(got[:2] + got[4:], want[:2] + want[4:])
+    )
+
+
 @pytest.mark.parametrize("analytic", [False, True])
 @pytest.mark.parametrize(
     "band_hz",
     [(5.0, 70.0), (0.0, 160.0), (40.0, 40.0), (40.1, 40.5), (39.9, 40.0), (-3.0, 0.2), (150.0, 900.0)],
 )
 def test_pct_band_grid_equals_full_grid_columns(analytic, band_hz):
-    """Band edges on a bin (40.0 Hz at 0.3125 Hz spacing), between bins and
-    outside the axis keep the full grid's columns lo <= f <= hi bit for bit."""
+    """A band scan straight from the transform's row blocks, band edges on a
+    bin (40.0 Hz at 0.3125 Hz spacing), between bins and outside the axis,
+    is the scan of the full grid's columns lo <= f <= hi bit for bit."""
     x = SampledSignal(np.random.default_rng(4).normal(size=333), 320.0, start_time_s=0.1)
     z = analytic_signal(x) if analytic else x
     kernel, cfg = PolynomialKernel((3.0, -7.5)), PCTConfig()
     full = pct_transform(z, kernel, cfg)
-    assert np.array_equal(pct_transform(z, kernel, cfg, band_hz=None).values, full.values)
     keep = (full.freqs_hz >= band_hz[0]) & (full.freqs_hz <= band_hz[1])
-    got = pct_transform(z, kernel, cfg, band_hz=band_hz)
-    assert np.array_equal(got.values, full.values[:, keep])
+    got = pct._chirplet(z, kernel, cfg, band_hz, scan=True)
     assert np.array_equal(got.freqs_hz, full.freqs_hz[keep])
-    assert np.array_equal(got.times_s, full.times_s)
-    assert got.meta == full.meta and got.method == "pct"
+    assert _same_scan(got, tfd._band_magnitudes(full, band_hz))
 
 
 def test_pct_auto_band_grid_equals_full_grid_columns():
-    """compare's final PCT transform keeps only its band: the full final
-    grid's columns, axis and meta, from the same kernel fit."""
+    """compare's PCT scans only its band: the scan of pct_auto's full final
+    grid, its columns, axis and meta, from the same kernel fit."""
     x, band = gen_x2(snr=10.0, seed=1).signal, (5.0, 80.0)
-    full, got = pct_auto(x), pct_auto(x, band_hz=band)
+    full, got = pct_auto(x), pct._pct(x, PCTConfig(), band, scan=True)
     keep = (full.freqs_hz >= band[0]) & (full.freqs_hz <= band[1])
     assert 0 < keep.sum() < full.n_freqs
-    assert np.array_equal(got.values, full.values[:, keep])
     assert np.array_equal(got.freqs_hz, full.freqs_hz[keep])
-    assert got.meta == full.meta
+    assert _same_scan(got, tfd._band_magnitudes(full, band))
 
 
 def test_pct_empty_band_raises():
     z, cfg = linear_chirp(), PCTConfig()
     for band in [(40.1, 40.2), (200.0, 300.0), (-5.0, -1.0), (60.0, 50.0), (np.nan, 50.0)]:
         with pytest.raises(ValueError, match="band"):
-            pct_transform(z, PolynomialKernel.zero(2), cfg, band_hz=band)
+            pct._chirplet(z, PolynomialKernel.zero(2), cfg, band, scan=True)
 
 
 @pytest.mark.parametrize("band_hz", [None, (5.0, 70.0)])
 @pytest.mark.parametrize("workers, rows", [(3, None), (3, 1), (3, 7), (1, 1), (1, 7)])
 def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
-    """Pooled, one-row and 7-row blocks give the serial one-block grid bit
-    for bit; the 257 frames leave a short last block for 7 rows and for the
-    budget's rows (28 over the whole axis, 64 over the band).  The frames
-    take the band DFT."""
+    """Pooled, one-row and 7-row blocks give the serial one-block grid, or
+    band scan, bit for bit; the 257 frames leave a short last block for 7
+    rows and for the budget's rows (28 over the whole axis, 64 over the
+    band).  The frames take the band DFT."""
     z = analytic_signal(gen_x2(snr=10.0, seed=1).signal)
     kernel, cfg = PolynomialKernel((-430.0, 2610.0)), PCTConfig()
     n_frames = len(z) - cfg.window.length_samples + 1
     dft = tfd._frame_dft(cfg.window, cfg.fft_length)
     band = tfd._band_indices(np.arange(cfg.fft_length // 2 + 1) * 320.0 / cfg.fft_length,
                              band_hz)
+    scan = band_hz is not None
     with mock.patch.object(tfd, "_workers", lambda: 1), mock.patch.object(
         tfd, "_block_rows", lambda row_bytes: n_frames
     ):
-        serial = pct_transform(z, kernel, cfg, band_hz=band_hz)  # one block
+        serial = pct._chirplet(z, kernel, cfg, band_hz, scan)  # one block
     real_dft_rows, threads = tfd._dft_rows, set()
 
     def dft_rows(*args, **kwargs):
@@ -274,11 +279,15 @@ def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
         tfd, "_block_rows", blocks
     ), mock.patch.object(tfd, "_dft_rows", dft_rows):
-        got = pct_transform(z, kernel, cfg, band_hz=band_hz)
+        got = pct._chirplet(z, kernel, cfg, band_hz, scan)
     assert any(name.startswith("tfbench") for name in threads) == (workers > 1)
-    assert np.array_equal(got.values, serial.values)
-    assert np.array_equal(got.freqs_hz, serial.freqs_hz)
-    assert got.meta == serial.meta
+    if scan:
+        assert _same_scan(got, serial)
+        assert _same_scan(serial, tfd._band_magnitudes(pct_transform(z, kernel, cfg), band_hz))
+    else:
+        assert np.array_equal(got.values, serial.values)
+        assert np.array_equal(got.freqs_hz, serial.freqs_hz)
+        assert got.meta == serial.meta
 
 
 @pytest.mark.parametrize("signal", ["x1", "x2-snr10", "chirp"])

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from tfbench import tfd
+from tfbench import pct, tfd
 from tfbench.core import SampledSignal, WindowSpec, analytic_signal, make_window
-from tfbench.evaluate import default_config, run_transform
+from tfbench.evaluate import _scan_method, default_config
 from tfbench.pct import PCTConfig, PolynomialKernel, pct_transform
 from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import (
@@ -412,6 +412,23 @@ def _wvd_method(method, x, nfft, tlen, flen, **kw):
     return spwvd(x, WindowSpec("hamming", tlen), WindowSpec("gaussian", flen), nfft, **kw)
 
 
+def _wvd_scan(method, x, nfft, tlen, flen, band_hz, use_analytic=True):
+    """The band scan of ``_wvd_method``'s grid, straight from the producer's
+    row blocks."""
+    time_window = WindowSpec("hamming", tlen) if method == "spwvd" else None
+    freq_window = {"wvd": None, "pwvd": WindowSpec("hann", flen),
+                   "spwvd": WindowSpec("gaussian", flen)}[method]
+    return tfd._wvd_family(method, x, nfft, use_analytic, time_window, freq_window, band_hz,
+                           scan=True)
+
+
+def _same_scan(got, want):
+    """Two band scans agree field for field and bit for bit."""
+    return (got.method, got.meta) == (want.method, want.meta) and all(
+        np.array_equal(a, b) for a, b in zip(got[:2] + got[4:], want[:2] + want[4:])
+    )
+
+
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
 @given(
     method=st.sampled_from(["wvd", "pwvd", "spwvd"]),
@@ -429,6 +446,10 @@ def _wvd_method(method, x, nfft, tlen, flen, **kw):
 def test_wvd_family_band_grid_equals_full_grid_columns(
     method, n, nfft, rows, kind, tlen, flen, bins, between, limited, seed
 ):
+    """A band scan straight from the producer's row blocks is the scan of
+    the full grid's columns lo <= f <= hi, bit for bit: band edges on bins
+    and between them, folded lags, N below, at and across the block rows;
+    an empty band raises a ValueError that names the band."""
     rng = np.random.default_rng(seed)
     fs = 100.0
     if kind == "complex":
@@ -450,13 +471,12 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     with mock.patch.object(tfd, "_BLOCK_BYTES", rows * 16 * nfft):
         if not keep.any():
             with pytest.raises(ValueError, match="band"):
-                _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
+                _wvd_scan(method, x, nfft, tlen, flen, band_hz, **kw)
             return
-        got = _wvd_method(method, x, nfft, tlen, flen, band_hz=band_hz, **kw)
-    assert np.array_equal(got.values, full.values[:, keep])
-    assert np.array_equal(got.freqs_hz, f[keep])
-    assert np.array_equal(got.times_s, full.times_s)
-    assert got.meta == full.meta and got.method == full.method
+        got = _wvd_scan(method, x, nfft, tlen, flen, band_hz, **kw)
+    want = tfd._band_magnitudes(full, band_hz)
+    assert np.array_equal(want.freqs_hz, f[keep])
+    assert _same_scan(got, want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -506,15 +526,22 @@ def test_wvd_family_delay_shifts_rows(method, core, margins, delay, nfft, flen, 
 @pytest.mark.parametrize("band_hz", [None, (5.0, 30.0)])
 @pytest.mark.parametrize("n, one_row_blocks", [(37, False), (64, False), (37, True)])
 def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one_row_blocks):
-    """Serial (one worker) and three-worker grids are equal bit for bit, with
-    N not a multiple of the block rows (three parts, 37 = 12 + 12 + 13 rows
-    in blocks of 13, 64 = 21 + 21 + 22 in blocks of 22) and with one-row
-    blocks.  PWVD's and SPWVD's 11 lags, and WVD's 19 at N=37, take the band
-    DFT; WVD's 32 at N=64 take hfft."""
+    """Serial (one worker) and three-worker grids, and band scans, are equal
+    bit for bit, with N not a multiple of the block rows (three parts, 37 =
+    12 + 12 + 13 rows in blocks of 13, 64 = 21 + 21 + 22 in blocks of 22)
+    and with one-row blocks; a band scan is the scan of the full grid.
+    PWVD's and SPWVD's 11 lags, and WVD's 19 at N=37, take the band DFT;
+    WVD's 32 at N=64 take hfft."""
     x = SampledSignal(np.random.default_rng(n).normal(size=n), 100.0)
     nfft = 64
+
+    def transform():
+        if band_hz is None:
+            return _wvd_method(method, x, nfft, 5, 21)
+        return _wvd_scan(method, x, nfft, 5, 21, band_hz)
+
     with mock.patch.object(tfd, "_workers", lambda: 1):
-        serial = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
+        serial = transform()
     real_hfft, real_dft_rows, threads = tfd.np.fft.hfft, tfd._dft_rows, set()
 
     def hfft(*args, **kwargs):
@@ -529,10 +556,14 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
         tfd, "_block_rows", lambda row_bytes: rows
     ), mock.patch.object(tfd.np.fft, "hfft", hfft), mock.patch.object(tfd, "_dft_rows", dft_rows):
-        pooled = _wvd_method(method, x, nfft, 5, 21, band_hz=band_hz)
+        pooled = transform()
     assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
-    assert np.array_equal(pooled.values, serial.values)
-    assert np.array_equal(pooled.freqs_hz, serial.freqs_hz)
+    if band_hz is None:
+        assert np.array_equal(pooled.values, serial.values)
+        assert np.array_equal(pooled.freqs_hz, serial.freqs_hz)
+    else:
+        assert _same_scan(pooled, serial)
+        assert _same_scan(serial, tfd._band_magnitudes(_wvd_method(method, x, nfft, 5, 21), band_hz))
 
 
 @pytest.mark.parametrize(
@@ -650,12 +681,14 @@ def test_one_block_stays_on_the_calling_thread():
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_transform_transient_is_a_few_blocks(method, workers):
     """On a 4 s x2 record (N = 1280), what a transform holds beyond the grid
-    it returns is a few row blocks per worker, not a share of the grid."""
+    it returns, or compare's band scan of SPWVD beyond its reader's arrays
+    (the per-row argmax and peak and the per-range column sums), is a few
+    row blocks per worker, not a share of the grid."""
     x, cfg = gen_x2(duration_s=4.0, snr=10.0, seed=1).signal, default_config("x2")
     z = analytic_signal(x)
     transform = {
         "pct": lambda: pct_transform(z, PolynomialKernel.zero(2), PCTConfig()),
-        "band spwvd": lambda: run_transform(x, "spwvd", cfg, cfg.band_hz),
+        "band spwvd": lambda: _scan_method(x, "spwvd", cfg),
     }[method]
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -668,8 +701,12 @@ def test_transform_transient_is_a_few_blocks(method, workers):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert grid.n_times >= 1217
-    assert peak - before - grid.values.nbytes < 4 * 2**20
+    assert grid.times_s.size >= 1217
+    if isinstance(grid, TFDGrid):
+        held = grid.values.nbytes
+    else:
+        held = grid.argmax.nbytes + grid.peak.nbytes + tfd._SUM_RANGES * grid.col_sum.nbytes
+    assert peak - before - held < 4 * 2**20
 
 
 def test_row_blocks_under_thread_switch_stress():
@@ -716,19 +753,22 @@ def test_wvd_family_empty_band_raises():
     for band in [(200.0, 300.0), (10.2 * df, 10.7 * df), (-5.0, -1.0), (60.0, 50.0)]:
         for method in ("wvd", "pwvd", "spwvd"):
             with pytest.raises(ValueError, match="band"):
-                _wvd_method(method, z, 128, 11, 21, band_hz=band)
+                _wvd_scan(method, z, 128, 11, 21, band)
 
 
 def test_resolution_report_band_grid_keeps_full_grid_spacing():
+    """A band scan reports the full grid's spacing, from the meta, even
+    where its first two bins are not that far apart to the bit or it has
+    one bin."""
     fs = 1000.0 / 3.0
     x = SampledSignal(np.cos(2 * np.pi * 40.0 * np.arange(333) / fs), fs)
-    full, band = wvd(x, 2048), wvd(x, 2048, band_hz=(5.0, 80.0))
+    full, band = wvd(x, 2048), _wvd_scan("wvd", x, 2048, 1, 1, (5.0, 80.0))
     # the premise: the first two band bins are not fs/(2 nfft) apart to the bit
     assert band.freqs_hz[1] - band.freqs_hz[0] != full.freqs_hz[1] - full.freqs_hz[0]
     assert resolution_report(band) == resolution_report(full)
     assert resolution_report(full).spectral_resolution_hz == full.freqs_hz[1] - full.freqs_hz[0]
-    one_bin = wvd(x, 2048, band_hz=(full.freqs_hz[300], full.freqs_hz[300]))
-    assert one_bin.n_freqs == 1
+    one_bin = _wvd_scan("wvd", x, 2048, 1, 1, (full.freqs_hz[300], full.freqs_hz[300]))
+    assert one_bin.freqs_hz.size == 1
     assert resolution_report(one_bin) == resolution_report(full)
 
 
@@ -751,24 +791,27 @@ def _range_sum_reference(mags):
 @pytest.mark.parametrize("n", [1, 5, 12, 61, 200])
 def test_band_scan_sums_do_not_depend_on_blocks_or_threads(method, n):
     """The scan's column sums are the row-range sums, bit for bit, for blocks
-    that cut across the ranges at any size and for any thread count."""
+    that cut across the ranges at any size and for any thread count, over
+    22 columns and over one (which numpy would sum pairwise)."""
     rng = np.random.default_rng(n)
     vals = rng.normal(size=(n, 30)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
     g = TFDGrid(np.arange(n, dtype=float), 10.0 + np.arange(30), vals if method == "wvd"
                 else np.abs(vals), method)
-    mags = np.abs(g.values[:, 3:25])
-    want = _range_sum_reference(mags)
-    for rows in (1, 2, 5, 17, n):
-        for workers in (1, 2, 3, 4):
-            with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
-                tfd, "_BLOCK_BYTES", rows * 8 * 22
-            ):
-                scan = tfd._band_magnitudes(g, (13.0, 34.0))
-            assert np.array_equal(scan.freqs_hz, g.freqs_hz[3:25])
-            assert np.array_equal(scan.col_sum, want)
-            assert np.array_equal(scan.argmax, np.argmax(mags, axis=1))
-            assert np.array_equal(scan.peak, mags.max(axis=1))
-    assert not np.array_equal(want, mags.sum(axis=0)) or n <= 12  # the ranges matter
+    for band_hz, cols in [((13.0, 34.0), slice(3, 25)), ((20.0, 20.0), slice(10, 11))]:
+        mags = np.abs(g.values[:, cols])
+        want = _range_sum_reference(mags)
+        for rows in (1, 2, 5, 7, 17, n):
+            for workers in (1, 2, 3, 4):
+                with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+                    tfd, "_BLOCK_BYTES", rows * 8 * mags.shape[1]
+                ):
+                    scan = tfd._band_magnitudes(g, band_hz)
+                assert np.array_equal(scan.freqs_hz, g.freqs_hz[cols])
+                assert np.array_equal(scan.col_sum, want), (band_hz, rows, workers)
+                assert np.array_equal(scan.argmax, np.argmax(mags, axis=1))
+                assert np.array_equal(scan.peak, mags.max(axis=1))
+        if mags.shape[1] > 1:
+            assert not np.array_equal(want, mags.sum(axis=0)) or n <= 12  # the ranges matter
 
 
 @pytest.mark.parametrize("workers, rows", [(1, None), (3, None), (3, 1), (4, 3)])
@@ -860,10 +903,15 @@ def test_band_dft_cost_rule(power, taps, nfft, direct):
 
 
 def _band_dft_grid(method, x, nfft, flen, band_hz=None):
+    """The full grid, or with ``band_hz`` the band scan, of a transform whose
+    rows take the band DFT."""
     if method == "pct":
         cfg = PCTConfig(window=WindowSpec("hann", flen), fft_length=nfft)
-        return pct_transform(x, PolynomialKernel((3.0, -7.5)), cfg, band_hz)
-    return _wvd_method(method, x, nfft, 7, flen, band_hz=band_hz)
+        return pct._chirplet(x, PolynomialKernel((3.0, -7.5)), cfg, band_hz,
+                             scan=band_hz is not None)
+    if band_hz is None:
+        return _wvd_method(method, x, nfft, 7, flen)
+    return _wvd_scan(method, x, nfft, 7, flen, band_hz)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -882,9 +930,9 @@ def test_band_dft_bits_do_not_depend_on_blocks_workers_or_band(
 ):
     """On the band DFT path a row's bits depend on neither its block (its
     offset in the products, one-row, 7-row and budget blocks, a short last
-    block), nor the worker count (1 and 3), nor the band: a band grid is the
-    full grid's columns, band edges on bins or between them, the axis' last
-    chunk short."""
+    block), nor the worker count (1 and 3), nor the band: a band scan is the
+    scan of the full grid's columns, band edges on bins or between them, the
+    axis' last chunk short."""
     fs = 100.0
     x = SampledSignal(np.random.default_rng(seed).normal(size=n), fs, start_time_s=0.25)
     x = analytic_signal(x) if analytic else x
@@ -914,15 +962,16 @@ def test_band_dft_bits_do_not_depend_on_blocks_workers_or_band(
                     continue
                 band = _band_dft_grid(method, x, nfft, flen, band_hz)
             assert np.array_equal(full.values, want.values)
-            assert np.array_equal(band.values, want.values[:, keep])
             assert np.array_equal(band.freqs_hz, f[keep])
+            assert _same_scan(band, tfd._band_magnitudes(want, band_hz))
 
 
 @pytest.mark.parametrize("method", ["pct", "spwvd"])
 def test_band_dft_products_have_one_shape(method):
     """Every matrix product of one transform has one shape, R x 2*taps x
     columns with R and the columns at least 2 and at most _GEMM_MACS
-    multiply-adds, whatever the band, block size or worker count."""
+    multiply-adds, whatever the band, block size or worker count: the full
+    grid's and the band scans' products alike."""
     x = gen_x2(snr=10.0, seed=1).signal
     real_matmul, shapes = np.matmul, set()
 
@@ -936,11 +985,13 @@ def test_band_dft_products_have_one_shape(method):
         with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
             tfd, "_block_rows", blocks
         ), mock.patch.object(tfd.np, "matmul", matmul):
+            scan = band_hz is not None
             if method == "pct":
-                pct_transform(analytic_signal(x), PolynomialKernel((3.0, -7.5)), PCTConfig(),
-                              band_hz)
+                pct._chirplet(analytic_signal(x), PolynomialKernel((3.0, -7.5)), PCTConfig(),
+                              band_hz, scan)
             else:
-                spwvd(x, WindowSpec("hann", 31), WindowSpec("hann", 63), 2048, band_hz=band_hz)
+                tfd._wvd_family("spwvd", x, 2048, True, WindowSpec("hann", 31),
+                                WindowSpec("hann", 63), band_hz, scan)
     assert len(shapes) == 1
     ((rows, inputs), (inputs_b, cols)), = shapes
     assert inputs == inputs_b and rows >= 2 and cols >= 2
