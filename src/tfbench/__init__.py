@@ -7,6 +7,7 @@ scored by ridge RMSE/NRMSE; the ``tfbench`` CLI batches the whole pipeline.
 """
 
 from .core import (
+    IFTrajectory,
     InsufficientDataError,
     SampledSignal,
     WindowSpec,
@@ -18,12 +19,9 @@ from .core import (
 from .evaluate import (
     CompareConfig,
     ComparisonReport,
-    IFTrajectory,
     MethodResult,
     compare_methods,
     default_config,
-    dominant_frequency,
-    extract_ridge,
     nrmse,
     rmse,
     run_transform,
@@ -34,6 +32,8 @@ from .tfd import (
     PSD,
     ResolutionReport,
     TFDGrid,
+    dominant_frequency,
+    extract_ridge,
     next_pow2,
     psd_from_tfd,
     pwvd,

@@ -18,17 +18,11 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .core import SampledSignal, decimate
-from .evaluate import (
-    DEFAULT_METHODS,
-    METHODS,
-    CompareConfig,
-    compare_methods,
-    default_config,
-    resolution_report,
-    run_transform,
-)
+from .evaluate import DEFAULT_METHODS, METHODS, CompareConfig, compare_methods, default_config
+from .evaluate import run_transform
 from .pct import PCTConfig
 from .synth import GENERATORS
+from .tfd import _short_time_checks, _wvd_checks, resolution_report
 from . import io as tfio
 
 EXIT_OK = 0
@@ -177,6 +171,9 @@ def _compare_config(doc: dict, band=None, order=None, profile: str = "x1") -> Co
         cfg = _from_dict(CompareConfig, part, section, keys, vars(cfg))
     if band is not None:
         cfg.band_hz = band
+    # the producers' own checks, so a bad file fails before any method runs
+    _short_time_checks(cfg.stft_window, cfg.stft_hop, cfg.stft_fft)
+    _wvd_checks(cfg.wvd_fft, cfg.spwvd_time_window, cfg.spwvd_freq_window)
     pct_doc = doc.get("pct", {})
     if order is not None and isinstance(pct_doc, dict):
         pct_doc = {**pct_doc, "order": order}

@@ -1,5 +1,5 @@
-"""Core signal types, window functions, analytic-signal construction,
-decimation, and calibrated noise injection.
+"""Core signal and IF-trajectory types, window functions, analytic-signal
+construction, decimation, and calibrated noise injection.
 
 Everything here is a pure function of its inputs; the signal containers are
 frozen value objects that are safe to share across threads.
@@ -64,6 +64,52 @@ class SampledSignal:
     def times(self) -> np.ndarray:
         """Time stamp of every sample, in seconds."""
         return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
+
+
+@dataclass(frozen=True)
+class IFTrajectory:
+    """Per-time-instant frequency estimate with a validity mask.
+
+    Invalid entries carry no information; their frequency values are
+    ignored by every consumer.  The arrays are stored read-only.
+    """
+
+    times_s: np.ndarray
+    freqs_hz: np.ndarray
+    valid: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times_s, dtype=np.float64)
+        freqs = np.asarray(self.freqs_hz, dtype=np.float64)
+        valid = np.asarray(self.valid, dtype=bool)
+        if not (times.size == freqs.size == valid.size):
+            raise ValueError("times_s, freqs_hz and valid must have equal length")
+        if times.size == 0:
+            raise ValueError("trajectory must not be empty")
+        if times.size > 1 and not np.all(np.diff(times) > 0):
+            raise ValueError("times_s must be strictly increasing")
+        masked = freqs[valid]
+        if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked < 0)):
+            raise ValueError("valid frequencies must be finite and non-negative")
+        object.__setattr__(self, "times_s", _read_only(times))
+        object.__setattr__(self, "freqs_hz", _read_only(freqs))
+        object.__setattr__(self, "valid", _read_only(valid))
+
+    def __len__(self) -> int:
+        return self.times_s.size
+
+    def resample(self, times_s: np.ndarray) -> "IFTrajectory":
+        """Nearest-neighbor lookup onto a new time grid (no interpolation;
+        the validity mask travels with its sample)."""
+        new_times = np.asarray(times_s, dtype=np.float64)
+        if self.times_s.size == 1:
+            idx = np.zeros(new_times.size, dtype=int)
+        else:
+            right = np.clip(np.searchsorted(self.times_s, new_times), 1, len(self) - 1)
+            left = right - 1
+            pick_left = (new_times - self.times_s[left]) <= (self.times_s[right] - new_times)
+            idx = np.where(pick_left, left, right)
+        return IFTrajectory(new_times, self.freqs_hz[idx], self.valid[idx])
 
 
 WINDOW_KINDS = ("rectangular", "hann", "hamming", "gaussian")

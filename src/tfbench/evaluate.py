@@ -1,9 +1,9 @@
-"""Ridge-based IF estimation, error metrics, and the method comparison harness.
+"""Error metrics and the method comparison harness.
 
-A ridge is the per-frame argmax of a time-frequency grid; comparing it
-against a known IF trajectory with RMSE/NRMSE is how the estimators are
-scored.  ``compare_methods`` runs the full experiment for a set of methods
-and collects one result row per method.
+A method is scored by its ridge, the per-frame argmax of its grid's band
+(``tfd._ridge`` of the method's band scan), against a known IF trajectory
+with RMSE/NRMSE.  ``compare_methods`` runs the full experiment for a set of
+methods and collects one result row per method.
 """
 
 from __future__ import annotations
@@ -13,66 +13,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import InsufficientDataError, SampledSignal, WindowSpec, _read_only
-from .tfd import (
-    ResolutionReport,
-    TFDGrid,
-    _band_magnitudes,
-    _BandScan,
-    _short_time,
-    _wvd_family,
-    next_pow2,
-    resolution_report,
-)
+from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec
+from .pct import PCTConfig, _pct
+from .tfd import ResolutionReport, TFDGrid, _BandScan, _dominant, _ridge, _short_time
+from .tfd import _wvd_family, next_pow2, resolution_report
 from .tfd import stft, wvd  # noqa: F401  the benchmark's tracer looks them up here
 
 DEFAULT_METHODS = ("stft", "pct", "wvd", "spwvd")
-
-
-@dataclass(frozen=True)
-class IFTrajectory:
-    """Per-time-instant frequency estimate with a validity mask.
-
-    Invalid entries carry no information; their frequency values are
-    ignored by every consumer.  The arrays are stored read-only.
-    """
-
-    times_s: np.ndarray
-    freqs_hz: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times_s, dtype=np.float64)
-        freqs = np.asarray(self.freqs_hz, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
-        if not (times.size == freqs.size == valid.size):
-            raise ValueError("times_s, freqs_hz and valid must have equal length")
-        if times.size == 0:
-            raise ValueError("trajectory must not be empty")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times_s must be strictly increasing")
-        masked = freqs[valid]
-        if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked < 0)):
-            raise ValueError("valid frequencies must be finite and non-negative")
-        object.__setattr__(self, "times_s", _read_only(times))
-        object.__setattr__(self, "freqs_hz", _read_only(freqs))
-        object.__setattr__(self, "valid", _read_only(valid))
-
-    def __len__(self) -> int:
-        return self.times_s.size
-
-    def resample(self, times_s: np.ndarray) -> "IFTrajectory":
-        """Nearest-neighbor lookup onto a new time grid (no interpolation;
-        the validity mask travels with its sample)."""
-        new_times = np.asarray(times_s, dtype=np.float64)
-        if self.times_s.size == 1:
-            idx = np.zeros(new_times.size, dtype=int)
-        else:
-            right = np.clip(np.searchsorted(self.times_s, new_times), 1, len(self) - 1)
-            left = right - 1
-            pick_left = (new_times - self.times_s[left]) <= (self.times_s[right] - new_times)
-            idx = np.where(pick_left, left, right)
-        return IFTrajectory(new_times, self.freqs_hz[idx], self.valid[idx])
 
 
 def _joint_mask(actual: IFTrajectory, estimated: IFTrajectory) -> np.ndarray:
@@ -99,52 +46,6 @@ def nrmse(actual: IFTrajectory, estimated: IFTrajectory) -> float:
     if mean_actual <= 0.0:
         raise ValueError("mean actual IF must be positive for normalization")
     return rmse(actual, estimated) / mean_actual
-
-
-def extract_ridge(
-    g: TFDGrid,
-    band_hz: Optional[tuple] = None,
-    amp_threshold_frac: float = 0.0,
-) -> IFTrajectory:
-    """Argmax frequency per frame, restricted to ``band_hz``.
-
-    WVD-family grids are searched by absolute value so negative lobes
-    compete on magnitude.  Frames whose in-band maximum falls below
-    ``amp_threshold_frac`` of the global in-band maximum are masked
-    invalid; an all-zero grid yields an all-invalid trajectory.
-    """
-    if not 0.0 <= amp_threshold_frac < 1.0:
-        raise ValueError("amp_threshold_frac must lie in [0, 1)")
-    return _ridge(_band_magnitudes(g, band_hz), amp_threshold_frac)
-
-
-def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
-    """Frequency of the maximum of the grid's PSD within the band.
-
-    The PSD is the time mean of the band's columns as ``_band_magnitudes``
-    reads them (WVD-family grids by absolute value, as in ``psd_from_tfd``);
-    only its argmax matters, so it is not normalized.  A band that is all
-    zero has no dominant frequency and raises InsufficientDataError.
-    """
-    return _dominant(_band_magnitudes(g, band_hz))
-
-
-def _ridge(scan: _BandScan, amp_threshold_frac: float) -> IFTrajectory:
-    """``extract_ridge`` from a band scan."""
-    global_peak = float(scan.peak.max(initial=0.0))
-    if global_peak == 0.0:
-        valid = np.zeros(scan.peak.size, dtype=bool)
-    else:
-        valid = scan.peak >= amp_threshold_frac * global_peak
-    return IFTrajectory(scan.times_s.copy(), scan.freqs_hz[scan.argmax], valid)
-
-
-def _dominant(scan: _BandScan) -> float:
-    """``dominant_frequency`` from a band scan."""
-    power = scan.col_sum / scan.times_s.size
-    if not power.any():
-        raise InsufficientDataError("grid is all zero in the band; no dominant frequency")
-    return float(scan.freqs_hz[np.argmax(power)])
 
 
 @dataclass
@@ -215,7 +116,7 @@ class CompareConfig:
     wvd_fft: Optional[int] = None
     spwvd_time_window: WindowSpec = WindowSpec("hann", 31)
     spwvd_freq_window: WindowSpec = WindowSpec("hann", 63)
-    pct: Optional[object] = None
+    pct: Optional[PCTConfig] = None
     band_hz: Optional[tuple] = (5.0, 80.0)
     amp_threshold_frac: float = 0.05
     score_component: Optional[int] = None
@@ -353,7 +254,3 @@ def _producer(method: str):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     return METHODS[method]
-
-
-# pct imports extract_ridge from this module, so it is imported last
-from .pct import PCTConfig, _pct  # noqa: E402

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SampledSignal
-from .evaluate import IFTrajectory
+from .core import IFTrajectory, SampledSignal
 from .synth import SyntheticSignal
 from .tfd import TFDGrid
 
@@ -228,6 +227,8 @@ def read_truth_json(path) -> tuple[list, dict]:
         raise ValueError(f"{path}: malformed truth file ({type(exc).__name__}: {exc})") from None
     if not trajectories:
         raise ValueError(f"{path}: truth file has no components")
+    if not isinstance(doc.get("signal_id", ""), str):
+        raise ValueError(f"{path}: signal_id must be a string, got {doc['signal_id']!r}")
     meta = {k: v for k, v in doc.items() if k not in ("times_s", "components")}
     return trajectories, meta
 

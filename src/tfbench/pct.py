@@ -14,9 +14,10 @@ A component whose IF matches the kernel polynomial is concentrated as if it
 were a stationary tone; a zero kernel reduces the transform to the STFT.
 ``estimate_kernel`` alternates transform, ridge extraction, and weighted
 polynomial fitting until the fitted IF stops moving.  Its iterations read
-band scans of the ridge band, not grids.  ``_pct`` is ``pct_auto``'s one
-path: with ``scan`` it scans the kept kernel's transform too, so
-``compare`` builds no PCT grid at all.
+band scans of the ridge band, not grids, through ``tfd._ridge``, the ridge
+``compare`` scores every method by.  ``_pct`` is ``pct_auto``'s one path:
+with ``scan`` it scans the kept kernel's transform too, so ``compare``
+builds no PCT grid at all.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
-from .evaluate import _ridge
-from .evaluate import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
-from .tfd import TFDGrid, _BandDFT, _BandScan, _frame_dft, _short_time
+from .tfd import TFDGrid, _BandScan, _ridge, _short_time, _short_time_checks
+from .tfd import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,7 @@ class PCTConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (np.isfinite(self.convergence_tol_hz) and self.convergence_tol_hz > 0):
             raise ValueError("convergence_tol_hz must be positive and finite")
-        if self.hop_samples < 1:
-            raise ValueError("hop_samples must be >= 1")
-        if self.window.length_samples > self.fft_length:
-            raise ValueError("window must not be longer than fft_length")
+        _short_time_checks(self.window, self.hop_samples, self.fft_length)
         if not 0.0 <= self.amp_threshold_frac < 1.0:
             raise ValueError("amp_threshold_frac must lie in [0, 1)")
 
@@ -119,14 +116,12 @@ def _chirplet(
     cfg: PCTConfig,
     band_hz: Optional[tuple] = None,
     scan: bool = False,
-    dft: Optional[_BandDFT] = None,
     **meta,
 ):
     """``pct_transform``'s grid, its bins inside ``band_hz`` only, or with
     ``scan`` the band scan of that grid (see ``tfd._short_time``), so no
-    grid is built.  ``dft`` is the frame DFT of ``cfg``'s window
-    (``tfd._frame_dft``), built once by a caller that transforms many
-    times; ``meta`` adds meta keys."""
+    grid is built; ``meta`` adds meta keys.  The frame DFT of ``cfg``'s
+    window is ``tfd._frame_dft``'s, built once per process."""
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
     rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
@@ -139,7 +134,6 @@ def _chirplet(
         kernel.local_if,
         band_hz,
         scan,
-        dft,
         analytic_input=bool(np.iscomplexobj(z.samples)),
         kernel_coeffs=list(kernel.coeffs),
         **meta,
@@ -189,19 +183,19 @@ def _fit_ridge_poly(scan: _BandScan, cfg: PCTConfig) -> tuple[np.ndarray, float]
     return coeffs, residual
 
 
-def _iterate(
-    z: SampledSignal, cfg: PCTConfig, dft: Optional[_BandDFT]
-) -> tuple[tuple, int, bool]:
-    """``estimate_kernel``'s loop; returns (kept IF coeffs, iterations,
-    converged).  Each iteration reads a band scan of ``ridge_band_hz``, so
-    no grid is built; all of them use the frame DFT ``dft``."""
+def _iterate(z: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple] = None,
+             scan: bool = False) -> tuple:
+    """``estimate_kernel``'s loop, then the kept kernel's transform; returns
+    (kept IF coeffs, iterations, converged, that transform as ``_chirplet``
+    gives it for ``band_hz`` and ``scan``).  Each iteration reads a band
+    scan of ``ridge_band_hz``, so no grid is built."""
     kernel = PolynomialKernel.zero(cfg.order)
     prev_fitted: Optional[np.ndarray] = None
     kept = (np.inf, None)  # (residual, coeffs)
     for iterations in range(1, cfg.max_iterations + 1):
-        scan = _chirplet(z, kernel, cfg, cfg.ridge_band_hz, scan=True, dft=dft)
-        coeffs, residual = _fit_ridge_poly(scan, cfg)
-        fitted = npoly.polyval(scan.times_s, coeffs)
+        ridge_scan = _chirplet(z, kernel, cfg, cfg.ridge_band_hz, scan=True)
+        coeffs, residual = _fit_ridge_poly(ridge_scan, cfg)
+        fitted = npoly.polyval(ridge_scan.times_s, coeffs)
         converged = prev_fitted is not None and bool(
             np.max(np.abs(fitted - prev_fitted)) < cfg.convergence_tol_hz
         )
@@ -211,7 +205,10 @@ def _iterate(
             break
         prev_fitted = fitted
         kernel = PolynomialKernel(tuple(coeffs[1:]))
-    return tuple(kept[1]), iterations, converged
+    if_coeffs = tuple(kept[1])
+    out = _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan,
+                    iterations=iterations, converged=converged)
+    return if_coeffs, iterations, converged, out
 
 
 def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> KernelFit:
@@ -230,11 +227,8 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
     ``KernelFit.grid``, is a full grid.
     """
     cfg = cfg if cfg is not None else PCTConfig()
-    dft = _frame_dft(cfg.window, cfg.fft_length)
-    if_coeffs, iterations, converged = _iterate(z, cfg, dft)
-    kernel = PolynomialKernel(if_coeffs[1:])
-    grid = _chirplet(z, kernel, cfg, dft=dft, iterations=iterations, converged=converged)
-    return KernelFit(kernel, grid, iterations, converged, if_coeffs)
+    if_coeffs, iterations, converged, grid = _iterate(z, cfg)
+    return KernelFit(PolynomialKernel(if_coeffs[1:]), grid, iterations, converged, if_coeffs)
 
 
 def pct_auto(x: SampledSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:
@@ -248,7 +242,4 @@ def _pct(x: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple] = None, scan
     the band scan of that grid: the kernel iterations and the kept kernel's
     transform all go straight into band scans, so no grid is built."""
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
-    dft = _frame_dft(cfg.window, cfg.fft_length)
-    if_coeffs, iterations, converged = _iterate(z, cfg, dft)
-    return _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan, dft,
-                     iterations=iterations, converged=converged)
+    return _iterate(z, cfg, band_hz, scan)[3]

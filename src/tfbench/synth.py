@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampledSignal, add_white_noise
-from .evaluate import IFTrajectory
+from .core import IFTrajectory, SampledSignal, add_white_noise
 
 @dataclass(frozen=True)
 class SyntheticSignal:

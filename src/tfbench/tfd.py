@@ -1,8 +1,9 @@
 """Fourier-family time-frequency distributions.
 
 Implements the short-time Fourier transform and the Wigner-Ville family
-(raw, pseudo, smoothed-pseudo) on a common grid container, plus frequency
-marginals (PSD) and grid-resolution reporting.
+(raw, pseudo, smoothed-pseudo) on a common grid container, plus the readers
+of a grid: frequency marginals (PSD), the ridge and dominant frequency, and
+grid-resolution reporting.
 
 Conventions
 -----------
@@ -24,11 +25,12 @@ Conventions
   N/2 lags, STFT's 128-tap frames) keep ``np.fft.hfft`` (lags past the
   Hermitian half folded first) or ``np.fft.fft``.  The choice is a pure
   function of the taps and fft_length (the cost rule in ``_band_dft``), so
-  a band scan and the full grid take the same path.  Every product has
-  one shape per transform, R rows x 2*taps x at most 128 columns with R
-  and the columns at least 2, of at most 2**18 multiply-adds: OpenBLAS
-  runs it on the calling thread as one dgemm, and a row's bits depend on
-  neither its place in the product nor the other rows.  Chunks start at
+  a band scan and the full grid take the same path; a frame DFT is built
+  once per process (``_frame_dft``).  Every product has one shape per
+  transform, R rows x 2*taps x at most 128 columns with R and the columns
+  at least 2, of at most 2**18 multiply-adds: OpenBLAS runs it on the
+  calling thread as one dgemm, and a row's bits depend on neither its
+  place in the product nor the other rows.  Chunks start at
   multiples of their width on the full axis and short products are
   zero-padded, so a bin's bits depend on neither the band, the block size
   nor the thread count (of tfbench or of OpenBLAS).  They do depend on the
@@ -50,8 +52,11 @@ Conventions
   ``_short_time`` (STFT and PCT), feed either one (``scan=True``) through
   one tail, ``_rows_out``.  A band scan (``_BandScan``) holds the band
   grid's axes, method and meta next to those reductions, stored grid or
-  not; it reads WVD-family values by magnitude.  ``_band_magnitudes`` scans the row blocks of a stored grid,
-  for ``psd_from_tfd`` and the ridge and dominant-frequency readers.
+  not; it reads WVD-family values by magnitude.  ``_band_magnitudes`` scans
+  the row blocks of a stored grid, for ``psd_from_tfd``, ``extract_ridge``
+  and ``dominant_frequency``.  Those two read it through ``_ridge`` and
+  ``_dominant``, which PCT's kernel fit and ``compare`` call on scans no
+  grid was built for, so the three read a ridge by one rule.
 * Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
   ranges are added in order onto that range's running sum, and the ranges
   are added in order at the end, one column as any other.  A worker takes
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -73,7 +79,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampledSignal, WindowSpec, _read_only, analytic_signal, make_window
+from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec
+from .core import _read_only, analytic_signal, make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
@@ -400,7 +407,7 @@ def _band_dft(weights: np.ndarray, fft_length: int, power: bool) -> Optional[_Ba
         matrix[0::2, cols:], matrix[1::2, cols:] = -sin, cos
     chunks = np.arange(-(-bins // cols))[:, None]
     phases = np.exp((-2j * np.pi / n) * (chunks * cols * lags.T % n))
-    return _BandDFT(matrix, phases, cols, rows, power)
+    return _BandDFT(_read_only(matrix), _read_only(phases), cols, rows, power)
 
 
 def _dft_row_bytes(dft: _BandDFT, band: slice) -> int:
@@ -439,10 +446,19 @@ def _dft_rows(u: np.ndarray, dft: _BandDFT, band: slice) -> np.ndarray:
     return out.reshape(n_rows, -1)[:, lo : lo + band.stop - band.start]
 
 
+@functools.lru_cache(maxsize=8)
 def _frame_dft(window: WindowSpec, fft_length: int) -> Optional[_BandDFT]:
-    """``_band_dft`` of frames windowed by ``window``: None where the FFT
-    costs less."""
+    """``_band_dft`` of frames windowed by ``window``, built once per process
+    for each (window, fft_length): None where the FFT costs less."""
     return _band_dft(make_window(window), fft_length, power=True)
+
+
+def _short_time_checks(window: WindowSpec, hop_samples: int, fft_length: int) -> None:
+    """The checks of ``_short_time``'s parameters that read no samples."""
+    if hop_samples < 1:
+        raise ValueError("hop_samples must be >= 1")
+    if window.length_samples > fft_length:
+        raise ValueError("window must not be longer than fft_length")
 
 
 def _short_time(
@@ -454,7 +470,6 @@ def _short_time(
     shift_hz=None,
     band_hz: Optional[tuple] = None,
     scan: bool = False,
-    dft: Optional[_BandDFT] = None,
     **meta,
 ):
     """The framing ``stft`` documents, as a grid named ``method``.
@@ -462,17 +477,14 @@ def _short_time(
     ``shift_hz`` maps frame centers to Hz; when given, frame k is multiplied
     by exp(2j*pi*shift_hz(center_k)*t) at its sample times t before
     windowing.  ``band_hz`` keeps only the bins inside it; an empty band
-    raises ValueError.  ``dft`` is ``_frame_dft(window, fft_length)``, for a
-    caller that transforms many times with one window (PCT's kernel
-    iterations); it is built here when not given.  ``meta`` adds or
-    overrides grid meta keys.
+    raises ValueError.  ``meta`` adds or overrides grid meta keys.
 
     Frames are transformed in row blocks (see ``_in_rows``): each block
     gathers and shifts its frames, then either takes the band DFT of the
-    kept bins (``_dft_rows``, the window taps in its matrix; PCT's 64-tap
-    frames at fft_length 1024) or windows them, takes their FFT and keeps
-    |.|^2 of the kept bins (STFT's 128-tap frames), by ``_band_dft``'s cost
-    rule.  So no all-frames x fft_length spectrum is built.  A block holds
+    kept bins (``_dft_rows`` under ``_frame_dft``, the window taps in its
+    matrix; PCT's 64-tap frames at fft_length 1024) or windows them, takes
+    their FFT and keeps |.|^2 of the kept bins (STFT's 128-tap frames), by
+    ``_band_dft``'s cost rule.  So no all-frames x fft_length spectrum is built.  A block holds
     16 * fft_length bytes of work per frame on the FFT path and
     ``_dft_row_bytes`` on the band DFT's.  Frames that fit in one block, as
     those of ``compare``'s STFT of a 1 s record do, are transformed on the
@@ -480,11 +492,8 @@ def _short_time(
     they go to a ``_BandReader`` and the band grid's ``_BandScan`` is
     returned, so no grid is built.
     """
-    if hop_samples < 1:
-        raise ValueError("hop_samples must be >= 1")
+    _short_time_checks(window, hop_samples, fft_length)
     wlen = window.length_samples
-    if wlen > fft_length:
-        raise ValueError("window must not be longer than fft_length")
     if wlen > len(x):
         raise ValueError(f"window ({wlen}) longer than signal ({len(x)})")
     fs = x.sample_rate_hz
@@ -494,8 +503,7 @@ def _short_time(
     offsets = np.arange(wlen)
     times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
     taps = make_window(window)
-    if dft is None:
-        dft = _frame_dft(window, fft_length)
+    dft = _frame_dft(window, fft_length)
     shift_at = shift_hz(times) if shift_hz is not None else None
     sample_times = x.times()
 
@@ -583,6 +591,20 @@ def _smooth_rows(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     return full[start : start + q.shape[0]]
 
 
+def _wvd_checks(fft_length: Optional[int], time_window: Optional[WindowSpec],
+                freq_window: Optional[WindowSpec]) -> None:
+    """The checks of ``_wvd_family``'s parameters that read no samples; an
+    ``fft_length`` of None, one still to be chosen from the signal, passes."""
+    if fft_length is not None and fft_length < 1:
+        raise ValueError("fft_length must be >= 1")
+    for name, spec in (("time_window", time_window), ("freq_window", freq_window)):
+        if spec is not None and spec.length_samples % 2 == 0:
+            raise ValueError(f"{name} length must be odd")
+    if freq_window is not None and freq_window.periodic:
+        raise ValueError("freq_window must be symmetric: a periodic lag window is not even "
+                         "and would make the distribution complex")
+
+
 def _wvd_family(
     method: str,
     x: SampledSignal,
@@ -623,15 +645,7 @@ def _wvd_family(
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
-    if fft_length < 1:
-        raise ValueError("fft_length must be >= 1")
-    windows = {"time_window": time_window, "freq_window": freq_window}
-    for name, spec in windows.items():
-        if spec is not None and spec.length_samples % 2 == 0:
-            raise ValueError(f"{name} length must be odd")
-    if freq_window is not None and freq_window.periodic:
-        raise ValueError("freq_window must be symmetric: a periodic lag window is not even "
-                         "and would make the distribution complex")
+    _wvd_checks(fft_length, time_window, freq_window)
     fs = x.sample_rate_hz
     freqs = np.arange(fft_length) * fs / (2.0 * fft_length)
     band = _band_indices(freqs, band_hz)
@@ -686,6 +700,7 @@ def _wvd_family(
         # real inputs fold at fs/4; the grid still spans [0, fs/2)
         "folding_hz": fs / 2.0 if analytic else fs / 4.0,
     }
+    windows = {"time_window": time_window, "freq_window": freq_window}
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
     # a row's work on the FFT path, 16 bytes a value: its lag row or its
     # spectrum, whichever is longer
@@ -737,6 +752,52 @@ def psd_from_tfd(g: TFDGrid) -> PSD:
     p = _band_magnitudes(g, None).col_sum / g.n_times
     total = p.sum()
     return PSD(g.freqs_hz.copy(), p / total if total else p, all_zero=bool(total == 0))
+
+
+def extract_ridge(
+    g: TFDGrid,
+    band_hz: Optional[tuple] = None,
+    amp_threshold_frac: float = 0.0,
+) -> IFTrajectory:
+    """Argmax frequency per frame, restricted to ``band_hz``.
+
+    WVD-family grids are searched by absolute value so negative lobes
+    compete on magnitude.  Frames whose in-band maximum falls below
+    ``amp_threshold_frac`` of the global in-band maximum are masked
+    invalid; an all-zero grid yields an all-invalid trajectory.
+    """
+    if not 0.0 <= amp_threshold_frac < 1.0:
+        raise ValueError("amp_threshold_frac must lie in [0, 1)")
+    return _ridge(_band_magnitudes(g, band_hz), amp_threshold_frac)
+
+
+def dominant_frequency(g: TFDGrid, band_hz: Optional[tuple] = None) -> float:
+    """Frequency of the maximum of the grid's PSD within the band.
+
+    The PSD is the time mean of the band's columns as ``_band_magnitudes``
+    reads them (WVD-family grids by absolute value, as in ``psd_from_tfd``);
+    only its argmax matters, so it is not normalized.  A band that is all
+    zero has no dominant frequency and raises InsufficientDataError.
+    """
+    return _dominant(_band_magnitudes(g, band_hz))
+
+
+def _ridge(scan: _BandScan, amp_threshold_frac: float) -> IFTrajectory:
+    """``extract_ridge`` from a band scan."""
+    global_peak = float(scan.peak.max(initial=0.0))
+    if global_peak == 0.0:
+        valid = np.zeros(scan.peak.size, dtype=bool)
+    else:
+        valid = scan.peak >= amp_threshold_frac * global_peak
+    return IFTrajectory(scan.times_s.copy(), scan.freqs_hz[scan.argmax], valid)
+
+
+def _dominant(scan: _BandScan) -> float:
+    """``dominant_frequency`` from a band scan."""
+    power = scan.col_sum / scan.times_s.size
+    if not power.any():
+        raise InsufficientDataError("grid is all zero in the band; no dominant frequency")
+    return float(scan.freqs_hz[np.argmax(power)])
 
 
 def resolution_report(g: TFDGrid) -> ResolutionReport:

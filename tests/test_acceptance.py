@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from tfbench.core import SampledSignal, WindowSpec, analytic_signal
-from tfbench.evaluate import IFTrajectory, compare_methods, default_config, nrmse, rmse, run_transform
+from tfbench.core import IFTrajectory, SampledSignal, WindowSpec, analytic_signal
+from tfbench.evaluate import compare_methods, default_config, nrmse, rmse, run_transform
 from tfbench.pct import PCTConfig, PolynomialKernel, estimate_kernel, pct_transform
 from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import psd_from_tfd, resolution_report, spwvd, stft, wvd

@@ -508,6 +508,66 @@ def test_config_band_is_checked_before_any_method_runs(tmp_path, capsys, monkeyp
     assert main(argv) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"stft": {"hop_samples": 0}}, "hop_samples must be >= 1"),
+        ({"stft": {"fft_length": 64}}, "window must not be longer than fft_length"),
+        ({"wvd": {"fft_length": 0}}, "fft_length must be >= 1"),
+        ({"spwvd": {"time_window": {"kind": "hann", "length_samples": 30}}},
+         "time_window length must be odd"),
+        ({"spwvd": {"freq_window": {"kind": "hann", "length_samples": 63, "periodic": True}}},
+         "freq_window must be symmetric"),
+    ],
+)
+def test_compare_rejects_method_parameters_before_any_method_runs(tmp_path, capsys,
+                                                                  monkeypatch, doc, message):
+    """Method parameters in a config file that no signal can satisfy exit 3
+    with one message and no output, before any method runs, as analyze
+    does; they are not error rows of a report."""
+    csv_path, truth_path = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+
+    def no_method(method):
+        raise AssertionError(f"{method} ran")
+
+    monkeypatch.setattr(evaluate, "_producer", no_method)
+    assert main(["compare", str(csv_path), "--truth", str(truth_path),
+                 "--methods", "stft,pct,wvd,pwvd,spwvd", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_compare_keeps_a_window_longer_than_the_signal_as_an_error_row(tmp_path, capsys):
+    """A parameter that only fails on a short signal is that method's error
+    row; the other methods still run."""
+    csv_path, truth_path = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stft": {"window": {"kind": "hann", "length_samples": 400},
+                                        "fft_length": 512}}))
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--truth", str(truth_path), "--methods", "stft,wvd",
+                 "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "report.json").read_text())["results"]
+    assert rows[0] == {"method": "stft", "error": "window (400) longer than signal (320)"}
+    assert "error" not in rows[1] and rows[1]["nrmse"] > 0
+
+
+def test_compare_blames_a_non_string_truth_signal_id_on_the_truth_file(tmp_path, capsys):
+    csv_path, truth_path = synth(tmp_path)
+    doc = json.loads(truth_path.read_text())
+    truth_path.write_text(json.dumps({**doc, "signal_id": 5}))
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--truth", str(truth_path),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {truth_path}: signal_id must be a string, got 5\n"
+    assert not out.exists()
+
+
 def test_config_every_key_reaches_its_field():
     window = {"kind": "gaussian", "length_samples": 33, "alpha": 3, "periodic": False}
     doc = {

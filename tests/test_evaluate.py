@@ -6,16 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tfbench.core import InsufficientDataError, SampledSignal, WindowSpec, decimate
+from tfbench.core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec, decimate
 from tfbench.evaluate import (
     CompareConfig,
     ComparisonReport,
-    IFTrajectory,
     MethodResult,
     compare_methods,
     default_config,
-    dominant_frequency,
-    extract_ridge,
     nrmse,
     rmse,
     run_transform,
@@ -29,6 +26,8 @@ from tfbench.tfd import (
     _band_indices,
     _band_magnitudes,
     _BandScan,
+    dominant_frequency,
+    extract_ridge,
     psd_from_tfd,
     resolution_report,
     spwvd,
@@ -210,8 +209,8 @@ def test_band_grids_give_the_full_grids_ridge_and_dominant_frequency():
         limited = tfd._wvd_family(method, sig, 1280, True, time_window, freq_window, band,
                                   scan=True)
         assert limited.freqs_hz.size < full.n_freqs
-        assert evaluate._dominant(limited) == dominant_frequency(full, band)
-        a, b = extract_ridge(full, band, 0.05), evaluate._ridge(limited, 0.05)
+        assert tfd._dominant(limited) == dominant_frequency(full, band)
+        a, b = extract_ridge(full, band, 0.05), tfd._ridge(limited, 0.05)
         assert np.array_equal(a.freqs_hz, b.freqs_hz) and np.array_equal(a.valid, b.valid)
 
 

@@ -264,6 +264,16 @@ def test_truth_json_rejects_no_components(tmp_path):
         read_truth_json(p)
 
 
+@pytest.mark.parametrize("signal_id", [5, None, ["x1"]])
+def test_truth_json_rejects_a_signal_id_that_is_not_a_string(tmp_path, signal_id):
+    p = tmp_path / "x1.truth.json"
+    write_truth_json(p, gen_x1())
+    doc = json.loads(p.read_text())
+    p.write_text(json.dumps({**doc, "signal_id": signal_id}))
+    with pytest.raises(ValueError, match=r"x1\.truth\.json: signal_id must be a string, got "):
+        read_truth_json(p)
+
+
 def test_truth_json_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

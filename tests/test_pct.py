@@ -446,3 +446,22 @@ def test_estimate_kernel_keeps_converged_fit_over_lower_residual(monkeypatch):
     expected = pct_transform(z, PolynomialKernel((4.0, 0.0)), cfg)
     np.testing.assert_array_equal(fit.grid.values, expected.values)
     assert fit.grid.meta["converged"] is True
+
+
+def test_pct_builds_no_frame_dft_once_one_is_cached(monkeypatch):
+    """Every transform of a PCT run, the kernel iterations' and the final
+    one, takes the one frame DFT cached for its window and fft_length: after
+    a first run, estimate_kernel and compare's PCT scan build none."""
+    x, cfg = gen_x2(snr=10.0, seed=1).signal, PCTConfig()
+    pct_auto(x, cfg)
+    real, built = tfd._band_dft, []
+
+    def band_dft(*args, **kwargs):
+        built.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tfd, "_band_dft", band_dft)
+    fit = estimate_kernel(analytic_signal(x), cfg)
+    pct._pct(x, cfg, (5.0, 80.0), scan=True)
+    assert fit.iterations >= 2
+    assert built == []

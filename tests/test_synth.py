@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tfbench.evaluate import IFTrajectory
+from tfbench.core import IFTrajectory
 from tfbench.synth import SyntheticSignal, chirp_if_hz, gen_x1, gen_x2, true_if
 
 

@@ -1041,3 +1041,18 @@ def test_band_dft_pct_matches_fft_oracle(analytic, coeffs, hop):
     got, want = pct_transform(z, kernel, cfg), _pct_fft_oracle(z, kernel, cfg)
     assert got.values.shape == want.shape
     assert np.max(np.abs(got.values - want)) <= 1e-14 * want.max()
+
+
+def test_frame_dft_is_built_once_and_read_only():
+    """Equal (window, fft_length) give the one cached object, whose arrays
+    cannot be written; a window the FFT serves gives None."""
+    first = tfd._frame_dft(WindowSpec("hann", 64), 1024)
+    again = tfd._frame_dft(WindowSpec("hann", 64), 1024)
+    assert again is first
+    assert not first.matrix.flags.writeable and not first.phases.flags.writeable
+    with pytest.raises(ValueError):
+        first.matrix[0, 0] = 1.0
+    want = tfd._band_dft(make_window(WindowSpec("hann", 64)), 1024, power=True)
+    assert np.array_equal(first.matrix, want.matrix) and np.array_equal(first.phases, want.phases)
+    assert tfd._frame_dft(WindowSpec("hann", 128), 512) is None
+    assert tfd._frame_dft(WindowSpec("hann", 32), 1024) is not first
