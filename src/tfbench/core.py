@@ -134,8 +134,8 @@ class WindowSpec:
             raise ValueError(f"unknown window kind {self.kind!r}; expected one of {WINDOW_KINDS}")
         if self.length_samples < 1:
             raise ValueError("window length must be >= 1")
-        if self.kind == "gaussian" and not self.alpha > 0:
-            raise ValueError("gaussian alpha must be positive")
+        if self.kind == "gaussian" and not 0 < self.alpha < math.inf:
+            raise ValueError(f"gaussian alpha must be finite and positive, got {self.alpha!r}")
 
 
 def make_window(spec: WindowSpec) -> np.ndarray:

@@ -139,8 +139,6 @@ def _score(
     """Match each ridge frame to the nearest valid truth component (or to a
     fixed component index) and return (rmse, nrmse, frames scored)."""
     if score_component is not None:
-        if not 0 <= score_component < len(truth):
-            raise ValueError(f"score_component {score_component} out of range")
         truth = [truth[score_component]]
     res = [t.resample(ridge.times_s) for t in truth]
     freqs = np.stack([r.freqs_hz for r in res])
@@ -164,8 +162,9 @@ def compare_methods(
     """Run each requested transform, extract its ridge, and score it.
 
     Per-method failures are captured in the result row rather than aborting
-    the remaining methods; a bad ``amp_threshold_frac`` or a method named
-    twice raises before any runs.
+    the remaining methods; a bad ``amp_threshold_frac``, a ``score_component``
+    that names no truth trajectory (a negative one names none, with or
+    without truth) or a method named twice raises before any runs.
     """
     if len(methods) == 0:
         raise ValueError("at least one method must be requested")
@@ -177,6 +176,9 @@ def compare_methods(
     cfg = config if config is not None else CompareConfig()
     if not 0.0 <= cfg.amp_threshold_frac < 1.0:
         raise ValueError(f"amp_threshold_frac must lie in [0, 1), got {cfg.amp_threshold_frac!r}")
+    component = cfg.score_component
+    if component is not None and (component < 0 or truth is not None and component >= len(truth)):
+        raise ValueError(f"score_component {component} out of range")
     results = [_run_method(x, truth, method, cfg) for method in methods]
     return ComparisonReport(signal_id=signal_id, results=results)
 
@@ -210,12 +212,12 @@ def _scan_method(x: SampledSignal, method: str, cfg: CompareConfig) -> _BandScan
     reads of it.  Every method's row blocks go straight into the scan (PCT's
     kernel iterations too), so no grid is built; the scan is the one
     ``_band_magnitudes`` takes of ``run_transform``'s grid."""
-    return _producer(method)(x, cfg, cfg.band_hz, True)
+    return _producer(method)(x, cfg).scan(cfg.band_hz)
 
 
 def run_transform(x: SampledSignal, method: str, cfg: CompareConfig) -> TFDGrid:
     """Build the full grid of one named method from a CompareConfig."""
-    return _producer(method)(x, cfg, None, False)
+    return _producer(method)(x, cfg).grid()
 
 
 def _wvd_fft(x: SampledSignal, cfg: CompareConfig) -> int:
@@ -228,25 +230,20 @@ def _pct_config(cfg: CompareConfig) -> PCTConfig:
     )
 
 
-# method name -> producer (x, cfg, band_hz, scan): the method's grid of the
-# bins inside band_hz (None: the whole axis), or with scan that grid's band
-# scan.  Producers look the transforms up as module globals when called, so
-# a wrapped or patched transform is the one that runs.
+# method name -> producer (x, cfg): the method's rows (``tfd._Rows``), which
+# ``run_transform`` makes into a grid and ``compare`` into a band scan.
+# Producers look the transforms up as module globals when called, so a
+# wrapped or patched transform is the one that runs.
 METHODS = {
-    "stft": lambda x, cfg, band, scan: _short_time(
-        "stft", x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft, band_hz=band, scan=scan
+    "stft": lambda x, cfg: _short_time("stft", x, cfg.stft_window, cfg.stft_hop, cfg.stft_fft),
+    "wvd": lambda x, cfg: _wvd_family("wvd", x, _wvd_fft(x, cfg), True),
+    "pwvd": lambda x, cfg: _wvd_family(
+        "pwvd", x, _wvd_fft(x, cfg), True, None, cfg.spwvd_freq_window
     ),
-    "wvd": lambda x, cfg, band, scan: _wvd_family(
-        "wvd", x, _wvd_fft(x, cfg), True, None, None, band, scan
+    "spwvd": lambda x, cfg: _wvd_family(
+        "spwvd", x, _wvd_fft(x, cfg), True, cfg.spwvd_time_window, cfg.spwvd_freq_window
     ),
-    "pwvd": lambda x, cfg, band, scan: _wvd_family(
-        "pwvd", x, _wvd_fft(x, cfg), True, None, cfg.spwvd_freq_window, band, scan
-    ),
-    "spwvd": lambda x, cfg, band, scan: _wvd_family(
-        "spwvd", x, _wvd_fft(x, cfg), True, cfg.spwvd_time_window, cfg.spwvd_freq_window, band,
-        scan,
-    ),
-    "pct": lambda x, cfg, band, scan: _pct(x, _pct_config(cfg), band, scan),
+    "pct": lambda x, cfg: _pct(x, _pct_config(cfg)),
 }
 
 

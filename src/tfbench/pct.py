@@ -16,8 +16,9 @@ were a stationary tone; a zero kernel reduces the transform to the STFT.
 polynomial fitting until the fitted IF stops moving.  Its iterations read
 band scans of the ridge band, not grids, through ``tfd._ridge``, the ridge
 ``compare`` scores every method by.  ``_pct`` is ``pct_auto``'s one path:
-with ``scan`` it scans the kept kernel's transform too, so ``compare``
-builds no PCT grid at all.
+it returns the kept kernel's rows (``tfd._Rows``), which ``pct_auto``
+makes into a grid and ``compare`` into a band scan, so ``compare`` builds
+no PCT grid at all.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
-from .tfd import TFDGrid, _BandScan, _ridge, _short_time, _short_time_checks
+from .tfd import TFDGrid, _BandScan, _Rows, _ridge, _short_time, _short_time_checks
 from .tfd import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
 
 
@@ -107,21 +108,13 @@ def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) ->
     input, since the rotation operator would defocus a real signal's
     mirrored spectrum.
     """
-    return _chirplet(z, kernel, cfg)
+    return _chirplet(z, kernel, cfg).grid()
 
 
-def _chirplet(
-    z: SampledSignal,
-    kernel: PolynomialKernel,
-    cfg: PCTConfig,
-    band_hz: Optional[tuple] = None,
-    scan: bool = False,
-    **meta,
-):
-    """``pct_transform``'s grid, its bins inside ``band_hz`` only, or with
-    ``scan`` the band scan of that grid (see ``tfd._short_time``), so no
-    grid is built; ``meta`` adds meta keys.  The frame DFT of ``cfg``'s
-    window is ``tfd._frame_dft``'s, built once per process."""
+def _chirplet(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig, **meta) -> _Rows:
+    """The rows of ``pct_transform``'s grid (see ``tfd._short_time``);
+    ``meta`` adds meta keys.  The frame DFT of ``cfg``'s window is
+    ``tfd._frame_dft``'s, built once per process."""
     if kernel.order != cfg.order:
         raise ValueError(f"kernel order {kernel.order} != config order {cfg.order}")
     rotated = z.samples * np.exp(-2j * np.pi * kernel.trend_phase(z.times()))
@@ -132,8 +125,6 @@ def _chirplet(
         cfg.hop_samples,
         cfg.fft_length,
         kernel.local_if,
-        band_hz,
-        scan,
         analytic_input=bool(np.iscomplexobj(z.samples)),
         kernel_coeffs=list(kernel.coeffs),
         **meta,
@@ -183,17 +174,16 @@ def _fit_ridge_poly(scan: _BandScan, cfg: PCTConfig) -> tuple[np.ndarray, float]
     return coeffs, residual
 
 
-def _iterate(z: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple] = None,
-             scan: bool = False) -> tuple:
-    """``estimate_kernel``'s loop, then the kept kernel's transform; returns
-    (kept IF coeffs, iterations, converged, that transform as ``_chirplet``
-    gives it for ``band_hz`` and ``scan``).  Each iteration reads a band
-    scan of ``ridge_band_hz``, so no grid is built."""
+def _iterate(z: SampledSignal, cfg: PCTConfig) -> tuple:
+    """``estimate_kernel``'s loop; returns (kept IF coeffs, iterations,
+    converged, the kept kernel's rows as ``_chirplet`` gives them).  Each
+    iteration reads a band scan of ``ridge_band_hz``, so no grid is
+    built."""
     kernel = PolynomialKernel.zero(cfg.order)
     prev_fitted: Optional[np.ndarray] = None
     kept = (np.inf, None)  # (residual, coeffs)
     for iterations in range(1, cfg.max_iterations + 1):
-        ridge_scan = _chirplet(z, kernel, cfg, cfg.ridge_band_hz, scan=True)
+        ridge_scan = _chirplet(z, kernel, cfg).scan(cfg.ridge_band_hz)
         coeffs, residual = _fit_ridge_poly(ridge_scan, cfg)
         fitted = npoly.polyval(ridge_scan.times_s, coeffs)
         converged = prev_fitted is not None and bool(
@@ -206,9 +196,9 @@ def _iterate(z: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple] = None,
         prev_fitted = fitted
         kernel = PolynomialKernel(tuple(coeffs[1:]))
     if_coeffs = tuple(kept[1])
-    out = _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, band_hz, scan,
-                    iterations=iterations, converged=converged)
-    return if_coeffs, iterations, converged, out
+    rows = _chirplet(z, PolynomialKernel(if_coeffs[1:]), cfg, iterations=iterations,
+                     converged=converged)
+    return if_coeffs, iterations, converged, rows
 
 
 def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> KernelFit:
@@ -227,19 +217,19 @@ def estimate_kernel(z: SampledSignal, cfg: Optional[PCTConfig] = None) -> Kernel
     ``KernelFit.grid``, is a full grid.
     """
     cfg = cfg if cfg is not None else PCTConfig()
-    if_coeffs, iterations, converged, grid = _iterate(z, cfg)
-    return KernelFit(PolynomialKernel(if_coeffs[1:]), grid, iterations, converged, if_coeffs)
+    if_coeffs, iterations, converged, rows = _iterate(z, cfg)
+    return KernelFit(PolynomialKernel(if_coeffs[1:]), rows.grid(), iterations, converged, if_coeffs)
 
 
 def pct_auto(x: SampledSignal, cfg: Optional[PCTConfig] = None) -> TFDGrid:
     """Analytic conversion, kernel estimation, final transform in one call:
     ``estimate_kernel``'s grid, with the input made analytic when it is real."""
-    return _pct(x, cfg if cfg is not None else PCTConfig())
+    return _pct(x, cfg if cfg is not None else PCTConfig()).grid()
 
 
-def _pct(x: SampledSignal, cfg: PCTConfig, band_hz: Optional[tuple] = None, scan: bool = False):
-    """``pct_auto``'s grid, its bins inside ``band_hz`` only, or with ``scan``
-    the band scan of that grid: the kernel iterations and the kept kernel's
-    transform all go straight into band scans, so no grid is built."""
+def _pct(x: SampledSignal, cfg: PCTConfig) -> _Rows:
+    """The rows of ``pct_auto``'s grid: the kernel iterations run here, each
+    into a band scan, and the kept kernel's transform is left to the
+    caller's ``grid`` or ``scan``."""
     z = x if np.iscomplexobj(x.samples) else analytic_signal(x)
-    return _iterate(z, cfg, band_hz, scan)[3]
+    return _iterate(z, cfg)[3]

@@ -36,25 +36,27 @@ Conventions
   nor the thread count (of tfbench or of OpenBLAS).  They do depend on the
   BLAS build and the machine: the band DFT's bits differ from the FFT's
   by a few 1e-15 of the grid peak.
-* The public transforms return the whole frequency axis.  The producers,
-  ``_wvd_family`` and ``_short_time``, take ``band_hz=(lo, hi)`` to make
-  only the bins with lo <= f <= hi (edges included), for a band scan; an
+* Producers make rows; the caller makes the grid or the band scan.  The
+  producers, ``_wvd_family`` (WVD family) and ``_short_time`` (STFT and
+  PCT), return a ``_Rows``: the axes, method and meta of the whole grid and
+  a function that makes the bins of a band for a block of rows.
+  ``_Rows.grid`` stores every bin (the public transforms return it);
+  ``_Rows.scan(band_hz)`` makes only the bins with lo <= f <= hi (edges
+  included) and reads them into a ``_BandScan``, so no grid is built; an
   empty band raises ValueError.  Those bins, their axis and the meta are
   the full grid's bit for bit.
-* One runner, two ``add``s.  Every transform (WVD family, STFT, PCT) and
-  every scan of a stored grid runs in row blocks of about ``_BLOCK_BYTES``
-  of work through ``_in_rows``, on up to min(4, usable CPUs) threads, the
-  caller's first: a one-block input never leaves the calling thread.  Each
-  block goes to one ``add``: the grid's, which writes only the block's own
-  rows, or a band scan's (``_BandReader.add``), which keeps per row the
-  argmax (first of equals) and the peak and per column the sum over rows,
-  so no grid is built.  Both producers, ``_wvd_family`` (WVD family) and
-  ``_short_time`` (STFT and PCT), feed either one (``scan=True``) through
-  one tail, ``_rows_out``.  A band scan (``_BandScan``) holds the band
-  grid's axes, method and meta next to those reductions, stored grid or
-  not; it reads WVD-family values by magnitude.  ``_band_magnitudes`` scans
-  the row blocks of a stored grid, for ``psd_from_tfd``, ``extract_ridge``
-  and ``dominant_frequency``.  Those two read it through ``_ridge`` and
+* One runner, two ``add``s.  ``grid`` and ``scan`` both run the rows in
+  blocks of about ``_BLOCK_BYTES`` of work through ``_in_rows``, on up to
+  min(4, usable CPUs) threads, the caller's first: a one-block input never
+  leaves the calling thread.  Each block goes to one ``add``: the grid's,
+  which writes only the block's own rows, or the band scan's
+  (``_BandReader.add``), which keeps per row the argmax (first of equals)
+  and the peak and per column the sum over rows.  A band scan
+  (``_BandScan``) holds the band's axes, method and meta next to those
+  reductions; it reads WVD-family values by magnitude.  A stored grid is
+  scanned the same way, as the ``_Rows`` of its values
+  (``_band_magnitudes``), for ``psd_from_tfd``, ``extract_ridge`` and
+  ``dominant_frequency``.  Those two read the scan through ``_ridge`` and
   ``_dominant``, which PCT's kernel fit and ``compare`` call on scans no
   grid was built for, so the three read a ridge by one rule.
 * Column sums: the rows of each of ``_SUM_RANGES`` fixed contiguous row
@@ -308,41 +310,50 @@ class _BandReader:
         return _BandScan(*self.axes, self.argmax, self.peak, np.add.accumulate(self.sums)[-1])
 
 
-def _rows_out(
-    times: np.ndarray,
-    freqs: np.ndarray,
-    method: str,
-    meta: dict,
-    row_bytes: int,
-    rows: Callable[[slice], np.ndarray],
-    scan: bool,
-):
-    """Run ``rows`` over every row of a grid with these axes (see
-    ``_in_rows``, blocks of ``row_bytes`` bytes of work a row) and return
-    that grid, or with ``scan`` its ``_BandScan`` without building it."""
-    if scan:
-        reader = _BandReader(times, freqs, method, meta)
-        add = reader.add
-    else:
-        values = np.empty((times.size, freqs.size))
-        add = values.__setitem__
-    _in_rows(times.size, _block_rows(row_bytes), rows, add)
-    return reader.scan() if scan else TFDGrid(times, freqs, values, method, meta)
+class _Rows(NamedTuple):
+    """A transform's rows, not yet made: its axes (the whole frequency axis),
+    method and meta, ``rows(at, band)``, the ``band`` bins of rows ``at`` as
+    a block ``add`` may overwrite, and ``row_bytes(band)``, the bytes of work
+    of one such row.  ``grid`` stores every bin, ``scan`` reads the bins of
+    a band; both run the rows through ``_in_rows`` in blocks of
+    ``_block_rows(row_bytes(band))`` rows, and either may be called again
+    for the same bits."""
+
+    times_s: np.ndarray
+    freqs_hz: np.ndarray
+    method: str
+    meta: dict
+    rows: Callable[[slice, slice], np.ndarray]
+    row_bytes: Callable[[slice], int]
+
+    def _run(self, band: slice, add: Callable[[slice, np.ndarray], None]) -> None:
+        _in_rows(self.times_s.size, _block_rows(self.row_bytes(band)),
+                 lambda at: self.rows(at, band), add)
+
+    def grid(self) -> TFDGrid:
+        """The grid of every row and bin."""
+        values = np.empty((self.times_s.size, self.freqs_hz.size))
+        self._run(slice(0, self.freqs_hz.size), values.__setitem__)
+        return TFDGrid(self.times_s, self.freqs_hz, values, self.method, self.meta)
+
+    def scan(self, band_hz: Optional[tuple]) -> _BandScan:
+        """The ``_BandScan`` of the bins with lo <= f <= hi (every bin when
+        ``band_hz`` is None), read block by block, so no grid is built; an
+        empty band raises ValueError.  Its bins are the grid's bit for bit."""
+        band = _band_indices(self.freqs_hz, band_hz)
+        reader = _BandReader(self.times_s, self.freqs_hz[band], self.method, self.meta)
+        self._run(band, reader.add)
+        return reader.scan()
 
 
 def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
-    """One band scan (see ``_BandReader``) of the grid's columns inside
-    ``band_hz``; WVD-family columns by absolute value.  Rows are read in
-    blocks of ``_block_rows(8 * k)`` rows for k band columns, so a block's
-    magnitudes stay in cache and no band-sized magnitude array is built.
-    """
-    band = _band_indices(g.freqs_hz, band_hz)
-    vals = g.values[:, band]
-    reader = _BandReader(g.times_s, g.freqs_hz[band], g.method, g.meta)
+    """``_Rows.scan`` of a stored grid: WVD-family columns by absolute value,
+    in blocks of ``_block_rows(8 * k)`` rows for k band columns, so a block's
+    magnitudes stay in cache and no band-sized magnitude array is built."""
     # the reader overwrites its blocks, and the grid's rows are not its own
-    _in_rows(g.n_times, _block_rows(8 * max(vals.shape[1], 1)), lambda at: vals[at].copy(),
-             reader.add)
-    return reader.scan()
+    return _Rows(g.times_s, g.freqs_hz, g.method, g.meta,
+                 lambda at, band: g.values[at, band].copy(),
+                 lambda band: 8 * max(band.stop - band.start, 1)).scan(band_hz)
 
 
 class _BandDFT(NamedTuple):
@@ -468,29 +479,24 @@ def _short_time(
     hop_samples: int,
     fft_length: int,
     shift_hz=None,
-    band_hz: Optional[tuple] = None,
-    scan: bool = False,
     **meta,
-):
-    """The framing ``stft`` documents, as a grid named ``method``.
+) -> _Rows:
+    """The framing ``stft`` documents, as the rows of a grid named ``method``.
 
     ``shift_hz`` maps frame centers to Hz; when given, frame k is multiplied
     by exp(2j*pi*shift_hz(center_k)*t) at its sample times t before
-    windowing.  ``band_hz`` keeps only the bins inside it; an empty band
-    raises ValueError.  ``meta`` adds or overrides grid meta keys.
+    windowing.  ``meta`` adds or overrides grid meta keys.
 
-    Frames are transformed in row blocks (see ``_in_rows``): each block
-    gathers and shifts its frames, then either takes the band DFT of the
-    kept bins (``_dft_rows`` under ``_frame_dft``, the window taps in its
-    matrix; PCT's 64-tap frames at fft_length 1024) or windows them, takes
-    their FFT and keeps |.|^2 of the kept bins (STFT's 128-tap frames), by
-    ``_band_dft``'s cost rule.  So no all-frames x fft_length spectrum is built.  A block holds
-    16 * fft_length bytes of work per frame on the FFT path and
+    A block of rows (see ``_Rows``) gathers and shifts its frames, then
+    either takes the band DFT of the asked bins (``_dft_rows`` under
+    ``_frame_dft``, the window taps in its matrix; PCT's 64-tap frames at
+    fft_length 1024) or windows them, takes their FFT and keeps |.|^2 of the
+    asked bins (STFT's 128-tap frames), by ``_band_dft``'s cost rule.  So no
+    all-frames x fft_length spectrum is built.  A block holds 16 *
+    fft_length bytes of work per frame on the FFT path and
     ``_dft_row_bytes`` on the band DFT's.  Frames that fit in one block, as
     those of ``compare``'s STFT of a 1 s record do, are transformed on the
-    calling thread.  The blocks fill the returned grid, or with ``scan``
-    they go to a ``_BandReader`` and the band grid's ``_BandScan`` is
-    returned, so no grid is built.
+    calling thread.
     """
     _short_time_checks(window, hop_samples, fft_length)
     wlen = window.length_samples
@@ -498,7 +504,6 @@ def _short_time(
         raise ValueError(f"window ({wlen}) longer than signal ({len(x)})")
     fs = x.sample_rate_hz
     freqs = np.arange(fft_length // 2 + 1) * fs / fft_length
-    band = _band_indices(freqs, band_hz)
     starts = np.arange(0, len(x) - wlen + 1, hop_samples)
     offsets = np.arange(wlen)
     times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
@@ -507,7 +512,7 @@ def _short_time(
     shift_at = shift_hz(times) if shift_hz is not None else None
     sample_times = x.times()
 
-    def power(at: slice) -> np.ndarray:
+    def power(at: slice, band: slice) -> np.ndarray:
         frame_index = starts[at, None] + offsets[None, :]
         frames = x.samples[frame_index]
         if shift_at is not None:
@@ -537,8 +542,10 @@ def _short_time(
         "analytic_input": bool(np.iscomplexobj(x.samples)),
         **meta,
     }
-    row_bytes = 16 * fft_length if dft is None else _dft_row_bytes(dft, band)
-    return _rows_out(times, freqs[band], method, meta, row_bytes, power, scan)
+    def row_bytes(band: slice) -> int:
+        return 16 * fft_length if dft is None else _dft_row_bytes(dft, band)
+
+    return _Rows(times, freqs, method, meta, power, row_bytes)
 
 
 def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int) -> TFDGrid:
@@ -548,7 +555,7 @@ def stft(x: SampledSignal, window: WindowSpec, hop_samples: int, fft_length: int
     windowed, zero-padded to ``fft_length`` and transformed.  The time stamp
     of a frame is the center of its window.
     """
-    return _short_time("stft", x, window, hop_samples, fft_length)
+    return _short_time("stft", x, window, hop_samples, fft_length).grid()
 
 
 def _window_meta(spec: WindowSpec) -> dict:
@@ -612,12 +619,9 @@ def _wvd_family(
     use_analytic: bool,
     time_window: Optional[WindowSpec] = None,
     freq_window: Optional[WindowSpec] = None,
-    band_hz: Optional[tuple] = None,
-    scan: bool = False,
-):
-    """Separable-kernel WVD: time smoothing ``time_window``, lag taper
-    ``freq_window``; either may be absent.  ``band_hz`` keeps only the
-    bins inside it; an empty band raises ValueError.
+) -> _Rows:
+    """The rows of a separable-kernel WVD: time smoothing ``time_window``,
+    lag taper ``freq_window``; either may be absent.
 
     The lag product q[n, m] = z[n+m] conj(z[n-m]) is Hermitian in m, and the
     kernel is real and even in m, so only lags m = 0..L are built and bin b
@@ -633,22 +637,18 @@ def _wvd_family(
     summed modulo ``fft_length`` into p, then h[j] = p[j] +
     conj(p[-j mod fft_length]) for j = 0..fft_length//2.
 
-    Rows are produced in blocks (see ``_in_rows``), of 512 KiB of lag rows
-    and spectra on the FFT path and of moved rows and products on the band
+    Rows are made in blocks (see ``_Rows``), of 512 KiB of lag rows and
+    spectra on the FFT path and of moved rows and products on the band
     DFT's (``_dft_row_bytes``).  A block builds its own lag rows from two
     strided views of the signal and transforms them; only a kernel that
-    smooths in time builds the whole N x (L+1) lag product first and
-    smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.  The
-    blocks fill the returned grid, or with ``scan`` they go to a
-    ``_BandReader`` and the band grid's ``_BandScan`` is returned, so no
-    grid is built.
+    smooths in time builds the whole N x (L+1) lag product first, here, and
+    smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")
     _wvd_checks(fft_length, time_window, freq_window)
     fs = x.sample_rate_hz
     freqs = np.arange(fft_length) * fs / (2.0 * fft_length)
-    band = _band_indices(freqs, band_hz)
     if np.iscomplexobj(x.samples):
         z, analytic = x.samples, True
     elif use_analytic:
@@ -678,10 +678,12 @@ def _wvd_family(
     fold = max_lag > (fft_length - 1) // 2
     half = np.arange(fft_length // 2 + 1)
 
-    def spectra(at: slice) -> np.ndarray:
+    def spectra(at: slice, band: slice) -> np.ndarray:
         q = fwd[at] * bwd[at] if smoothed is None else smoothed[at]
         if dft is not None:
             return _dft_rows(q, dft, band)
+        if smoothed is not None:
+            q = q.copy()  # the rows may be made again
         if taper is not None:
             q *= taper
         if fold:
@@ -702,10 +704,13 @@ def _wvd_family(
     }
     windows = {"time_window": time_window, "freq_window": freq_window}
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
-    # a row's work on the FFT path, 16 bytes a value: its lag row or its
-    # spectrum, whichever is longer
-    row_bytes = 16 * max(fft_length, max_lag + 1) if dft is None else _dft_row_bytes(dft, band)
-    return _rows_out(times, freqs[band], method, meta, row_bytes, spectra, scan)
+
+    def row_bytes(band: slice) -> int:
+        # on the FFT path, 16 bytes a value: a row's lag row or its
+        # spectrum, whichever is longer
+        return 16 * max(fft_length, max_lag + 1) if dft is None else _dft_row_bytes(dft, band)
+
+    return _Rows(times, freqs, method, meta, spectra, row_bytes)
 
 
 def wvd(x: SampledSignal, fft_length: int, use_analytic: bool = True) -> TFDGrid:
@@ -714,7 +719,7 @@ def wvd(x: SampledSignal, fft_length: int, use_analytic: bool = True) -> TFDGrid
     The input is replaced by its analytic associate unless ``use_analytic``
     is False; real inputs then fold above a quarter of the sample rate.
     """
-    return _wvd_family("wvd", x, fft_length, use_analytic)
+    return _wvd_family("wvd", x, fft_length, use_analytic).grid()
 
 
 def pwvd(
@@ -722,7 +727,7 @@ def pwvd(
 ) -> TFDGrid:
     """Pseudo-WVD: the lag product is tapered by ``freq_window`` before the
     DFT, smoothing the distribution along frequency."""
-    return _wvd_family("pwvd", x, fft_length, use_analytic, freq_window=freq_window)
+    return _wvd_family("pwvd", x, fft_length, use_analytic, freq_window=freq_window).grid()
 
 
 def spwvd(
@@ -737,7 +742,7 @@ def spwvd(
     The lag product is averaged along time with ``time_window`` (normalized
     to unit sum) and tapered along lag with ``freq_window``.
     """
-    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window)
+    return _wvd_family("spwvd", x, fft_length, use_analytic, time_window, freq_window).grid()
 
 
 def psd_from_tfd(g: TFDGrid) -> PSD:

@@ -391,7 +391,7 @@ def test_compare_report_same_with_and_without_band_grids(tmp_path, monkeypatch):
     # apart to the last bit, so spectral_resolution_hz must come from the meta
     csv_path, truth_path = synth(tmp_path, "x1", "--rate", str(1000.0 / 3.0))
     x = read_signal_csv(csv_path)
-    band = tfd._wvd_family("wvd", x, next_pow2(4 * len(x)), True, band_hz=(5.0, 80.0), scan=True)
+    band = tfd._wvd_family("wvd", x, next_pow2(4 * len(x)), True).scan((5.0, 80.0))
     assert band.freqs_hz[1] - band.freqs_hz[0] != x.sample_rate_hz / (2.0 * band.meta["fft_length"])
     argv = ["compare", str(csv_path), "--truth", str(truth_path),
             "--methods", "stft,wvd,pwvd,spwvd,pct"]
@@ -462,6 +462,11 @@ def test_analyze_rejects_periodic_lag_window(tmp_path, capsys):
         ({"score_component": True}, "score_component"),
         ({"signal_profile": 2}, "signal_profile"),
         ({"config": {"band_hz": [5, 60]}}, "config"),
+        # an infinite alpha would make a NaN window and an all-NaN grid
+        ({"stft": {"window": {"kind": "gaussian", "length_samples": 33, "alpha": np.inf}}},
+         "alpha"),
+        ({"pct": {"window": {"kind": "gaussian", "length_samples": 33, "alpha": np.inf}}},
+         "alpha"),
     ],
 )
 def test_config_bad_keys_exit_validation(tmp_path, capsys, doc, key):
@@ -518,6 +523,8 @@ def test_config_band_is_checked_before_any_method_runs(tmp_path, capsys, monkeyp
          "time_window length must be odd"),
         ({"spwvd": {"freq_window": {"kind": "hann", "length_samples": 63, "periodic": True}}},
          "freq_window must be symmetric"),
+        ({"spwvd": {"freq_window": {"kind": "gaussian", "length_samples": 63, "alpha": np.inf}}},
+         "gaussian alpha must be finite and positive"),
     ],
 )
 def test_compare_rejects_method_parameters_before_any_method_runs(tmp_path, capsys,
@@ -540,6 +547,38 @@ def test_compare_rejects_method_parameters_before_any_method_runs(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("component, with_truth", [(-1, True), (2, True), (5, True), (-1, False)])
+def test_compare_rejects_a_score_component_before_any_method_runs(tmp_path, capsys, monkeypatch,
+                                                                  component, with_truth):
+    """A score_component that names no truth trajectory (x1 has two) exits 3
+    with one message and no output, before any method runs; a negative one
+    names none with or without truth."""
+    csv_path, truth_path = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"score_component": component}))
+    out = tmp_path / "out"
+
+    def no_method(method):
+        raise AssertionError(f"{method} ran")
+
+    monkeypatch.setattr(evaluate, "_producer", no_method)
+    truth = ["--truth", str(truth_path)] if with_truth else []
+    assert main(["compare", str(csv_path), *truth, "--methods", "stft,pct,wvd,pwvd,spwvd",
+                 "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: score_component {component} out of range\n"
+    assert not out.exists()
+
+
+def test_compare_takes_any_nonnegative_score_component_without_truth(tmp_path):
+    """With no truth nothing is scored, so no component is out of range."""
+    csv_path, _ = synth(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"score_component": 5}))
+    assert main(["compare", str(csv_path), "--methods", "stft", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_compare_keeps_a_window_longer_than_the_signal_as_an_error_row(tmp_path, capsys):

@@ -116,6 +116,10 @@ def test_window_spec_validation():
         WindowSpec("hann", 0)
     with pytest.raises(ValueError):
         WindowSpec("gaussian", 8, alpha=0.0)
+    # an infinite alpha would make the centre sample inf * 0, a NaN window
+    for alpha in (np.inf, float("1e400"), -np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            WindowSpec("gaussian", 8, alpha=alpha)
 
 
 def test_analytic_signal_of_cosine():

@@ -206,8 +206,7 @@ def test_band_grids_give_the_full_grids_ridge_and_dominant_frequency():
     tw, fw = WindowSpec("hann", 31), WindowSpec("hann", 63)
     for method, time_window, freq_window in (("wvd", None, None), ("spwvd", tw, fw)):
         full = (wvd(sig, 1280) if method == "wvd" else spwvd(sig, tw, fw, 1280))
-        limited = tfd._wvd_family(method, sig, 1280, True, time_window, freq_window, band,
-                                  scan=True)
+        limited = tfd._wvd_family(method, sig, 1280, True, time_window, freq_window).scan(band)
         assert limited.freqs_hz.size < full.n_freqs
         assert tfd._dominant(limited) == dominant_frequency(full, band)
         a, b = extract_ridge(full, band, 0.05), tfd._ridge(limited, 0.05)
@@ -365,8 +364,8 @@ def test_compare_methods_score_component():
     # free matching may use either tone, fixed matching only the 40 Hz one
     assert forced.results[0].nrmse >= free.results[0].nrmse
     cfg.score_component = 5
-    bad = compare_methods(sig.signal, sig.true_if, methods=("stft",), config=cfg)
-    assert "out of range" in bad.results[0].error
+    with pytest.raises(ValueError, match="score_component 5 out of range"):
+        compare_methods(sig.signal, sig.true_if, methods=("stft",), config=cfg)
 
 
 def test_default_config_profiles():

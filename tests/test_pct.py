@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from tfbench.core import (
     make_window,
 )
 from tfbench import pct, tfd
-from tfbench.evaluate import CompareConfig, compare_methods
+from tfbench.evaluate import METHODS, CompareConfig, compare_methods
 from tfbench.pct import (
     PCTConfig,
     PolynomialKernel,
@@ -227,7 +228,7 @@ def test_pct_band_grid_equals_full_grid_columns(analytic, band_hz):
     kernel, cfg = PolynomialKernel((3.0, -7.5)), PCTConfig()
     full = pct_transform(z, kernel, cfg)
     keep = (full.freqs_hz >= band_hz[0]) & (full.freqs_hz <= band_hz[1])
-    got = pct._chirplet(z, kernel, cfg, band_hz, scan=True)
+    got = pct._chirplet(z, kernel, cfg).scan(band_hz)
     assert np.array_equal(got.freqs_hz, full.freqs_hz[keep])
     assert _same_scan(got, tfd._band_magnitudes(full, band_hz))
 
@@ -236,7 +237,7 @@ def test_pct_auto_band_grid_equals_full_grid_columns():
     """compare's PCT scans only its band: the scan of pct_auto's full final
     grid, its columns, axis and meta, from the same kernel fit."""
     x, band = gen_x2(snr=10.0, seed=1).signal, (5.0, 80.0)
-    full, got = pct_auto(x), pct._pct(x, PCTConfig(), band, scan=True)
+    full, got = pct_auto(x), pct._pct(x, PCTConfig()).scan(band)
     keep = (full.freqs_hz >= band[0]) & (full.freqs_hz <= band[1])
     assert 0 < keep.sum() < full.n_freqs
     assert np.array_equal(got.freqs_hz, full.freqs_hz[keep])
@@ -244,10 +245,20 @@ def test_pct_auto_band_grid_equals_full_grid_columns():
 
 
 def test_pct_empty_band_raises():
-    z, cfg = linear_chirp(), PCTConfig()
+    """A band with no bin raises one ValueError text from the rows of every
+    method-table entry and from a stored grid; every axis here is PCT's,
+    0.3125 Hz apart."""
+    z, cfg = linear_chirp(), CompareConfig(stft_fft=1024, wvd_fft=512)
+    made = [producer(z, cfg) for producer in METHODS.values()]
+    stored = pct_transform(z, PolynomialKernel.zero(2), PCTConfig())
+    assert {rows.freqs_hz[1] for rows in made} == {stored.freqs_hz[1]} == {0.3125}
     for band in [(40.1, 40.2), (200.0, 300.0), (-5.0, -1.0), (60.0, 50.0), (np.nan, 50.0)]:
-        with pytest.raises(ValueError, match="band"):
-            pct._chirplet(z, PolynomialKernel.zero(2), cfg, band, scan=True)
+        errors = set()
+        for scan in [rows.scan for rows in made] + [lambda b: tfd._band_magnitudes(stored, b)]:
+            with pytest.raises(ValueError, match="band") as exc:
+                scan(band)
+            errors.add(str(exc.value))
+        assert len(errors) == 1, errors
 
 
 @pytest.mark.parametrize("band_hz", [None, (5.0, 70.0)])
@@ -264,10 +275,11 @@ def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
     band = tfd._band_indices(np.arange(cfg.fft_length // 2 + 1) * 320.0 / cfg.fft_length,
                              band_hz)
     scan = band_hz is not None
+    made = pct._chirplet(z, kernel, cfg)
     with mock.patch.object(tfd, "_workers", lambda: 1), mock.patch.object(
         tfd, "_block_rows", lambda row_bytes: n_frames
     ):
-        serial = pct._chirplet(z, kernel, cfg, band_hz, scan)  # one block
+        serial = made.scan(band_hz) if scan else made.grid()  # one block
     real_dft_rows, threads = tfd._dft_rows, set()
 
     def dft_rows(*args, **kwargs):
@@ -279,7 +291,7 @@ def test_pct_grid_does_not_depend_on_thread_count(band_hz, workers, rows):
     with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
         tfd, "_block_rows", blocks
     ), mock.patch.object(tfd, "_dft_rows", dft_rows):
-        got = pct._chirplet(z, kernel, cfg, band_hz, scan)
+        got = made.scan(band_hz) if scan else made.grid()
     assert any(name.startswith("tfbench") for name in threads) == (workers > 1)
     if scan:
         assert _same_scan(got, serial)
@@ -307,19 +319,24 @@ def test_estimate_kernel_band_iterations_equal_full_grid_iterations(monkeypatch,
         if compare_cfg else PCTConfig()
     real, calls = pct._chirplet, []
 
-    def spy(z, kernel, cfg, band_hz=None, scan=False, **meta):
-        calls.append((band_hz, scan))
-        return real(z, kernel, cfg, band_hz, scan, **meta)
+    def spy(z, kernel, cfg, **meta):
+        # the rows, their grid and band scans recorded as (band_hz, scan)
+        made = real(z, kernel, cfg, **meta)
+        return SimpleNamespace(
+            grid=lambda: calls.append((None, False)) or made.grid(),
+            scan=lambda band_hz: calls.append((band_hz, True)) or made.scan(band_hz),
+        )
 
     monkeypatch.setattr(pct, "_chirplet", spy)
     got = estimate_kernel(z, cfg)
     assert calls == [(cfg.ridge_band_hz, True)] * got.iterations + [(None, False)]
 
-    def full_grids(z, kernel, cfg, band_hz=None, scan=False, **meta):
+    def full_grids(z, kernel, cfg, **meta):
         # every transform builds its full grid; an iteration reads the ridge
         # band of it, as extract_ridge reads a grid
-        grid = real(z, kernel, cfg, None, **meta)
-        return tfd._band_magnitudes(grid, band_hz) if scan else grid
+        grid = real(z, kernel, cfg, **meta).grid()
+        return SimpleNamespace(grid=lambda: grid,
+                               scan=lambda band_hz: tfd._band_magnitudes(grid, band_hz))
 
     monkeypatch.setattr(pct, "_chirplet", full_grids)
     want = estimate_kernel(z, cfg)
@@ -462,6 +479,6 @@ def test_pct_builds_no_frame_dft_once_one_is_cached(monkeypatch):
 
     monkeypatch.setattr(tfd, "_band_dft", band_dft)
     fit = estimate_kernel(analytic_signal(x), cfg)
-    pct._pct(x, cfg, (5.0, 80.0), scan=True)
+    pct._pct(x, cfg).scan((5.0, 80.0))
     assert fit.iterations >= 2
     assert built == []

@@ -14,7 +14,7 @@ from scipy.signal import fftconvolve
 
 from tfbench import pct, tfd
 from tfbench.core import SampledSignal, WindowSpec, analytic_signal, make_window
-from tfbench.evaluate import _scan_method, default_config
+from tfbench.evaluate import METHODS, CompareConfig, _scan_method, default_config
 from tfbench.pct import PCTConfig, PolynomialKernel, pct_transform
 from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import (
@@ -418,8 +418,7 @@ def _wvd_scan(method, x, nfft, tlen, flen, band_hz, use_analytic=True):
     time_window = WindowSpec("hamming", tlen) if method == "spwvd" else None
     freq_window = {"wvd": None, "pwvd": WindowSpec("hann", flen),
                    "spwvd": WindowSpec("gaussian", flen)}[method]
-    return tfd._wvd_family(method, x, nfft, use_analytic, time_window, freq_window, band_hz,
-                           scan=True)
+    return tfd._wvd_family(method, x, nfft, use_analytic, time_window, freq_window).scan(band_hz)
 
 
 def _same_scan(got, want):
@@ -729,7 +728,7 @@ def test_row_blocks_under_thread_switch_stress():
                 g, g_stft = spwvd(x, tw, fw, 64), stft(x, fw, 1, 64)
                 got.append((g, tfd._band_magnitudes(g, (5.0, 30.0)), g_stft))
                 # rows scanned as they are made, without a grid
-                scan = tfd._wvd_family("spwvd", x, 64, True, tw, fw, (5.0, 30.0), scan=True)
+                scan = tfd._wvd_family("spwvd", x, 64, True, tw, fw).scan((5.0, 30.0))
                 got.append((g, scan, g_stft))
 
     interval = sys.getswitchinterval()
@@ -748,12 +747,26 @@ def test_row_blocks_under_thread_switch_stress():
 
 
 def test_wvd_family_empty_band_raises():
+    """A band with no bin raises one ValueError text from the rows of every
+    method-table entry and from a stored grid; every axis here is the WVD
+    family's, 1.25 Hz apart."""
     z = analytic_tone(40.0, 320.0, 64)
     df = 320.0 / (2 * 128)
+    window = WindowSpec("hann", 31)
+    cfg = CompareConfig(stft_window=window, stft_fft=256, wvd_fft=128,
+                        spwvd_time_window=WindowSpec("hann", 11),
+                        spwvd_freq_window=WindowSpec("hann", 21),
+                        pct=PCTConfig(window=window, fft_length=256))
+    made = [producer(z, cfg) for producer in METHODS.values()]
+    stored = wvd(z, 128)
+    assert {rows.freqs_hz[1] for rows in made} == {df}
     for band in [(200.0, 300.0), (10.2 * df, 10.7 * df), (-5.0, -1.0), (60.0, 50.0)]:
-        for method in ("wvd", "pwvd", "spwvd"):
-            with pytest.raises(ValueError, match="band"):
-                _wvd_scan(method, z, 128, 11, 21, band)
+        errors = set()
+        for scan in [rows.scan for rows in made] + [lambda b: tfd._band_magnitudes(stored, b)]:
+            with pytest.raises(ValueError, match="band") as exc:
+                scan(band)
+            errors.add(str(exc.value))
+        assert len(errors) == 1, errors
 
 
 def test_resolution_report_band_grid_keeps_full_grid_spacing():
@@ -818,26 +831,27 @@ def test_band_scan_sums_do_not_depend_on_blocks_or_threads(method, n):
 def test_transform_rows_into_a_reader_scan_their_grid(workers, rows):
     """Row blocks read as they are made give the scan of the grid they would
     fill, bit for bit, for any thread count and block size: every WVD-family
-    kernel (the lag taper and the time smoothing paths), with and without a
-    band."""
+    kernel (the lag taper and the time smoothing paths, the last on the FFT
+    path), with and without a band.  Rows made again give the same grid."""
     x = SampledSignal(np.random.default_rng(9).normal(size=97), 100.0)
     tw, fw = WindowSpec("hann", 11), WindowSpec("hann", 21)
-    kernels = {"wvd": (None, None), "pwvd": (None, fw), "spwvd": (tw, fw)}
+    kernels = [("wvd", None, None), ("pwvd", None, fw), ("spwvd", tw, fw),
+               ("spwvd", tw, WindowSpec("hann", 81))]
     budget = tfd._BLOCK_BYTES if rows is None else rows * 16 * 256
-    for method, (time_window, freq_window) in kernels.items():
+    for method, time_window, freq_window in kernels:
+        made = tfd._wvd_family(method, x, 256, True, time_window, freq_window)
+        grid = made.grid()
         for band in (None, (5.0, 30.0)):
-            grid = tfd._wvd_family(method, x, 256, True, time_window, freq_window, band)
-            want = tfd._band_magnitudes(grid, None)
+            want = tfd._band_magnitudes(grid, band)
             with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
                 tfd, "_BLOCK_BYTES", budget
             ):
-                scan = tfd._wvd_family(
-                    method, x, 256, True, time_window, freq_window, band, scan=True
-                )
+                scan = made.scan(band)
             assert (scan.method, scan.meta) == (want.method, want.meta)
             for name in ("times_s", "freqs_hz", "argmax", "peak", "col_sum"):
                 assert np.array_equal(getattr(scan, name), getattr(want, name)), (method, band)
             assert resolution_report(scan) == resolution_report(grid)
+        assert np.array_equal(made.grid().values, grid.values)
 
 
 def test_one_block_scan_stays_on_the_calling_thread():
@@ -847,7 +861,7 @@ def test_one_block_scan_stays_on_the_calling_thread():
         raise AssertionError("the pool was asked for")
 
     with mock.patch.object(tfd, "_workers", lambda: 4), mock.patch.object(tfd, "_pool", no_pool):
-        scan = tfd._wvd_family("wvd", x, 64, True, scan=True)
+        scan = tfd._wvd_family("wvd", x, 64, True).scan(None)
     assert np.array_equal(scan.col_sum, tfd._band_magnitudes(wvd(x, 64), None).col_sum)
 
 
@@ -907,8 +921,8 @@ def _band_dft_grid(method, x, nfft, flen, band_hz=None):
     rows take the band DFT."""
     if method == "pct":
         cfg = PCTConfig(window=WindowSpec("hann", flen), fft_length=nfft)
-        return pct._chirplet(x, PolynomialKernel((3.0, -7.5)), cfg, band_hz,
-                             scan=band_hz is not None)
+        made = pct._chirplet(x, PolynomialKernel((3.0, -7.5)), cfg)
+        return made.grid() if band_hz is None else made.scan(band_hz)
     if band_hz is None:
         return _wvd_method(method, x, nfft, 7, flen)
     return _wvd_scan(method, x, nfft, 7, flen, band_hz)
@@ -985,13 +999,13 @@ def test_band_dft_products_have_one_shape(method):
         with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
             tfd, "_block_rows", blocks
         ), mock.patch.object(tfd.np, "matmul", matmul):
-            scan = band_hz is not None
             if method == "pct":
-                pct._chirplet(analytic_signal(x), PolynomialKernel((3.0, -7.5)), PCTConfig(),
-                              band_hz, scan)
+                made = pct._chirplet(analytic_signal(x), PolynomialKernel((3.0, -7.5)),
+                                     PCTConfig())
             else:
-                tfd._wvd_family("spwvd", x, 2048, True, WindowSpec("hann", 31),
-                                WindowSpec("hann", 63), band_hz, scan)
+                made = tfd._wvd_family("spwvd", x, 2048, True, WindowSpec("hann", 31),
+                                       WindowSpec("hann", 63))
+            made.grid() if band_hz is None else made.scan(band_hz)
     assert len(shapes) == 1
     ((rows, inputs), (inputs_b, cols)), = shapes
     assert inputs == inputs_b and rows >= 2 and cols >= 2
