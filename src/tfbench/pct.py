@@ -165,7 +165,13 @@ def _fit_ridge_poly(scan: _BandScan, cfg: PCTConfig) -> tuple[np.ndarray, float]
     tt = ridge.times_s[valid]
     ff = ridge.freqs_hz[valid]
     w = np.sqrt(scan.peak[valid])
-    poly = npoly.Polynomial.fit(tt, ff, deg=cfg.order, w=w)
+    # with full=True numpy returns the rank instead of warning of a poor fit
+    poly, (_, rank, _, _) = npoly.Polynomial.fit(tt, ff, deg=cfg.order, w=w, full=True)
+    if rank < cfg.order + 1:
+        raise InsufficientDataError(
+            f"the order-{cfg.order} fit through {n_valid} valid ridge frames is rank "
+            f"deficient (rank {rank} < {cfg.order + 1}); lower the order"
+        )
     coeffs = np.zeros(cfg.order + 1)
     conv = poly.convert().coef
     coeffs[: conv.size] = conv

@@ -21,12 +21,14 @@ Conventions
 * Band DFT.  A short row (PWVD/SPWVD lags under a lag window, PCT's
   windowed frames) takes only its band's bins, as real matrix products
   against one chunk of the DFT matrix (``_band_dft``, ``_dft_rows``), in
-  place of an FFT of the whole axis and a slice; other rows (plain WVD's
-  N/2 lags, STFT's 128-tap frames) keep ``np.fft.hfft`` (lags past the
-  Hermitian half folded first) or ``np.fft.fft``.  The choice is a pure
+  place of an FFT of the whole axis and a slice.  Other rows take an FFT:
+  plain WVD's N/2 lags the packed lag FFT (``_lag_fft_rows``: for an even
+  fft_length n one complex FFT of n/2 points, two real bins per complex
+  output), STFT's 128-tap frames ``np.fft.fft``.  The choice is a pure
   function of the taps and fft_length (the cost rule in ``_band_dft``), so
-  a band scan and the full grid take the same path; a frame DFT is built
-  once per process (``_frame_dft``).  Every product has one shape per
+  a band scan and the full grid take the same path; a frame DFT
+  (``_frame_dft``) and a lag DFT, band or FFT (``_lag_dft``), are built
+  once per process.  Every product has one shape per
   transform, R rows x 2*taps x at most 128 columns with R and the columns
   at least 2, of at most 2**18 multiply-adds: OpenBLAS runs it on the
   calling thread as one dgemm, and a row's bits depend on neither its
@@ -375,7 +377,8 @@ def _band_dft(weights: np.ndarray, fft_length: int, power: bool) -> Optional[_Ba
     the n//2 + 1 bins of [0, fs/2] (a frame and its window taps); without,
     it is sum_m w_m Re(u_m exp(-2j*pi*b*m/n)), on the n bins of [0, fs/2)
     (lags 0..L with the lag taper and the Hermitian weights 1, 2, 2, ...,
-    which is the hfft of the lag row, no folding needed).  n = fft_length.
+    the row ``_lag_fft_rows`` makes by FFT, lags past n included).
+    n = fft_length.
 
     ``matrix`` holds bins 0..cols-1 with the weights built in, rows
     interleaved as a complex row viewed as floats: row 2m takes Re u_m, row
@@ -390,17 +393,22 @@ def _band_dft(weights: np.ndarray, fft_length: int, power: bool) -> Optional[_Ba
     Cost rule: the band DFT is taken when its multiply-adds over the whole
     axis, 2*taps per real output (n outputs, or 2*(n//2 + 1) with
     ``power``), are at most ``_DFT_COST`` times n*log2(n) (a complex FFT),
-    or half that without ``power`` (a Hermitian FFT), and its products have
-    at least 2 rows and 2 columns.  Per row on one thread of a 2-vCPU
-    AVX-512 Xeon (OpenBLAS 0.3.31, medians of 25 interleaved blocks), the
-    band DFT of the whole axis took 0.73 of the FFT's time at 12.8 by the
-    rule (PCT's 64-tap frames at n = 1024), 0.43 at 9.8 and 0.60 at 11.6
-    (SPWVD's 32 lags at n = 8192 and 2048), and 1.19 at 16.1 (64-tap frames
-    at n = 256); over compare's bands PCT took 0.66 (241 bins) and SPWVD
-    0.18 (3841 bins).  Plain WVD's lags (58 and 197 at N = 320 and 1280)
-    and STFT's 128-tap frames (28.6 at n = 512) stay on the FFT.  The rule
-    reads the whole axis, not the band, so a band scan reads the full
-    grid's columns bit for bit."""
+    or half that without ``power`` (the packed lag FFT, one complex FFT of
+    n/2 points), and its products have at least 2 rows and 2 columns.
+    Per row on one thread of a 2-vCPU AVX-512 Xeon (OpenBLAS 0.3.31), the
+    band DFT of the whole axis took, of the FFT's time: against the complex
+    FFT (medians of 25 interleaved blocks), 0.73 at 12.8 by the rule (PCT's
+    64-tap frames at n = 1024) and 1.19 at 16.1 (64-tap frames at
+    n = 256); against the packed lag FFT (medians of 41 interleaved passes
+    over 1280 rows, three runs), 0.80-0.89 at 9.8 and 0.73-0.77 at 11.6
+    (SPWVD's 32 lags at n = 8192 and 2048), 4.0-4.3 at 58 (plain WVD's 160
+    lags at n = 2048) and 18 at 197 (its 640 lags at n = 8192, in
+    products past ``_GEMM_MACS``).  Over compare's bands PCT took 0.66
+    (241 bins) and SPWVD 0.40-0.44 (3841 bins).  So the crossover sits
+    near 12-15 by the rule on both sides: plain WVD's lags and STFT's
+    128-tap frames (28.6 at n = 512) stay on the FFT.  The rule reads the
+    whole axis, not the band, so a band scan reads the full grid's columns
+    bit for bit."""
     n, taps = fft_length, weights.size
     bins = n // 2 + 1 if power else n
     outputs, fft_cost = (2 * bins, n * np.log2(n)) if power else (bins, n * np.log2(n) / 2)
@@ -598,6 +606,80 @@ def _smooth_rows(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     return full[start : start + q.shape[0]]
 
 
+class _LagFFT(NamedTuple):
+    """The real DFT of rows of lags by one complex FFT (see ``_lag_dft``)."""
+
+    ahead: np.ndarray  # per lag m: the coefficient of q_m, added at m mod period
+    back: Optional[np.ndarray]  # per lag m: that of conj(q_m), added at -m mod period
+    period: int  # n/2 for even n (the packed FFT), n for odd (no back)
+
+
+@functools.lru_cache(maxsize=16)
+def _lag_dft(lags: int, freq_window: Optional[WindowSpec], fft_length: int) -> _BandDFT | _LagFFT:
+    """The DFT of WVD-family rows of lags 0..lags-1 tapered by
+    ``freq_window``, built once per process for each (lags, freq_window,
+    fft_length), its arrays read-only: ``_band_dft``'s where its cost rule
+    takes the band DFT, else a ``_LagFFT`` for ``_lag_fft_rows``.
+
+    Bin b of a row q is r[b] = sum_m w_m Re(q_m e^(b*m)) with e = exp(-2j*pi/n),
+    n = fft_length and w the Hermitian weights 1, 2, 2, ... times the lag
+    taper.  r is the DFT of the Hermitian h = (a + c)/2, a_m = w_m q_m and
+    c_(-m) = conj(a_m), indices modulo n.  For even n, with M = n/2, bins 2j
+    and 2j+1 are the real and imaginary parts of bin j of the length-M FFT
+    of d[k] = sum over p = k mod M of h_p (1 + i e^p) (Sorensen et al.,
+    "Real-valued fast Fourier transform algorithms", 1987): q_m times
+    ``ahead`` = w_m (1 + i e^m)/2 lands at m mod M, and conj(q_m) times
+    ``back`` = w_m (1 + i e^-m)/2 at -m mod M, so lags past M wrap in the
+    same sum.  For odd n, r is the real part of the length-n FFT of a,
+    wrapped modulo n: ``ahead`` is w."""
+    weights = np.full(lags, 2.0)
+    weights[0] = 1.0
+    if freq_window is not None:
+        weights *= make_window(freq_window)[(freq_window.length_samples - 1) // 2 :][:lags]
+    dft = _band_dft(weights, fft_length, power=False)
+    return dft if dft is not None else _lag_fft(weights, fft_length)
+
+
+def _lag_fft(weights: np.ndarray, n: int) -> _LagFFT:
+    """``_lag_dft``'s FFT of rows of lags 0..weights.size-1 at fft_length n."""
+    lags = weights.size
+    if n % 2:
+        return _LagFFT(_read_only(weights), None, n)
+    e = np.exp((-2j * np.pi / n) * (np.arange(lags) % n))
+    half = 0.5 * weights
+    return _LagFFT(_read_only(half * (1 + 1j * e)), _read_only(half * (1 + 1j * np.conj(e))), n // 2)
+
+
+def _lag_fft_rows(q: np.ndarray, fft: _LagFFT, band: slice) -> np.ndarray:
+    """The ``band`` bins of each row of lags ``q`` under ``fft``, a rows x
+    band bins array whose rows are contiguous; ``q`` is not written.
+
+    Each row's lags are multiplied by their coefficients in one piece
+    (numpy's complex product rounds differently in its vector loop and its
+    scalar tail, so a product split across rows would make a row's bits
+    depend on its block), then added into a zeroed rows x period complex
+    block one period of lags at a time, and the block takes one in-place
+    FFT per row; for even n its bins are the block viewed as floats."""
+    period, lags = fft.period, q.shape[1]
+    ahead = q * fft.ahead
+    back = None
+    if fft.back is not None:
+        back = np.conj(q)
+        back *= fft.back
+    d = np.zeros((q.shape[0], period), dtype=np.complex128)
+    for lo in range(0, lags, period):
+        k = min(period, lags - lo)
+        d[:, :k] += ahead[:, lo : lo + k]
+        if back is not None:
+            d[:, 0] += back[:, lo]
+            d[:, period - 1 : period - k : -1] += back[:, lo + 1 : lo + k]  # lag lo + m at -m
+    del ahead, back
+    np.fft.fft(d, axis=1, out=d)
+    if fft.back is None:
+        return d.real[:, band].copy()
+    return d.view(np.float64)[:, band]
+
+
 def _wvd_checks(fft_length: Optional[int], time_window: Optional[WindowSpec],
                 freq_window: Optional[WindowSpec]) -> None:
     """The checks of ``_wvd_family``'s parameters that read no samples; an
@@ -631,15 +713,19 @@ def _wvd_family(
     signal are zero.  Where ``_band_dft``'s cost rule allows (PWVD's and
     SPWVD's 32 lags at fft_length 2048 and 8192), a row takes that sum for
     the band's bins only, w and g built into the matrix (``_dft_rows``).
-    Otherwise (plain WVD) it is one Hermitian real FFT of the tapered lags
-    (``np.fft.hfft``, scipy's ``hfft`` bits); past the Hermitian half,
-    L > (fft_length-1)//2, the lags are folded first: lag 0 halved, lags
-    summed modulo ``fft_length`` into p, then h[j] = p[j] +
-    conj(p[-j mod fft_length]) for j = 0..fft_length//2.
+    Otherwise (plain WVD) it takes the lag FFT (``_lag_fft_rows``): for
+    even fft_length n, bins 2j and 2j+1 are the real and imaginary parts
+    of bin j of one n/2-point complex FFT of the lags times pre-twiddled
+    w g, lags past n/2 wrapped into the same sum; for odd n (only a
+    user-set fft_length), the real part of one n-point FFT of the lags
+    times w g, wrapped modulo n.  Either DFT is built once per process for
+    (L+1, lag window, fft_length) (``_lag_dft``), and neither writes the
+    lag rows, so a smoothed product is read in place.
 
-    Rows are made in blocks (see ``_Rows``), of 512 KiB of lag rows and
-    spectra on the FFT path and of moved rows and products on the band
-    DFT's (``_dft_row_bytes``).  A block builds its own lag rows from two
+    Rows are made in blocks (see ``_Rows``), of 512 KiB of lag rows or
+    packed FFT rows, 16 bytes a complex value, whichever is longer, on the
+    FFT path and of moved rows and products on the band DFT's
+    (``_dft_row_bytes``).  A block builds its own lag rows from two
     strided views of the signal and transforms them; only a kernel that
     smooths in time builds the whole N x (L+1) lag product first, here, and
     smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.
@@ -669,29 +755,12 @@ def _wvd_family(
     if time_window is not None:
         h = make_window(time_window)
         smoothed = _smooth_rows(fwd * bwd, h / h.sum())
-    taper = None
-    if freq_window is not None:
-        taper = make_window(freq_window)[(freq_window.length_samples - 1) // 2 :][: max_lag + 1]
-    weights = np.full(max_lag + 1, 2.0)
-    weights[0] = 1.0
-    dft = _band_dft(weights if taper is None else weights * taper, fft_length, power=False)
-    fold = max_lag > (fft_length - 1) // 2
-    half = np.arange(fft_length // 2 + 1)
+    dft = _lag_dft(max_lag + 1, freq_window, fft_length)
+    band_dft = isinstance(dft, _BandDFT)
 
     def spectra(at: slice, band: slice) -> np.ndarray:
         q = fwd[at] * bwd[at] if smoothed is None else smoothed[at]
-        if dft is not None:
-            return _dft_rows(q, dft, band)
-        if smoothed is not None:
-            q = q.copy()  # the rows may be made again
-        if taper is not None:
-            q *= taper
-        if fold:
-            q[:, 0] *= 0.5
-            q = np.pad(q, ((0, 0), (0, -(max_lag + 1) % fft_length)))
-            q = q.reshape(q.shape[0], -1, fft_length).sum(1)
-            q = q[:, half] + np.conj(q[:, -half % fft_length])
-        return np.fft.hfft(q, n=fft_length, axis=1)[:, band]
+        return _dft_rows(q, dft, band) if band_dft else _lag_fft_rows(q, dft, band)
 
     times = x.start_time_s + np.arange(n) / fs
     meta = {
@@ -706,9 +775,9 @@ def _wvd_family(
     meta.update({name: _window_meta(spec) for name, spec in windows.items() if spec is not None})
 
     def row_bytes(band: slice) -> int:
-        # on the FFT path, 16 bytes a value: a row's lag row or its
-        # spectrum, whichever is longer
-        return 16 * max(fft_length, max_lag + 1) if dft is None else _dft_row_bytes(dft, band)
+        # on the FFT path, 16 bytes a complex value: a row's lag row or its
+        # packed block, whichever is longer
+        return _dft_row_bytes(dft, band) if band_dft else 16 * max(dft.period, max_lag + 1)
 
     return _Rows(times, freqs, method, meta, spectra, row_bytes)
 

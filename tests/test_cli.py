@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,40 @@ def test_analyze_pct_with_order(tmp_path):
     meta = json.loads((tmp_path / "x2.pct.meta.json").read_text())
     assert meta["method"] == "pct"
     assert len(meta["meta"]["kernel_coeffs"]) == 2
+
+
+def _cli(*args):
+    """Run the CLI in a fresh interpreter, as a user does, so that a warning
+    reaches stderr and not the test's warning filter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tfbench.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "tfbench.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("signal_id", ["x1", "x2"])
+def test_compare_rank_deficient_pct_fit_is_an_error_row(tmp_path, signal_id):
+    """An order too high for PCT's ridge frames makes a rank-deficient kernel
+    fit: compare gives PCT an error row that names the order, the rank and
+    the valid frames, scores the other methods, and warns nothing."""
+    csv_path, truth_path = synth(tmp_path, signal_id)
+    run = _cli("compare", csv_path, "--truth", truth_path, "--order", "35",
+               "--out", tmp_path / "out")
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "RankWarning" not in run.stderr and run.stderr == ""
+    rows = {r["method"]: r for r in json.loads((tmp_path / "out" / "report.json").read_text())[
+        "results"]}
+    assert re.fullmatch(r"the order-35 fit through \d+ valid ridge frames is rank deficient "
+                        r"\(rank \d+ < 36\); lower the order", rows["pct"]["error"])
+    assert all("error" not in row for method, row in rows.items() if method != "pct")
+
+
+def test_analyze_rank_deficient_pct_fit_exits_validation(tmp_path):
+    csv_path, _ = synth(tmp_path)
+    run = _cli("analyze", csv_path, "--method", "pct", "--order", "35", "--out", tmp_path / "out")
+    assert run.returncode == EXIT_VALIDATION
+    assert "RankWarning" not in run.stderr
+    assert run.stderr.startswith("error: the order-35 fit through ") and run.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_analyze_band_beyond_folding_warns(tmp_path):

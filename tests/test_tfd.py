@@ -467,7 +467,7 @@ def test_wvd_family_band_grid_equals_full_grid_columns(
     band_hz = (lo, hi) if limited else None
     keep = (f >= lo) & (f <= hi) if limited else np.ones(f.size, dtype=bool)
     # `rows` rows per block: N below, at and across block boundaries
-    with mock.patch.object(tfd, "_BLOCK_BYTES", rows * 16 * nfft):
+    with mock.patch.object(tfd, "_block_rows", lambda row_bytes: rows):
         if not keep.any():
             with pytest.raises(ValueError, match="band"):
                 _wvd_scan(method, x, nfft, tlen, flen, band_hz, **kw)
@@ -530,7 +530,7 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     12 + 12 + 13 rows in blocks of 13, 64 = 21 + 21 + 22 in blocks of 22)
     and with one-row blocks; a band scan is the scan of the full grid.
     PWVD's and SPWVD's 11 lags, and WVD's 19 at N=37, take the band DFT;
-    WVD's 32 at N=64 take hfft."""
+    WVD's 32 at N=64 take the packed lag FFT."""
     x = SampledSignal(np.random.default_rng(n).normal(size=n), 100.0)
     nfft = 64
 
@@ -541,11 +541,11 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
 
     with mock.patch.object(tfd, "_workers", lambda: 1):
         serial = transform()
-    real_hfft, real_dft_rows, threads = tfd.np.fft.hfft, tfd._dft_rows, set()
+    real_lag_fft_rows, real_dft_rows, threads = tfd._lag_fft_rows, tfd._dft_rows, set()
 
-    def hfft(*args, **kwargs):
+    def lag_fft_rows(*args, **kwargs):
         threads.add(threading.current_thread().name)
-        return real_hfft(*args, **kwargs)
+        return real_lag_fft_rows(*args, **kwargs)
 
     def dft_rows(*args, **kwargs):
         threads.add(threading.current_thread().name)
@@ -554,7 +554,9 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     rows = 1 if one_row_blocks else -(-n // 3)
     with mock.patch.object(tfd, "_workers", lambda: 3), mock.patch.object(
         tfd, "_block_rows", lambda row_bytes: rows
-    ), mock.patch.object(tfd.np.fft, "hfft", hfft), mock.patch.object(tfd, "_dft_rows", dft_rows):
+    ), mock.patch.object(tfd, "_lag_fft_rows", lag_fft_rows), mock.patch.object(
+        tfd, "_dft_rows", dft_rows
+    ):
         pooled = transform()
     assert any(name.startswith("tfbench") for name in threads)  # the pool ran blocks
     if band_hz is None:
@@ -569,7 +571,8 @@ def test_wvd_family_grid_does_not_depend_on_thread_count(method, band_hz, n, one
     "row_bytes, rows",
     [
         (16 * 1024, 32),  # PCT frames at nfft 1024
-        (16 * 8192, 4),  # WVD family at N=1280, nfft 8192
+        (16 * 8192, 4),  # 8192 complex values a row
+        (8 * 8192, 8),  # plain WVD at N=1280, nfft 8192: its packed lag FFT
         (16 * 512, 64),  # compare's STFT: its 49 or 289 frames in 1 or 5 blocks
         (8 * 241, 271),  # a scan of PCT's 241-column compare band
         (8 * 3841, 17),  # a scan of compare-long's WVD-family band
@@ -887,6 +890,120 @@ def _lag_weights(lags):
     return np.r_[1.0, np.full(lags - 1, 2.0)]
 
 
+def _hfft_folded(q, taper, nfft):
+    """The lag DFT by numpy's Hermitian FFT: lags past the Hermitian half
+    folded first (lag 0 halved, lags summed modulo nfft into p, then h[j] =
+    p[j] + conj(p[-j mod nfft]) for j = 0..nfft//2)."""
+    q = q * taper
+    if q.shape[1] - 1 > (nfft - 1) // 2:
+        half = np.arange(nfft // 2 + 1)
+        q[:, 0] *= 0.5
+        q = np.pad(q, ((0, 0), (0, -q.shape[1] % nfft)))
+        q = q.reshape(q.shape[0], -1, nfft).sum(1)
+        q = q[:, half] + np.conj(q[:, -half % nfft])
+    return np.fft.hfft(q, n=nfft, axis=1)
+
+
+def _extended_double_sum(q, weights, nfft):
+    """sum_m w_m Re(q_m exp(-2j*pi*b*m/nfft)), angles and sums in extended
+    precision, so the oracle's own rounding is far below a double's."""
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    angle = (2 * pi / nfft) * np.arange(nfft, dtype=np.longdouble)
+    cos, sin = np.cos(angle), np.sin(angle)
+    re, im = (part.astype(np.longdouble) * weights for part in (q.real, q.imag))
+    bins, out = np.arange(nfft), np.zeros((q.shape[0], nfft), dtype=np.longdouble)
+    for m in range(q.shape[1]):
+        turn = m * bins % nfft
+        out += re[:, m, None] * cos[turn] + im[:, m, None] * sin[turn]
+    return out
+
+
+# even and odd nfft, lags past the Hermitian half (nfft < 2L + 1) down to
+# nfft = 1, 2 and 3, and the benchmark's plain WVD (161 lags at nfft 2048,
+# 641 at 8192)
+@pytest.mark.parametrize(
+    "lags, nfft",
+    [(1, 1), (1, 2), (2, 2), (4, 1), (5, 2), (5, 3), (10, 3), (20, 16), (20, 39), (20, 40),
+     (33, 64), (33, 65), (160, 255), (160, 256), (161, 2048), (641, 8192)],
+)
+@pytest.mark.parametrize("tapered", [False, True])
+def test_lag_fft_matches_hfft_and_double_sum(lags, nfft, tapered):
+    """The lag FFT of a row is its double sum (in extended precision) and
+    the folded hfft of it to 1e-15 of the row peak.  Where lags wrap
+    (nfft < 2L + 1) the wrapped terms may cancel to far below their own
+    size, so the scale there is the row's sum_m w_m |q_m|, which bounds
+    its peak; every method rounds on that scale."""
+    rng = np.random.default_rng(lags * 10007 + nfft)
+    q = rng.normal(size=(8, lags)) + 1j * rng.normal(size=(8, lags))
+    taper = np.hanning(2 * lags + 1)[lags:-1] if tapered else np.ones(lags)
+    weights = _lag_weights(lags) * taper
+    fft = tfd._lag_fft(weights, nfft)
+    assert fft.period == (nfft // 2 if nfft % 2 == 0 else nfft)
+    got = tfd._lag_fft_rows(q, fft, slice(0, nfft))
+    assert got.shape == (8, nfft)
+    exact = _extended_double_sum(q, weights, nfft)
+    if nfft >= 2 * lags - 1:
+        scale = np.abs(exact).max(axis=1, keepdims=True)
+    else:
+        scale = (np.abs(q) * weights).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(got - exact) <= 1e-15 * scale)
+    assert np.all(np.abs(got - _hfft_folded(q, taper, nfft)) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("method", ["wvd", "spwvd"])
+@pytest.mark.parametrize("n, nfft", [(90, 256), (90, 255), (90, 64), (90, 33), (20, 1), (20, 2),
+                                     (20, 3)])
+def test_lag_fft_bits_do_not_depend_on_blocks_or_workers(method, n, nfft):
+    """On the lag FFT path a row's bits depend on neither its block (one-row,
+    7-row and budget blocks) nor the worker count (1 and 3): the grids and
+    the band scans equal the one-block, one-worker grid's, for even and odd
+    nfft and wrapped lags."""
+    x = SampledSignal(np.random.default_rng(n + nfft).normal(size=n), 100.0)
+    flen = 2 * n + 1  # spwvd: wvd's lags, under a taper
+    taper = WindowSpec("gaussian", flen) if method == "spwvd" else None
+    assert isinstance(tfd._lag_dft((n - 1) // 2 + 1, taper, nfft), tfd._LagFFT)
+    with mock.patch.object(tfd, "_workers", lambda: 1), mock.patch.object(
+        tfd, "_block_rows", lambda row_bytes: n
+    ):
+        want = _wvd_method(method, x, nfft, 7, flen)
+    band_hz = (want.freqs_hz[nfft // 3], want.freqs_hz[-1])
+    for rows in (1, 7, None):
+        for workers in (1, 3):
+            blocks = (lambda row_bytes: rows) if rows else tfd._block_rows
+            with mock.patch.object(tfd, "_workers", lambda: workers), mock.patch.object(
+                tfd, "_block_rows", blocks
+            ):
+                full = _wvd_method(method, x, nfft, 7, flen)
+                band = _wvd_scan(method, x, nfft, 7, flen, band_hz)
+            assert np.array_equal(full.values, want.values)
+            assert _same_scan(band, tfd._band_magnitudes(want, band_hz))
+
+
+def test_lag_dft_is_built_once_and_read_only(monkeypatch):
+    """Equal (lags, freq_window, fft_length) give the one cached object,
+    whose arrays cannot be written: a second transform of the same shape
+    builds no lag DFT.  The band DFT and the lag FFT are both cached."""
+    fw = WindowSpec("hann", 63)
+    for lags, window, nfft, kind in [(640, None, 8192, tfd._LagFFT), (161, None, 255, tfd._LagFFT),
+                                     (32, fw, 2048, tfd._BandDFT)]:
+        first = tfd._lag_dft(lags, window, nfft)
+        assert isinstance(first, kind) and tfd._lag_dft(lags, window, nfft) is first
+        for array in first[:2]:
+            if array is not None:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+    x = gen_x1().signal
+    wvd(x, 2048)
+    spwvd(x, WindowSpec("hann", 31), fw, 2048)
+    built = []
+    monkeypatch.setattr(tfd, "_band_dft", lambda *args: built.append(args))
+    monkeypatch.setattr(tfd, "_lag_fft", lambda *args: built.append(args))
+    wvd(x, 2048)
+    spwvd(x, WindowSpec("hann", 31), fw, 2048)
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "power, taps, nfft, direct",
     [
@@ -903,7 +1020,7 @@ def _lag_weights(lags):
 )
 def test_band_dft_cost_rule(power, taps, nfft, direct):
     """The band DFT replaces the FFT where its multiply-adds over the whole
-    axis are at most _DFT_COST times n log2 n (half that for hfft), and
+    axis are at most _DFT_COST times n log2 n (half that for the lag FFT), and
     every one of its products stays within OpenBLAS's one-thread size."""
     weights = np.hanning(taps) if power else _lag_weights(taps)
     dft = tfd._band_dft(weights, nfft, power)
