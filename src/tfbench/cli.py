@@ -252,11 +252,19 @@ def cmd_analyze(args) -> int:
     extra = {} if factor is None else {"decimation_factor": factor}
     band = cfg.band_hz
     folding = resolution_report(grid).folding_hz
+    warnings = []
     if band is not None and band[1] > folding:
-        extra["warnings"] = [
+        warnings.append(
             f"band top {band[1]} Hz exceeds folding frequency {folding} Hz; "
             "content above it is aliased"
-        ]
+        )
+    if grid.meta.get("converged") is False:
+        warnings.append(
+            f"the PCT kernel fit did not converge in {grid.meta['iterations']} iterations; "
+            "the grid is the lowest-residual iterate's"
+        )
+    if warnings:
+        extra["warnings"] = warnings
     pgm_payload = None
     if args.pgm:
         pgm_payload, extra["render"] = tfio.render_pgm(grid, db=args.db)

@@ -25,6 +25,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a bool;
+    anything else raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled time series, real or complex.
@@ -132,6 +140,7 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown window kind {self.kind!r}; expected one of {WINDOW_KINDS}")
+        object.__setattr__(self, "length_samples", _integer(self.length_samples, "window length"))
         if self.length_samples < 1:
             raise ValueError("window length must be >= 1")
         if self.kind == "gaussian" and not 0 < self.alpha < math.inf:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec
+from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec, _integer
 from .pct import PCTConfig, _pct
 from .tfd import ResolutionReport, TFDGrid, _BandScan, _dominant, _ridge, _short_time
 from .tfd import _wvd_family, next_pow2, resolution_report
@@ -177,7 +177,8 @@ def compare_methods(
     if not 0.0 <= cfg.amp_threshold_frac < 1.0:
         raise ValueError(f"amp_threshold_frac must lie in [0, 1), got {cfg.amp_threshold_frac!r}")
     component = cfg.score_component
-    if component is not None and (component < 0 or truth is not None and component >= len(truth)):
+    if component is not None and (_integer(component, "score_component") < 0
+                                  or truth is not None and component >= len(truth)):
         raise ValueError(f"score_component {component} out of range")
     results = [_run_method(x, truth, method, cfg) for method in methods]
     return ComparisonReport(signal_id=signal_id, results=results)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import InsufficientDataError, SampledSignal, WindowSpec, analytic_signal
+from .core import InsufficientDataError, SampledSignal, WindowSpec, _integer, analytic_signal
 from .tfd import TFDGrid, _BandScan, _Rows, _ridge, _short_time, _short_time_checks
 from .tfd import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
 
@@ -88,6 +88,8 @@ class PCTConfig:
     amp_threshold_frac: float = 0.05
 
     def __post_init__(self):
+        for name in ("order", "max_iterations", "hop_samples", "fft_length"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.max_iterations < 1:

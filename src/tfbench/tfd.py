@@ -22,9 +22,9 @@ Conventions
   windowed frames) takes only its band's bins, as real matrix products
   against one chunk of the DFT matrix (``_band_dft``, ``_dft_rows``), in
   place of an FFT of the whole axis and a slice.  Other rows take an FFT:
-  plain WVD's N/2 lags the packed lag FFT (``_lag_fft_rows``: for an even
-  fft_length n one complex FFT of n/2 points, two real bins per complex
-  output), STFT's 128-tap frames ``np.fft.fft``.  The choice is a pure
+  plain WVD's N/2 lags the lag FFT (``_lag_fft_rows``: for an even
+  fft_length n one packed complex FFT of n/2 points, two real bins per
+  complex output), STFT's 128-tap frames ``np.fft.fft``.  The choice is a pure
   function of the taps and fft_length (the cost rule in ``_band_dft``), so
   a band scan and the full grid take the same path; a frame DFT
   (``_frame_dft``) and a lag DFT, band or FFT (``_lag_dft``), are built
@@ -51,9 +51,9 @@ Conventions
   blocks of about ``_BLOCK_BYTES`` of work through ``_in_rows``, on up to
   min(4, usable CPUs) threads, the caller's first: a one-block input never
   leaves the calling thread.  Each block goes to one ``add``: the grid's,
-  which writes only the block's own rows, or the band scan's
-  (``_BandReader.add``), which keeps per row the argmax (first of equals)
-  and the peak and per column the sum over rows.  A band scan
+  which writes only the block's own rows, or the band scan's (the ``add``
+  of ``_Rows.scan``), which keeps per row the argmax (first of equals) and
+  the peak and per column the sum over rows.  A band scan
   (``_BandScan``) holds the band's axes, method and meta next to those
   reductions; it reads WVD-family values by magnitude.  A stored grid is
   scanned the same way, as the ``_Rows`` of its values
@@ -84,7 +84,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec
-from .core import _read_only, analytic_signal, make_window
+from .core import _integer, _read_only, analytic_signal, make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
@@ -259,59 +259,6 @@ class _BandScan(NamedTuple):
     col_sum: np.ndarray  # per band column: sum over rows
 
 
-class _BandReader:
-    """The band scan of a band grid with the given axes, method and meta,
-    read one row block at a time: per row the argmax (first of equals) and
-    the peak, per column the sum over rows.  WVD-family values are read by
-    absolute value, so negative lobes count by magnitude; other values as
-    they are.  Both are read in the block itself, since the magnitudes and
-    the column sums are written into it: a caller hands ``add`` blocks it
-    may overwrite.
-
-    Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
-    Each range's rows are added in order onto its running sum, whatever
-    blocks they come in (``piece[0] += sum; piece.sum(axis=0, out=sum)``:
-    numpy adds a piece whose rows are each contiguous row by row, a band
-    DFT block's view of its products as a C-contiguous one), and the ranges
-    are added in order at the end (``np.add.accumulate``).  A one-column
-    piece is one column numpy would sum pairwise, so it is accumulated too.
-    ``_in_rows`` gives each worker whole ranges, so the sums are the same
-    bits for any block size and thread count, and they hold
-    ``_SUM_RANGES`` rows of k, not one row per block.
-    """
-
-    def __init__(self, times_s: np.ndarray, freqs_hz: np.ndarray, method: str, meta: dict):
-        self.axes = (times_s, freqs_hz, method, meta)
-        self.magnitude = method in WVD_METHODS
-        n, k = times_s.size, freqs_hz.size
-        self.argmax = np.empty(n, dtype=np.intp)
-        self.peak = np.empty(n)
-        self.edges = [n * r // _SUM_RANGES for r in range(_SUM_RANGES + 1)]
-        self.sums = np.zeros((_SUM_RANGES, k))
-
-    def add(self, at: slice, values: np.ndarray) -> None:
-        """Read rows ``at``, ``values``."""
-        if self.magnitude:
-            np.abs(values, out=values)
-        argmax = values.argmax(axis=1)
-        self.argmax[at] = argmax
-        self.peak[at] = values[np.arange(argmax.size), argmax]
-        r = bisect.bisect_right(self.edges, at.start) - 1
-        while self.edges[r] < at.stop:
-            piece = values[max(self.edges[r], at.start) - at.start : self.edges[r + 1] - at.start]
-            if piece.size:
-                running = self.sums[r]
-                piece[0] += running
-                if piece.shape[1] > 1:
-                    piece.sum(axis=0, out=running)
-                else:
-                    running[0] = np.add.accumulate(piece[:, 0])[-1]
-            r += 1
-
-    def scan(self) -> _BandScan:
-        return _BandScan(*self.axes, self.argmax, self.peak, np.add.accumulate(self.sums)[-1])
-
-
 class _Rows(NamedTuple):
     """A transform's rows, not yet made: its axes (the whole frequency axis),
     method and meta, ``rows(at, band)``, the ``band`` bins of rows ``at`` as
@@ -341,18 +288,57 @@ class _Rows(NamedTuple):
     def scan(self, band_hz: Optional[tuple]) -> _BandScan:
         """The ``_BandScan`` of the bins with lo <= f <= hi (every bin when
         ``band_hz`` is None), read block by block, so no grid is built; an
-        empty band raises ValueError.  Its bins are the grid's bit for bit."""
-        band = _band_indices(self.freqs_hz, band_hz)
-        reader = _BandReader(self.times_s, self.freqs_hz[band], self.method, self.meta)
-        self._run(band, reader.add)
-        return reader.scan()
+        empty band raises ValueError.  Its bins are the grid's bit for bit.
+
+        Each block is read by ``add``: per row the argmax (first of equals)
+        and the peak, per column the sum over rows.  WVD-family values are
+        read by absolute value, so negative lobes count by magnitude; other
+        values as they are.  Both are read in the block itself, since the
+        magnitudes and the column sums are written into it: ``rows`` hands
+        ``add`` blocks it may overwrite.
+
+        Column sums run over ``_SUM_RANGES`` fixed contiguous ranges of rows.
+        Each range's rows are added in order onto its running sum, whatever
+        blocks they come in (``piece[0] += sum; piece.sum(axis=0, out=sum)``:
+        numpy adds a piece whose rows are each contiguous row by row, a band
+        DFT block's view of its products as a C-contiguous one), and the ranges
+        are added in order at the end (``np.add.accumulate``).  A one-column
+        piece is one column numpy would sum pairwise, so it is accumulated too.
+        ``_in_rows`` gives each worker whole ranges, so the sums are the same
+        bits for any block size and thread count, and they hold
+        ``_SUM_RANGES`` rows of k, not one row per block.
+        """
+        band, n = _band_indices(self.freqs_hz, band_hz), self.times_s.size
+        argmax, peak = np.empty(n, dtype=np.intp), np.empty(n)
+        edges = [n * r // _SUM_RANGES for r in range(_SUM_RANGES + 1)]
+        sums = np.zeros((_SUM_RANGES, band.stop - band.start))
+
+        def add(at: slice, values: np.ndarray) -> None:
+            if self.method in WVD_METHODS:
+                np.abs(values, out=values)
+            argmax[at] = best = values.argmax(axis=1)
+            peak[at] = values[np.arange(best.size), best]
+            r = bisect.bisect_right(edges, at.start) - 1
+            while edges[r] < at.stop:
+                piece = values[max(edges[r], at.start) - at.start : edges[r + 1] - at.start]
+                if piece.size:
+                    piece[0] += sums[r]
+                    if piece.shape[1] > 1:
+                        piece.sum(axis=0, out=sums[r])
+                    else:
+                        sums[r, 0] = np.add.accumulate(piece[:, 0])[-1]
+                r += 1
+
+        self._run(band, add)
+        return _BandScan(self.times_s, self.freqs_hz[band], self.method, self.meta,
+                         argmax, peak, np.add.accumulate(sums)[-1])
 
 
 def _band_magnitudes(g: TFDGrid, band_hz: Optional[tuple]) -> _BandScan:
     """``_Rows.scan`` of a stored grid: WVD-family columns by absolute value,
     in blocks of ``_block_rows(8 * k)`` rows for k band columns, so a block's
     magnitudes stay in cache and no band-sized magnitude array is built."""
-    # the reader overwrites its blocks, and the grid's rows are not its own
+    # the scan overwrites its blocks, and the grid's rows are not its own
     return _Rows(g.times_s, g.freqs_hz, g.method, g.meta,
                  lambda at, band: g.values[at, band].copy(),
                  lambda band: 8 * max(band.stop - band.start, 1)).scan(band_hz)
@@ -474,9 +460,9 @@ def _frame_dft(window: WindowSpec, fft_length: int) -> Optional[_BandDFT]:
 
 def _short_time_checks(window: WindowSpec, hop_samples: int, fft_length: int) -> None:
     """The checks of ``_short_time``'s parameters that read no samples."""
-    if hop_samples < 1:
+    if _integer(hop_samples, "hop_samples") < 1:
         raise ValueError("hop_samples must be >= 1")
-    if window.length_samples > fft_length:
+    if window.length_samples > _integer(fft_length, "fft_length"):
         raise ValueError("window must not be longer than fft_length")
 
 
@@ -610,8 +596,9 @@ class _LagFFT(NamedTuple):
     """The real DFT of rows of lags by one complex FFT (see ``_lag_dft``)."""
 
     ahead: np.ndarray  # per lag m: the coefficient of q_m, added at m mod period
-    back: Optional[np.ndarray]  # per lag m: that of conj(q_m), added at -m mod period
-    period: int  # n/2 for even n (the packed FFT), n for odd (no back)
+    back: np.ndarray  # per lag m: that of conj(q_m), added at -m mod period
+    period: int  # n/2 for even n (the packed FFT), n for odd
+    packed: bool  # even n: bins 2j and 2j+1 are bin j's real and imaginary parts
 
 
 @functools.lru_cache(maxsize=16)
@@ -630,8 +617,9 @@ def _lag_dft(lags: int, freq_window: Optional[WindowSpec], fft_length: int) -> _
     "Real-valued fast Fourier transform algorithms", 1987): q_m times
     ``ahead`` = w_m (1 + i e^m)/2 lands at m mod M, and conj(q_m) times
     ``back`` = w_m (1 + i e^-m)/2 at -m mod M, so lags past M wrap in the
-    same sum.  For odd n, r is the real part of the length-n FFT of a,
-    wrapped modulo n: ``ahead`` is w."""
+    same sum.  For odd n, r is the length-n FFT of h itself, which is real:
+    ``ahead`` = ``back`` = w_m/2, q_m added at m mod n and conj(q_m) at
+    -m mod n, and r is the real part of the FFT."""
     weights = np.full(lags, 2.0)
     weights[0] = 1.0
     if freq_window is not None:
@@ -641,13 +629,15 @@ def _lag_dft(lags: int, freq_window: Optional[WindowSpec], fft_length: int) -> _
 
 
 def _lag_fft(weights: np.ndarray, n: int) -> _LagFFT:
-    """``_lag_dft``'s FFT of rows of lags 0..weights.size-1 at fft_length n."""
-    lags = weights.size
+    """``_lag_dft``'s FFT of rows of lags 0..weights.size-1 at fft_length n:
+    the pre-twiddled coefficients of the packed FFT for even n, and for odd
+    n ``ahead`` = ``back`` = w/2 over a period of n."""
+    half = _read_only(0.5 * weights)
     if n % 2:
-        return _LagFFT(_read_only(weights), None, n)
-    e = np.exp((-2j * np.pi / n) * (np.arange(lags) % n))
-    half = 0.5 * weights
-    return _LagFFT(_read_only(half * (1 + 1j * e)), _read_only(half * (1 + 1j * np.conj(e))), n // 2)
+        return _LagFFT(half, half, n, False)
+    e = np.exp((-2j * np.pi / n) * (np.arange(weights.size) % n))
+    return _LagFFT(_read_only(half * (1 + 1j * e)), _read_only(half * (1 + 1j * np.conj(e))),
+                   n // 2, True)
 
 
 def _lag_fft_rows(q: np.ndarray, fft: _LagFFT, band: slice) -> np.ndarray:
@@ -657,34 +647,33 @@ def _lag_fft_rows(q: np.ndarray, fft: _LagFFT, band: slice) -> np.ndarray:
     Each row's lags are multiplied by their coefficients in one piece
     (numpy's complex product rounds differently in its vector loop and its
     scalar tail, so a product split across rows would make a row's bits
-    depend on its block), then added into a zeroed rows x period complex
-    block one period of lags at a time, and the block takes one in-place
-    FFT per row; for even n its bins are the block viewed as floats."""
+    depend on its block), q_m times ``ahead`` and conj(q_m) times ``back``
+    are added into a zeroed rows x period complex block one period of lags
+    at a time, at m and -m modulo the period, and the block takes one
+    in-place FFT per row.  For even n the bins are the block viewed as
+    floats, for odd n its real part."""
     period, lags = fft.period, q.shape[1]
     ahead = q * fft.ahead
-    back = None
-    if fft.back is not None:
-        back = np.conj(q)
-        back *= fft.back
+    back = np.conj(q)
+    back *= fft.back
     d = np.zeros((q.shape[0], period), dtype=np.complex128)
     for lo in range(0, lags, period):
         k = min(period, lags - lo)
         d[:, :k] += ahead[:, lo : lo + k]
-        if back is not None:
-            d[:, 0] += back[:, lo]
-            d[:, period - 1 : period - k : -1] += back[:, lo + 1 : lo + k]  # lag lo + m at -m
+        d[:, 0] += back[:, lo]
+        d[:, period - 1 : period - k : -1] += back[:, lo + 1 : lo + k]  # lag lo + m at -m
     del ahead, back
     np.fft.fft(d, axis=1, out=d)
-    if fft.back is None:
-        return d.real[:, band].copy()
-    return d.view(np.float64)[:, band]
+    if fft.packed:
+        return d.view(np.float64)[:, band]
+    return d.real[:, band].copy()
 
 
 def _wvd_checks(fft_length: Optional[int], time_window: Optional[WindowSpec],
                 freq_window: Optional[WindowSpec]) -> None:
     """The checks of ``_wvd_family``'s parameters that read no samples; an
     ``fft_length`` of None, one still to be chosen from the signal, passes."""
-    if fft_length is not None and fft_length < 1:
+    if fft_length is not None and _integer(fft_length, "fft_length") < 1:
         raise ValueError("fft_length must be >= 1")
     for name, spec in (("time_window", time_window), ("freq_window", freq_window)):
         if spec is not None and spec.length_samples % 2 == 0:
@@ -717,8 +706,9 @@ def _wvd_family(
     even fft_length n, bins 2j and 2j+1 are the real and imaginary parts
     of bin j of one n/2-point complex FFT of the lags times pre-twiddled
     w g, lags past n/2 wrapped into the same sum; for odd n (only a
-    user-set fft_length), the real part of one n-point FFT of the lags
-    times w g, wrapped modulo n.  Either DFT is built once per process for
+    user-set fft_length), the real part of one n-point FFT of the
+    Hermitian lag sequence, lags m and their conjugates at -m times w g / 2,
+    wrapped modulo n.  Either DFT is built once per process for
     (L+1, lag window, fft_length) (``_lag_dft``), and neither writes the
     lag rows, so a smoothed product is read in place.
 

@@ -219,6 +219,23 @@ def test_analyze_rank_deficient_pct_fit_exits_validation(tmp_path):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+def test_analyze_warns_when_the_pct_fit_does_not_converge(tmp_path):
+    """An order-25 kernel fit of x1 stops at the iteration cap unconverged:
+    analyze still writes the grid, and its meta carries a warning naming the
+    iteration count, as compare's row says "not converged".  The default
+    order converges and warns nothing."""
+    csv_path, _ = synth(tmp_path)
+    argv = ["analyze", str(csv_path), "--method", "pct", "--out", str(tmp_path / "out")]
+    assert main([*argv, "--order", "25"]) == EXIT_OK
+    meta = json.loads((tmp_path / "out" / "x1.pct.meta.json").read_text())["meta"]
+    assert meta["converged"] is False and meta["iterations"] == 10
+    assert meta["warnings"] == ["the PCT kernel fit did not converge in 10 iterations; "
+                                "the grid is the lowest-residual iterate's"]
+    assert main(argv) == EXIT_OK
+    meta = json.loads((tmp_path / "out" / "x1.pct.meta.json").read_text())["meta"]
+    assert meta["converged"] is True and "warnings" not in meta
+
+
 def test_analyze_band_beyond_folding_warns(tmp_path):
     csv_path, _ = synth(tmp_path)
     cfg = tmp_path / "cfg.json"

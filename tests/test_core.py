@@ -120,6 +120,11 @@ def test_window_spec_validation():
     for alpha in (np.inf, float("1e400"), -np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha must be finite and positive"):
             WindowSpec("gaussian", 8, alpha=alpha)
+    # a length must be an integer: a float would index frames with floats,
+    # and True would be a one-sample window
+    for length in (64.5, 64.0, True, np.float64(64), "64", None):
+        with pytest.raises(ValueError, match="window length must be an integer"):
+            WindowSpec("hann", length)
 
 
 def test_analytic_signal_of_cosine():

@@ -366,6 +366,18 @@ def test_compare_methods_score_component():
     cfg.score_component = 5
     with pytest.raises(ValueError, match="score_component 5 out of range"):
         compare_methods(sig.signal, sig.true_if, methods=("stft",), config=cfg)
+    for component in (1.0, True):
+        cfg.score_component = component
+        with pytest.raises(ValueError, match="score_component must be an integer"):
+            compare_methods(sig.signal, sig.true_if, methods=("stft",), config=cfg)
+    cfg.score_component = np.int64(1)
+    assert compare_methods(sig.signal, sig.true_if, methods=("stft",),
+                           config=cfg).results[0].nrmse == forced.results[0].nrmse
+    # a non-integer size is the method's own error row, not an escaped IndexError
+    cfg.score_component, cfg.stft_hop, cfg.wvd_fft = None, 2.5, 512.5
+    rows = compare_methods(sig.signal, sig.true_if, methods=("stft", "wvd"), config=cfg).results
+    assert [r.error for r in rows] == ["hop_samples must be an integer, got 2.5",
+                                       "fft_length must be an integer, got 512.5"]
 
 
 def test_default_config_profiles():

@@ -87,6 +87,12 @@ def test_pct_config_validation():
         PCTConfig(window=WindowSpec("hann", 2048))
     with pytest.raises(ValueError):
         PCTConfig(amp_threshold_frac=1.0)
+    for name, value in (("order", 2.0), ("order", True), ("max_iterations", 2.5),
+                        ("hop_samples", 1.5), ("fft_length", 1024.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PCTConfig(**{name: value})
+    cfg = PCTConfig(order=np.int64(3), max_iterations=np.int32(4))
+    assert (type(cfg.order), type(cfg.max_iterations)) == (int, int)
 
 
 def test_zero_kernel_equals_stft():

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from unittest import mock
 
+import json
 import sys
 import threading
 import tracemalloc
@@ -15,6 +16,7 @@ from scipy.signal import fftconvolve
 from tfbench import pct, tfd
 from tfbench.core import SampledSignal, WindowSpec, analytic_signal, make_window
 from tfbench.evaluate import METHODS, CompareConfig, _scan_method, default_config
+from tfbench.io import grid_meta_dict, write_json
 from tfbench.pct import PCTConfig, PolynomialKernel, pct_transform
 from tfbench.synth import gen_x1, gen_x2
 from tfbench.tfd import (
@@ -116,6 +118,25 @@ def test_stft_validation():
         stft(sig, WindowSpec("hann", 64), 0, 128)
     with pytest.raises(ValueError):
         stft(sig, WindowSpec("hann", 64), 4, 32)  # window longer than fft
+    for hop in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="hop_samples must be an integer"):
+            stft(sig, WindowSpec("hann", 64), hop, 128)
+    for nfft in (512.0, 128.5, True):
+        with pytest.raises(ValueError, match="fft_length must be an integer"):
+            stft(sig, WindowSpec("hann", 1), 4, nfft)
+
+
+def test_window_spec_stores_a_numpy_integer_length_as_int(tmp_path):
+    """A numpy integer length is accepted and stored as ``int``, so a grid's
+    meta, which carries the window, writes as JSON."""
+    spec = WindowSpec("hann", np.int64(64))
+    assert type(spec.length_samples) is int and spec == WindowSpec("hann", 64)
+    x = SampledSignal(np.random.default_rng(0).normal(size=256), 128.0)
+    g = stft(x, spec, np.int64(8), np.int64(128))
+    assert g.meta["window"]["length_samples"] == 64
+    write_json(tmp_path / "meta.json", grid_meta_dict(g))
+    assert json.loads((tmp_path / "meta.json").read_text())["meta"]["window"] == {
+        "kind": "hann", "length_samples": 64}
 
 
 def _stft_whole(x, window, hop, nfft):
@@ -198,6 +219,9 @@ def test_wvd_validation():
         wvd(SampledSignal(np.ones(3), 8.0), 16)
     with pytest.raises(ValueError):
         wvd(SampledSignal(np.ones(16), 8.0), 0)
+    for nfft in (512.5, 512.0, True):
+        with pytest.raises(ValueError, match="fft_length must be an integer"):
+            wvd(SampledSignal(np.ones(16), 8.0), nfft)
 
 
 def test_pwvd_rectangular_taper_equals_wvd():
@@ -939,6 +963,7 @@ def test_lag_fft_matches_hfft_and_double_sum(lags, nfft, tapered):
     weights = _lag_weights(lags) * taper
     fft = tfd._lag_fft(weights, nfft)
     assert fft.period == (nfft // 2 if nfft % 2 == 0 else nfft)
+    assert fft.back is not None
     got = tfd._lag_fft_rows(q, fft, slice(0, nfft))
     assert got.shape == (8, nfft)
     exact = _extended_double_sum(q, weights, nfft)
