@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--order", type=int, help="polynomial order for pct")
     p_an.add_argument("--config", help="JSON file with per-method parameters")
     p_an.add_argument("--pgm", action="store_true", help="also render a PGM heatmap")
-    p_an.add_argument("--db", action="store_true", help="dB mapping for the heatmap")
+    p_an.add_argument("--db", action="store_true", help="dB mapping for the --pgm heatmap")
     p_an.add_argument("--out", default=".", help="output directory")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -244,6 +244,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.order is not None and args.method != "pct":
+        raise ValueError(f"--order does not apply to {args.method}")
+    if args.db and not args.pgm:
+        raise ValueError("--db does not apply without --pgm")
     x = _read_signal(args.input)
     x, factor = _maybe_decimate(x)
     doc = _load_config(args.config)
@@ -286,6 +290,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.methods is not None:
+        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        unknown = [m for m in methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods {unknown}; valid: {tuple(METHODS)}")
+    else:
+        methods = DEFAULT_METHODS
+    if args.order is not None and "pct" not in methods:
+        raise ValueError("--order does not apply: --methods does not ask for pct")
     x = _read_signal(args.input)
     truth = None
     truth_meta: dict = {}
@@ -309,13 +322,6 @@ def cmd_compare(args) -> int:
                 f"({x.sample_rate_hz:g} Hz from {x.start_time_s:g} s)"
             )
     x, _ = _maybe_decimate(x)
-    if args.methods:
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        unknown = [m for m in methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; valid: {tuple(METHODS)}")
-    else:
-        methods = DEFAULT_METHODS
     signal_id = truth_meta.get("signal_id") or Path(args.input).stem
     doc = _load_config(args.config)
     cfg = _compare_config(doc, band=args.band, order=args.order, profile=signal_id)

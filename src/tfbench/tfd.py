@@ -16,8 +16,11 @@ Conventions
   rate; analytic inputs are clean up to half.
 * A WVD-family row is the real DFT of lags 0..L: the lag product is
   Hermitian and the lag kernel even, so the lag DFT is real.  SPWVD's time
-  smoothing, ``_smooth_rows``, gives the bits of scipy's ``fftconvolve``,
-  so the module needs numpy alone.
+  smoothing, ``_smooth_rows``, is a direct sum over the time window's taps,
+  within about 1e-15 of scipy's ``fftconvolve``; the module needs numpy
+  alone.
+* Frames and lag rows are strided views of the signal
+  (``sliding_window_view``), so no index array is built to gather them.
 * Band DFT.  A short row (PWVD/SPWVD lags under a lag window, PCT's
   windowed frames) takes only its band's bins, as real matrix products
   against one chunk of the DFT matrix (``_band_dft``, ``_dft_rows``), in
@@ -481,7 +484,9 @@ def _short_time(
     by exp(2j*pi*shift_hz(center_k)*t) at its sample times t before
     windowing.  ``meta`` adds or overrides grid meta keys.
 
-    A block of rows (see ``_Rows``) gathers and shifts its frames, then
+    A block of rows (see ``_Rows``) takes its frames as rows of a strided
+    view of the samples, every ``hop_samples``-th window, and shifts them
+    (their sample times are the same view of ``x.times()``), then
     either takes the band DFT of the asked bins (``_dft_rows`` under
     ``_frame_dft``, the window taps in its matrix; PCT's 64-tap frames at
     fft_length 1024) or windows them, takes their FFT and keeps |.|^2 of the
@@ -499,24 +504,19 @@ def _short_time(
     fs = x.sample_rate_hz
     freqs = np.arange(fft_length // 2 + 1) * fs / fft_length
     starts = np.arange(0, len(x) - wlen + 1, hop_samples)
-    offsets = np.arange(wlen)
     times = x.start_time_s + (starts + (wlen - 1) / 2.0) / fs
     taps = make_window(window)
     dft = _frame_dft(window, fft_length)
     shift_at = shift_hz(times) if shift_hz is not None else None
-    sample_times = x.times()
+    all_frames = sliding_window_view(x.samples, wlen)[::hop_samples]
+    frame_times = sliding_window_view(x.times(), wlen)[::hop_samples]
 
     def power(at: slice, band: slice) -> np.ndarray:
-        frame_index = starts[at, None] + offsets[None, :]
-        frames = x.samples[frame_index]
+        frames = all_frames[at]
         if shift_at is not None:
-            # frames *= shift, not an inlined product: numpy may compute an
-            # inlined temporary's product as shift * frames, which rounds
-            # differently on large grids
-            shift = np.exp(2j * np.pi * shift_at[at, None] * sample_times[frame_index])
-            frames *= shift
-            del shift
-        del frame_index
+            # not frames * shift: numpy may reuse the temporary and compute
+            # shift * frames, which rounds differently on large grids
+            frames = np.multiply(frames, np.exp(2j * np.pi * shift_at[at, None] * frame_times[at]))
         if dft is not None:
             return _dft_rows(frames, dft, band)
         windowed = frames * taps[None, :]
@@ -561,35 +561,21 @@ def _window_meta(spec: WindowSpec) -> dict:
     return meta
 
 
-def _fast_fft_length(n: int) -> int:
-    """The smallest 2, 3, 5, 7, 11-smooth number >= n: pocketfft's good
-    size for a complex transform (scipy's ``next_fast_len(n, real=False)``)."""
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
-
-
 def _smooth_rows(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``fftconvolve(q, h[:, None], mode="same", axes=0)`` for complex ``q``
-    and odd-length real ``h``, with scipy's bits: h's spectrum is pocketfft's
-    complex FFT of a real input (the real FFT, mirrored and conjugated).
-    The product and the inverse FFT overwrite q's spectrum, so one padded
-    array is built (``out=`` needs numpy 2)."""
-    if h.size == 1:
-        return q * h
-    size = _fast_fft_length(q.shape[0] + h.size - 1)
-    half = np.fft.rfft(h, size)
-    kernel = np.concatenate([half, np.conj(half[1 : (size + 1) // 2][::-1])])
-    full = np.fft.fft(q, size, axis=0)
-    full *= kernel[:, None]
-    np.fft.ifft(full, axis=0, out=full)
-    start = (h.size - 1) // 2
-    return full[start : start + q.shape[0]]
+    and odd-length real ``h``, as a direct sum: row i is
+    sum_k h_k q[i + half - k], half = (h.size - 1)//2, rows outside q zero.
+    The terms are added in ascending k into one zeroed buffer, each onto
+    the rows it reaches, so q is not copied and at most one temporary is
+    live.  With SPWVD's unit-sum time window it lies within about 1e-15 of
+    max |fftconvolve|."""
+    n, half = q.shape[0], (h.size - 1) // 2
+    out = np.zeros_like(q)
+    for k in range(h.size):
+        lo, hi = max(0, k - half), min(n, n + k - half)
+        if lo < hi:
+            out[lo:hi] += q[lo + half - k : hi + half - k] * h[k]
+    return out
 
 
 class _LagFFT(NamedTuple):
@@ -718,7 +704,11 @@ def _wvd_family(
     (``_dft_row_bytes``).  A block builds its own lag rows from two
     strided views of the signal and transforms them; only a kernel that
     smooths in time builds the whole N x (L+1) lag product first, here, and
-    smooths it with ``_smooth_rows``, scipy's ``fftconvolve`` bits.
+    smooths it with ``_smooth_rows``, a direct sum over the unit-sum time
+    window's taps.  Smoothing the whole product in one pass takes about
+    2 ms at N = 1280; smoothing each block with a halo of the window made a
+    band scan slower, since its small blocks rebuild many halo rows in many
+    short numpy calls.
     """
     if len(x) < 4:
         raise ValueError(f"{method} needs at least 4 samples")

@@ -382,6 +382,35 @@ def test_compare_duplicate_method_exits_validation_with_no_output(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods", ["", " , "])
+def test_compare_no_methods_exits_validation_with_no_output(tmp_path, capsys, methods):
+    """An empty --methods asks for no method; it does not fall back to the defaults."""
+    csv_path, truth_path = synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["compare", str(csv_path), "--truth", str(truth_path),
+               "--methods", methods, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: at least one method must be requested\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("analyze", ["--method", "stft", "--order", "7"], "--order does not apply to stft"),
+    ("compare", ["--methods", "stft,wvd", "--order", "7"],
+     "--order does not apply: --methods does not ask for pct"),
+    ("analyze", ["--method", "stft", "--db"], "--db does not apply without --pgm"),
+], ids=["analyze-order", "compare-order", "analyze-db"])
+def test_a_flag_that_changes_nothing_exits_validation_with_no_output(tmp_path, capsys, command,
+                                                                     flags, message):
+    csv_path, _ = synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, str(csv_path), *flags, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_compare_truth_length_mismatch(tmp_path):
     _, truth_path = synth(tmp_path / "short", "x1")
     long_csv, _ = synth(tmp_path / "long", "x1", "--duration", "1.25")
