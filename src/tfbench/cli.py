@@ -80,25 +80,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", default=".", help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_an = sub.add_parser("analyze", help="compute one TFD grid for a signal file")
-    p_an.add_argument("input", help="signal file (.csv with time_s,amplitude header, or .wav)")
+    # the input and the flags analyze and compare share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="signal file (.csv with time_s,amplitude header, or .wav)")
+    common.add_argument("--band", type=_band, help="ridge/PSD band as lo:hi (Hz)")
+    common.add_argument("--order", type=int, help="polynomial order for pct")
+    common.add_argument("--config", help="JSON file with per-method parameters")
+    common.add_argument("--out", default=".", help="output directory")
+
+    p_an = sub.add_parser("analyze", parents=[common], help="compute one TFD grid of a signal file")
     p_an.add_argument("--method", choices=METHODS, required=True)
-    p_an.add_argument("--band", type=_band, help="ridge/PSD band as lo:hi (Hz)")
-    p_an.add_argument("--order", type=int, help="polynomial order for pct")
-    p_an.add_argument("--config", help="JSON file with per-method parameters")
     p_an.add_argument("--pgm", action="store_true", help="also render a PGM heatmap")
     p_an.add_argument("--db", action="store_true", help="dB mapping for the --pgm heatmap")
-    p_an.add_argument("--out", default=".", help="output directory")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_cmp = sub.add_parser("compare", help="score several methods on one signal")
-    p_cmp.add_argument("input", help="signal file (.csv or .wav)")
+    p_cmp = sub.add_parser("compare", parents=[common], help="score several methods on one signal")
     p_cmp.add_argument("--truth", help="ground-truth JSON written by synth")
     p_cmp.add_argument("--methods", help=f"comma-separated subset of {','.join(METHODS)}")
-    p_cmp.add_argument("--band", type=_band, help="ridge/PSD band as lo:hi (Hz)")
-    p_cmp.add_argument("--order", type=int, help="polynomial order for pct")
-    p_cmp.add_argument("--config", help="JSON file with per-method parameters")
-    p_cmp.add_argument("--out", default=".", help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

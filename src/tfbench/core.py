@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,12 +26,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int``: a Python or numpy integer, not a bool;
-    anything else raises ValueError naming ``name``."""
+def _integer(value, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a bool, and
+    at least ``minimum`` if one is given; anything else raises ValueError
+    naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _fraction(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` lies in [0, 1);
+    NaN does not."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +67,10 @@ class SampledSignal:
             raise ValueError("samples must be non-empty")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN or infinity)")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        if not math.isfinite(self.start_time_s):
+            raise ValueError(f"start_time_s must be finite, got {self.start_time_s}")
         object.__setattr__(self, "samples", _read_only(samples))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "start_time_s", float(self.start_time_s))
@@ -140,9 +153,8 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown window kind {self.kind!r}; expected one of {WINDOW_KINDS}")
-        object.__setattr__(self, "length_samples", _integer(self.length_samples, "window length"))
-        if self.length_samples < 1:
-            raise ValueError("window length must be >= 1")
+        length = _integer(self.length_samples, "window length", 1)
+        object.__setattr__(self, "length_samples", length)
         if self.kind == "gaussian" and not 0 < self.alpha < math.inf:
             raise ValueError(f"gaussian alpha must be finite and positive, got {self.alpha!r}")
 
@@ -209,9 +221,7 @@ def decimate(x: SampledSignal, factor: int) -> SampledSignal:
     preserved.  The filter design (scipy's ``firwin``) and the passes
     (scipy's ``filtfilt``) are written out in numpy with scipy's bits.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"decimation factor must be a positive integer, got {factor}")
-    factor = int(factor)
+    factor = _integer(factor, "decimation factor", 1)
     if factor == 1:
         return SampledSignal(x.samples.copy(), x.sample_rate_hz, x.start_time_s)
     n_out = int(np.ceil(len(x) / factor))
@@ -249,15 +259,21 @@ def decimate(x: SampledSignal, factor: int) -> SampledSignal:
 def add_white_noise(x: SampledSignal, snr: float, seed: int, db: bool = False) -> SampledSignal:
     """Add zero-mean white Gaussian noise at a prescribed signal-to-noise ratio.
 
-    ``snr`` is a linear power ratio by default; pass ``db=True`` to interpret
-    it in decibels instead.  Deterministic for a given seed.  ``snr=inf``
-    returns an unmodified copy.
+    ``snr`` is a linear power ratio by default and must be positive.  With
+    ``db=True`` it is in decibels, and any value whose ratio 10^(snr/10) is
+    positive is valid, 0 dB and negative values included; a ratio past the
+    float range counts as ``inf``.  NaN and -inf dB are refused.  A ratio of
+    ``inf`` returns an unmodified copy.  Deterministic for a given seed.
     """
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    try:
+        ratio = 10.0 ** (snr / 10.0) if db else float(snr)
+    except OverflowError:  # a dB value past the float range: noiseless
+        ratio = math.inf
+    if not ratio > 0:
+        raise ValueError(f"snr in dB must give a positive power ratio, got {snr} dB" if db
+                         else f"snr must be positive, got {snr}")
     if np.iscomplexobj(x.samples):
         raise ValueError("add_white_noise needs real samples; the noise is real")
-    ratio = 10.0 ** (snr / 10.0) if db else float(snr)
     if math.isinf(ratio):
         return SampledSignal(x.samples.copy(), x.sample_rate_hz, x.start_time_s)
     power = float(np.mean(x.samples**2))

@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec, _integer
+from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec, _fraction
+from .core import _integer
 from .pct import PCTConfig, _pct
 from .tfd import ResolutionReport, TFDGrid, _BandScan, _dominant, _ridge, _short_time
 from .tfd import _wvd_family, next_pow2, resolution_report
@@ -174,8 +175,7 @@ def compare_methods(
     if truth is not None and len(truth) == 0:
         raise ValueError("truth must hold at least one trajectory")
     cfg = config if config is not None else CompareConfig()
-    if not 0.0 <= cfg.amp_threshold_frac < 1.0:
-        raise ValueError(f"amp_threshold_frac must lie in [0, 1), got {cfg.amp_threshold_frac!r}")
+    _fraction(cfg.amp_threshold_frac, "amp_threshold_frac")
     component = cfg.score_component
     if component is not None and (_integer(component, "score_component") < 0
                                   or truth is not None and component >= len(truth)):

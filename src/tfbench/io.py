@@ -176,10 +176,9 @@ def _parse_wav(blob: bytes) -> tuple:
     raw = np.frombuffer(body, np.uint8, size - size % max(width, 1))
     if tag == _WAV_PCM and width == 1:
         return rate, (raw - 128.0) / 128.0
-    if tag == _WAV_PCM and width == 2:
-        return rate, raw.view(order + "i2") / 32768.0
-    if tag == _WAV_PCM and width in (3, 4):
-        # 24-bit samples left-justified in 32 bits, as scipy reads them
+    if tag == _WAV_PCM and width in (2, 3, 4):
+        # narrower samples left-justified in 32 bits, as scipy reads 24-bit
+        # ones; 16-bit values come out as value / 2^15, exactly
         wide = np.zeros((raw.size // width, 4), np.uint8)
         wide[:, slice(4 - width, 4) if order == "<" else slice(0, width)] = raw.reshape(-1, width)
         return rate, wide.view(order + "i4")[:, 0] / 2147483648.0

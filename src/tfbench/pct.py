@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import InsufficientDataError, SampledSignal, WindowSpec, _integer, analytic_signal
+from .core import InsufficientDataError, SampledSignal, WindowSpec, _fraction, _integer
+from .core import analytic_signal
 from .tfd import TFDGrid, _BandScan, _Rows, _ridge, _short_time, _short_time_checks
 from .tfd import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
 
@@ -89,16 +90,11 @@ class PCTConfig:
 
     def __post_init__(self):
         for name in ("order", "max_iterations", "hop_samples", "fft_length"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if not (np.isfinite(self.convergence_tol_hz) and self.convergence_tol_hz > 0):
             raise ValueError("convergence_tol_hz must be positive and finite")
         _short_time_checks(self.window, self.hop_samples, self.fft_length)
-        if not 0.0 <= self.amp_threshold_frac < 1.0:
-            raise ValueError("amp_threshold_frac must lie in [0, 1)")
+        _fraction(self.amp_threshold_frac, "amp_threshold_frac")
 
 
 def pct_transform(z: SampledSignal, kernel: PolynomialKernel, cfg: PCTConfig) -> TFDGrid:

@@ -85,7 +85,10 @@ def _bursts(
         )
     if t_ref_mode not in ("onset", "shared"):
         raise ValueError(f"t_ref_mode must be 'onset' or 'shared', got {t_ref_mode!r}")
-    t = np.arange(int(round(sample_rate_hz * duration_s))) / sample_rate_hz
+    n = sample_rate_hz * duration_s
+    if n == math.inf:
+        raise ValueError(f"sample_rate_hz x duration_s = {sample_rate_hz} x {duration_s}: not finite")
+    t = np.arange(int(round(n))) / sample_rate_hz
     env = np.zeros_like(t)
     bursts = []
     for onset, end, peak in zip((0.25, 0.70), (0.40, 0.83), peaks):
@@ -175,11 +178,11 @@ def gen_x2(
     onset, giving IF ``3*c2*tau^2 + 2*c1*tau + c0`` (20 Hz at onset for the
     default coefficients).  Bursts sit on (0.25, 0.40] (peak 1.0) and
     (0.70, 0.83] (peak 0.5).  ``snr`` is a linear power ratio unless
-    ``snr_is_db``; pass ``math.inf`` for a noiseless signal.  Deterministic
-    given ``seed``.
+    ``snr_is_db``; ``core.add_white_noise`` states which values are valid
+    (a positive ratio; in dB, 0 and negative values too, and a ratio past
+    the float range is noiseless).  Pass ``math.inf`` for a noiseless
+    signal.  Deterministic given ``seed``.
     """
-    if not (snr > 0):
-        raise ValueError(f"snr must be positive, got {snr}")
     t, env, bursts = _bursts(sample_rate_hz, duration_s, (1.0, 0.5), t_ref_mode, shared_t_ref_s)
     comp_tone = tone_scale * env * np.sin(2.0 * np.pi * tone_hz * t)
 
@@ -212,8 +215,6 @@ def gen_x2(
     }
     waves, freqs = (comp_tone, comp_chirp), (tone_hz, if_chirp)
     sig = _synthetic("x2", sample_rate_hz, t, active, waves, freqs, params)
-    if math.isinf(snr):
-        return sig
     return replace(sig, signal=add_white_noise(sig.clean, snr, seed, db=snr_is_db))
 
 

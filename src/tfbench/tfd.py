@@ -87,7 +87,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec
-from .core import _integer, _read_only, analytic_signal, make_window
+from .core import _fraction, _integer, _read_only, analytic_signal, make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
@@ -463,8 +463,7 @@ def _frame_dft(window: WindowSpec, fft_length: int) -> Optional[_BandDFT]:
 
 def _short_time_checks(window: WindowSpec, hop_samples: int, fft_length: int) -> None:
     """The checks of ``_short_time``'s parameters that read no samples."""
-    if _integer(hop_samples, "hop_samples") < 1:
-        raise ValueError("hop_samples must be >= 1")
+    _integer(hop_samples, "hop_samples", 1)
     if window.length_samples > _integer(fft_length, "fft_length"):
         raise ValueError("window must not be longer than fft_length")
 
@@ -659,8 +658,8 @@ def _wvd_checks(fft_length: Optional[int], time_window: Optional[WindowSpec],
                 freq_window: Optional[WindowSpec]) -> None:
     """The checks of ``_wvd_family``'s parameters that read no samples; an
     ``fft_length`` of None, one still to be chosen from the signal, passes."""
-    if fft_length is not None and _integer(fft_length, "fft_length") < 1:
-        raise ValueError("fft_length must be >= 1")
+    if fft_length is not None:
+        _integer(fft_length, "fft_length", 1)
     for name, spec in (("time_window", time_window), ("freq_window", freq_window)):
         if spec is not None and spec.length_samples % 2 == 0:
             raise ValueError(f"{name} length must be odd")
@@ -820,8 +819,7 @@ def extract_ridge(
     ``amp_threshold_frac`` of the global in-band maximum are masked
     invalid; an all-zero grid yields an all-invalid trajectory.
     """
-    if not 0.0 <= amp_threshold_frac < 1.0:
-        raise ValueError("amp_threshold_frac must lie in [0, 1)")
+    _fraction(amp_threshold_frac, "amp_threshold_frac")
     return _ridge(_band_magnitudes(g, band_hz), amp_threshold_frac)
 
 

@@ -128,6 +128,66 @@ def test_synth_non_finite_size_exits_validation(tmp_path, capsys, flags, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--duration", "1e308"],
+                                   ["--rate", "1e300", "--duration", "1e10"]],
+                         ids=["duration-1e308", "rate-1e300"])
+def test_synth_overflowing_sample_count_exits_validation(tmp_path, capsys, flags):
+    """A finite rate and duration whose product overflows leave no finite
+    sample count: exit 3 naming both, not a traceback, and nothing written."""
+    out = tmp_path / "out"
+    assert main(["synth", "x1", "--out", str(out), *flags]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample_rate_hz" in err and "duration_s" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _synth_db(tmp_path, name, snr) -> tuple:
+    """(exit code, output directory) of synth x2 with ``snr`` in dB, a JSON literal."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(f'{{"synth": {{"snr": {snr}, "snr_is_db": true}}}}')
+    out = tmp_path / name
+    return main(["synth", "x2", "--out", str(out), "--config", str(cfg)]), out
+
+
+@pytest.mark.parametrize("snr", ["0", "-3"])
+def test_synth_takes_zero_and_negative_db(tmp_path, snr):
+    """0 dB and -3 dB are power ratios of 1 and 0.5: a noisy record."""
+    code, out = _synth_db(tmp_path, "db", snr)
+    assert code == EXIT_OK
+    clean, _ = synth(tmp_path / "clean", "x2", "--snr", "inf")
+    noisy = read_signal_csv(out / "x2.csv").samples
+    assert not np.array_equal(noisy, read_signal_csv(clean).samples)
+    params = json.loads((out / "x2.truth.json").read_text())["params"]
+    assert params["snr"] == float(snr) and params["snr_is_db"] is True
+
+
+def test_synth_db_past_the_float_range_is_noiseless(tmp_path):
+    """10^(5000/10) overflows a float: the ratio counts as inf, so the record
+    is the --snr inf one."""
+    code, out = _synth_db(tmp_path, "db", "5000")
+    assert code == EXIT_OK
+    clean, _ = synth(tmp_path / "clean", "x2", "--snr", "inf")
+    assert (out / "x2.csv").read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize("snr", ["NaN", "-Infinity"])
+def test_synth_db_without_a_positive_ratio_exits_validation(tmp_path, capsys, snr):
+    code, out = _synth_db(tmp_path, "db", snr)
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: snr in dB ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr", ["0", "-1"])
+def test_synth_linear_snr_must_be_positive(tmp_path, capsys, snr):
+    out = tmp_path / "out"
+    assert main(["synth", "x2", "--snr", snr, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: snr must be positive, got {float(snr)}\n"
+    assert not out.exists()
+
+
 def test_synth_config_values_pass_as_written(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"synth": {"sample_rate_hz": 400, "duration_s": 1,
@@ -234,6 +294,19 @@ def test_analyze_warns_when_the_pct_fit_does_not_converge(tmp_path):
     assert main(argv) == EXIT_OK
     meta = json.loads((tmp_path / "out" / "x1.pct.meta.json").read_text())["meta"]
     assert meta["converged"] is True and "warnings" not in meta
+
+
+def test_compare_notes_a_pct_fit_that_does_not_converge(tmp_path):
+    """The order-25 fit of x1 above: compare's pct row ends "not converged",
+    and report.json holds converged false."""
+    csv_path, truth_path = synth(tmp_path)
+    out = tmp_path / "out"
+    assert main(["compare", str(csv_path), "--truth", str(truth_path), "--methods", "pct",
+                 "--order", "25", "--out", str(out)]) == EXIT_OK
+    rows = [row for row in (out / "report.txt").read_text().splitlines() if row.startswith("pct")]
+    assert len(rows) == 1 and rows[0].endswith("  not converged")
+    (result,) = json.loads((out / "report.json").read_text())["results"]
+    assert result["method"] == "pct" and result["converged"] is False
 
 
 def test_analyze_band_beyond_folding_warns(tmp_path):

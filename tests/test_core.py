@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,12 @@ def test_sampled_signal_validation():
         SampledSignal([1.0], 0.0)
     with pytest.raises(ValueError):
         SampledSignal([1.0], -5.0)
+    # a non-finite rate or start would give frames non-finite or equal times
+    rate_name, start_name = "sample_rate_hz", "start_time_s"
+    for rate, start, name in ((math.inf, 0.0, rate_name), (math.nan, 0.0, rate_name),
+                              (320.0, math.nan, start_name), (320.0, -math.inf, start_name)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SampledSignal(np.ones(300), rate, start)
 
 
 def test_sampled_signal_keeps_complex_samples():
@@ -208,6 +216,10 @@ def test_decimate_validation():
         decimate(x, 2.5)
     with pytest.raises(ValueError):
         decimate(x, 100)  # would leave a single sample
+    # a size is an integer, as every window length, hop and FFT length is
+    for factor in (True, 2.0, math.inf, np.float64(2.0)):
+        with pytest.raises(ValueError, match="^decimation factor must be an integer, got "):
+            decimate(x, factor)
 
 
 def test_decimate_preserves_passband_tone():
@@ -293,6 +305,36 @@ def test_add_white_noise_deterministic_and_inf():
     np.testing.assert_array_equal(c.samples, x.samples)
     with pytest.raises(ValueError):
         add_white_noise(x, 0.0, seed=1)
+
+
+@pytest.mark.parametrize("snr", [0.0, -3.0, -300.0])
+def test_add_white_noise_takes_zero_and_negative_db(snr):
+    """In dB any value whose power ratio 10^(snr/10) is positive is valid."""
+    x = SampledSignal(np.sin(np.arange(50000)), 1.0)
+    y = add_white_noise(x, snr, seed=5, db=True)
+    np.testing.assert_array_equal(y.samples, add_white_noise(x, 10 ** (snr / 10), seed=5).samples)
+
+
+@pytest.mark.parametrize("snr", [3083.0, 5000.0, 1e308, math.inf])
+def test_add_white_noise_db_ratio_past_the_float_range_is_noiseless(snr):
+    x = SampledSignal(np.arange(64, dtype=float), 8.0)
+    np.testing.assert_array_equal(add_white_noise(x, snr, seed=1, db=True).samples, x.samples)
+
+
+@pytest.mark.parametrize("snr, db, message", [
+    (math.nan, True, "snr in dB must give a positive power ratio, got nan dB"),
+    (-math.inf, True, "snr in dB must give a positive power ratio, got -inf dB"),
+    (-5000.0, True, "snr in dB must give a positive power ratio, got -5000.0 dB"),
+    (math.nan, False, "snr must be positive, got nan"),
+    (-math.inf, False, "snr must be positive, got -inf"),
+    (-1.0, False, "snr must be positive, got -1.0"),
+], ids=["db-nan", "db-minus-inf", "db-underflow", "nan", "minus-inf", "negative"])
+def test_add_white_noise_refuses_an_snr_without_a_positive_ratio(snr, db, message):
+    """-5000 dB is a ratio that underflows to 0, which is no positive ratio."""
+    x = SampledSignal(np.arange(64, dtype=float), 8.0)
+    with pytest.raises(ValueError) as raised:
+        add_white_noise(x, snr, seed=1, db=db)
+    assert str(raised.value) == message
 
 
 def test_add_white_noise_rejects_complex_samples():

@@ -110,6 +110,23 @@ def test_wav_validation(tmp_path):
         read_wav(stereo)
 
 
+def _wav_bytes(tag, width, payload, order="<", extensible=False, extra=b"",
+               byte_rate=None) -> bytes:
+    """A one-channel 800 Hz WAV of ``payload`` with ``extra`` chunks before its
+    fmt chunk, whose byte rate is 800 x ``width`` unless ``byte_rate`` is given."""
+    rif, u32 = (b"RIFF", "<I") if order == "<" else (b"RIFX", ">I")
+    fmt = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag, 1, 800,
+                      byte_rate or 800 * width, width, 8 * width)
+    if extensible:
+        guid = struct.pack(order + "I", tag) + (
+            b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71" if order == "<"
+            else b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71")
+        fmt += struct.pack(order + "HHI", 22, 8 * width, 4) + guid
+    body = (b"WAVE" + extra + b"fmt " + struct.pack(u32, len(fmt)) + fmt
+            + b"data" + struct.pack(u32, len(payload)) + payload)
+    return rif + struct.pack(u32, len(body)) + body
+
+
 @pytest.mark.parametrize(
     "name, contents, message",
     [
@@ -117,6 +134,15 @@ def test_wav_validation(tmp_path):
         ("empty", np.zeros(0, dtype=np.float32), "non-empty"),
         ("nan", np.array([0.0, np.nan, 0.5], dtype=np.float32), "finite"),
         ("not-riff", b"hello, not a WAV file", "not understood"),
+        # the header ends after the fmt chunk
+        ("no-data", _wav_bytes(1, 2, b"")[:-8], "truncated WAV header: no data chunk"),
+        ("short-fmt", b"RIFF" + struct.pack("<I", 34) + b"WAVEfmt " + struct.pack("<I", 14)
+         + struct.pack("<HHIIH", 1, 1, 800, 1600, 2) + b"data" + struct.pack("<I", 0),
+         "truncated WAV header: fmt chunk of 14 bytes"),
+        ("byte-rate", _wav_bytes(1, 2, bytes(8), byte_rate=1601),
+         "1601 bytes/s, not rate x block align = 800 x 2"),
+        ("float16", _wav_bytes(3, 2, bytes(8)), "unsupported WAV sample format: tag 0x3, 16 bits"),
+        ("a-law", _wav_bytes(6, 1, bytes(8)), "unsupported WAV sample format: tag 0x6, 8 bits"),
     ],
 )
 def test_bad_wav_raises_value_error_naming_the_file(tmp_path, name, contents, message):
@@ -148,21 +174,6 @@ def _scaled(data: np.ndarray) -> np.ndarray:
     if data.dtype.kind == "i":
         return data / 2.0 ** (8 * data.dtype.itemsize - 1)
     return data.astype(np.float64)
-
-
-def _wav_bytes(tag, width, payload, order="<", extensible=False, extra=b"") -> bytes:
-    """A one-channel WAV of ``payload`` with ``extra`` chunks before its fmt chunk."""
-    rif, u32 = (b"RIFF", "<I") if order == "<" else (b"RIFX", ">I")
-    fmt = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag, 1, 800, 800 * width,
-                      width, 8 * width)
-    if extensible:
-        guid = struct.pack(order + "I", tag) + (
-            b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71" if order == "<"
-            else b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71")
-        fmt += struct.pack(order + "HHI", 22, 8 * width, 4) + guid
-    body = (b"WAVE" + extra + b"fmt " + struct.pack(u32, len(fmt)) + fmt
-            + b"data" + struct.pack(u32, len(payload)) + payload)
-    return rif + struct.pack(u32, len(body)) + body
 
 
 @pytest.mark.parametrize("order", ["<", ">"])

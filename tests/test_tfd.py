@@ -2,6 +2,7 @@ from dataclasses import replace
 from unittest import mock
 
 import json
+import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -1213,3 +1214,38 @@ def test_frame_dft_is_built_once_and_read_only():
     assert np.array_equal(first.matrix, want.matrix) and np.array_equal(first.phases, want.phases)
     assert tfd._frame_dft(WindowSpec("hann", 128), 512) is None
     assert tfd._frame_dft(WindowSpec("hann", 32), 1024) is not first
+
+
+def _wvd_bits_into(conn, x):
+    conn.send(wvd(x, 256).values.tobytes())
+    conn.close()
+
+
+# Python 3.12 and later warn on any fork of a process that has threads; the
+# fork of a process with pool threads is what this test is about
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_makes_its_own_pool():
+    """A forked child inherits the parent's pool but none of its threads, and
+    work queued on that pool never runs: ``_pool`` makes a new one when the
+    pid changes, so a multi-block wvd in the child finishes with the
+    parent's bits."""
+    x = SampledSignal(np.random.default_rng(8).normal(size=64), 100.0)
+    with mock.patch.object(tfd, "_workers", lambda: 2), mock.patch.object(tfd, "_BLOCK_BYTES", 1):
+        want = wvd(x, 256).values.tobytes()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_wvd_bits_into, args=(send, x))
+        child.start()
+    send.close()
+    bound_s = 60.0  # the child's wvd takes milliseconds
+    finished = False
+    try:
+        finished = receive.poll(bound_s)
+        got = receive.recv() if finished else None
+    finally:
+        if not finished:  # leave no process running
+            child.terminate()
+        child.join()
+    assert finished, f"the forked child's wvd did not finish within {bound_s} s"
+    assert child.exitcode == 0
+    assert got == want
