@@ -13,13 +13,13 @@ import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .core import SampledSignal, decimate
 from .evaluate import DEFAULT_METHODS, METHODS, CompareConfig, compare_methods, default_config
-from .evaluate import run_transform
+from .evaluate import _pct_config, run_transform
 from .pct import PCTConfig
 from .synth import GENERATORS
 from .tfd import _short_time_checks, _wvd_checks, resolution_report
@@ -42,6 +42,7 @@ _COMPARE_KEYS = {
 _JSON_TYPES = {
     str: "a string", int: "an integer", float: "a number", bool: "true or false",
     tuple: "a list of two finite numbers, low <= high",
+    tuple[float, float, float]: "a list of three finite numbers",
 }
 
 
@@ -114,8 +115,9 @@ def _load_config(path) -> dict:
 
 def _typed(value, hint, where: str):
     """Check one JSON value against a field annotation.  Integers widen to
-    float; a bare ``tuple`` is a band, two finite numbers, low <= high, kept
-    as given."""
+    float; a sized tuple such as ``tuple[float, float, float]`` is a list of
+    that many finite numbers, and a bare ``tuple`` is a band, two finite
+    numbers, low <= high; both are kept as given."""
     if type(None) in get_args(hint):  # Optional[X]
         if value is None:
             return None
@@ -123,9 +125,10 @@ def _typed(value, hint, where: str):
     if is_dataclass(hint):
         return _from_dict(hint, value, where)
     number = (int, float)
-    if hint is tuple:
-        if (isinstance(value, list) and len(value) == 2
-                and all(type(v) in number for v in value) and _ordered(value)):
+    if hint is tuple or get_origin(hint) is tuple:
+        if (isinstance(value, list) and len(value) == (len(get_args(hint)) or 2)
+                and all(type(v) in number and abs(v) < math.inf for v in value)
+                and (hint is not tuple or _ordered(value))):
             return tuple(value)
     elif hint is float:
         if type(value) in number:
@@ -175,8 +178,7 @@ def _compare_config(doc: dict, band=None, order=None, profile: str = "x1") -> Co
     pct_doc = doc.get("pct", {})
     if order is not None and isinstance(pct_doc, dict):
         pct_doc = {**pct_doc, "order": order}
-    under = {"ridge_band_hz": cfg.band_hz, "amp_threshold_frac": cfg.amp_threshold_frac}
-    cfg.pct = _from_dict(PCTConfig, pct_doc, "pct", under=under)
+    cfg.pct = _from_dict(PCTConfig, pct_doc, "pct", under=vars(_pct_config(cfg)))
     return cfg
 
 
@@ -223,12 +225,7 @@ def cmd_synth(args) -> int:
     kwargs = {k: v for k, v in kwargs.items() if k in hints}
     # values are checked, then passed on as written so truth.json keeps them
     for key, value in kwargs.items():
-        if key == "chirp_coeffs":
-            if not (isinstance(value, list) and len(value) == 3
-                    and all(type(v) in (int, float) for v in value)):
-                raise ValueError(f"synth.chirp_coeffs must be a list of three numbers, got {value!r}")
-        else:
-            _typed(value, hints[key], f"synth.{key}")
+        _typed(value, hints[key], f"synth.{key}")
     sig = generator(**kwargs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

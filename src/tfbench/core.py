@@ -37,6 +37,30 @@ def _integer(value, name: str, minimum: Optional[int] = None) -> int:
     return int(value)
 
 
+def _positive(value, name: str) -> float:
+    """``value`` as a ``float`` that is finite and positive; a bool is not a
+    number, and NaN is not positive; anything else raises ValueError naming
+    ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def _increasing(a: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``a`` is strictly increasing."""
+    if not np.all(np.diff(a) > 0):
+        raise ValueError(f"{name} must be strictly increasing")
+
+
+def _store(obj, **values) -> None:
+    """Set fields of the frozen dataclass ``obj``: the one writer of frozen
+    fields.  Arrays are stored as read-only views."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value = _read_only(value)
+        object.__setattr__(obj, name, value)
+
+
 def _fraction(value, name: str) -> None:
     """Raise ValueError naming ``name`` unless ``value`` lies in [0, 1);
     NaN does not."""
@@ -67,13 +91,10 @@ class SampledSignal:
             raise ValueError("samples must be non-empty")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN or infinity)")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        rate = _positive(self.sample_rate_hz, "sample_rate_hz")
         if not math.isfinite(self.start_time_s):
             raise ValueError(f"start_time_s must be finite, got {self.start_time_s}")
-        object.__setattr__(self, "samples", _read_only(samples))
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        object.__setattr__(self, "start_time_s", float(self.start_time_s))
+        _store(self, samples=samples, sample_rate_hz=rate, start_time_s=float(self.start_time_s))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -107,14 +128,11 @@ class IFTrajectory:
             raise ValueError("times_s, freqs_hz and valid must have equal length")
         if times.size == 0:
             raise ValueError("trajectory must not be empty")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times_s must be strictly increasing")
+        _increasing(times, "times_s")
         masked = freqs[valid]
         if masked.size and (not np.all(np.isfinite(masked)) or np.any(masked < 0)):
             raise ValueError("valid frequencies must be finite and non-negative")
-        object.__setattr__(self, "times_s", _read_only(times))
-        object.__setattr__(self, "freqs_hz", _read_only(freqs))
-        object.__setattr__(self, "valid", _read_only(valid))
+        _store(self, times_s=times, freqs_hz=freqs, valid=valid)
 
     def __len__(self) -> int:
         return self.times_s.size
@@ -153,10 +171,9 @@ class WindowSpec:
     def __post_init__(self):
         if self.kind not in WINDOW_KINDS:
             raise ValueError(f"unknown window kind {self.kind!r}; expected one of {WINDOW_KINDS}")
-        length = _integer(self.length_samples, "window length", 1)
-        object.__setattr__(self, "length_samples", length)
-        if self.kind == "gaussian" and not 0 < self.alpha < math.inf:
-            raise ValueError(f"gaussian alpha must be finite and positive, got {self.alpha!r}")
+        _store(self, length_samples=_integer(self.length_samples, "window length", 1))
+        if self.kind == "gaussian":
+            _positive(self.alpha, "gaussian alpha")
 
 
 def make_window(spec: WindowSpec) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .core import InsufficientDataError, SampledSignal, WindowSpec, _fraction, _integer
-from .core import analytic_signal
+from .core import _positive, _store, analytic_signal
 from .tfd import TFDGrid, _BandScan, _Rows, _ridge, _short_time, _short_time_checks
 from .tfd import extract_ridge  # noqa: F401  the benchmark's tracer looks it up here
 
@@ -47,7 +47,7 @@ class PolynomialKernel:
             raise ValueError("kernel needs at least one coefficient")
         if not all(np.isfinite(c) for c in coeffs):
             raise ValueError("kernel coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        _store(self, coeffs=coeffs)
 
     @property
     def order(self) -> int:
@@ -55,9 +55,7 @@ class PolynomialKernel:
 
     @classmethod
     def zero(cls, order: int) -> "PolynomialKernel":
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        return cls((0.0,) * order)
+        return cls((0.0,) * _integer(order, "order", 1))
 
     def trend_phase(self, t: np.ndarray) -> np.ndarray:
         """Integral of the IF model: sum_k alpha_k t^(k+1)/(k+1) (Hz*s)."""
@@ -89,10 +87,9 @@ class PCTConfig:
     amp_threshold_frac: float = 0.05
 
     def __post_init__(self):
-        for name in ("order", "max_iterations", "hop_samples", "fft_length"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
-        if not (np.isfinite(self.convergence_tol_hz) and self.convergence_tol_hz > 0):
-            raise ValueError("convergence_tol_hz must be positive and finite")
+        names = ("order", "max_iterations", "hop_samples", "fft_length")
+        _store(self, **{name: _integer(getattr(self, name), name, 1) for name in names})
+        _positive(self.convergence_tol_hz, "convergence_tol_hz")
         _short_time_checks(self.window, self.hop_samples, self.fft_length)
         _fraction(self.amp_threshold_frac, "amp_threshold_frac")
 

@@ -86,8 +86,9 @@ def _bursts(
     if t_ref_mode not in ("onset", "shared"):
         raise ValueError(f"t_ref_mode must be 'onset' or 'shared', got {t_ref_mode!r}")
     n = sample_rate_hz * duration_s
-    if n == math.inf:
-        raise ValueError(f"sample_rate_hz x duration_s = {sample_rate_hz} x {duration_s}: not finite")
+    if not n < np.iinfo(np.intp).max:  # inf included
+        raise ValueError(f"sample_rate_hz x duration_s = {sample_rate_hz} x {duration_s}: "
+                         "more samples than an array can hold")
     t = np.arange(int(round(n))) / sample_rate_hz
     env = np.zeros_like(t)
     bursts = []
@@ -167,7 +168,7 @@ def gen_x2(
     shared_t_ref_s: float = 0.75,
     tone_hz: float = 40.0,
     tone_scale: float = -0.5,
-    chirp_coeffs: Sequence[float] = (870.0, -215.0, 20.0),
+    chirp_coeffs: tuple[float, float, float] = (870.0, -215.0, 20.0),
     snr_is_db: bool = False,
 ) -> SyntheticSignal:
     """Tone-plus-chirp burst signal in white Gaussian noise.

@@ -87,7 +87,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import IFTrajectory, InsufficientDataError, SampledSignal, WindowSpec
-from .core import _fraction, _integer, _read_only, analytic_signal, make_window
+from .core import _fraction, _increasing, _integer, _read_only, _store, analytic_signal
+from .core import make_window
 
 WVD_METHODS = ("wvd", "pwvd", "spwvd")
 
@@ -132,14 +133,9 @@ class TFDGrid:
                 f"values shape {values.shape} does not match axes "
                 f"({times.size} times, {freqs.size} freqs)"
             )
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times_s must be strictly increasing")
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
-            raise ValueError("freqs_hz must be strictly increasing")
-        object.__setattr__(self, "times_s", _read_only(times))
-        object.__setattr__(self, "freqs_hz", _read_only(freqs))
-        object.__setattr__(self, "values", _read_only(values))
-        object.__setattr__(self, "meta", copy.deepcopy(self.meta))
+        _increasing(times, "times_s")
+        _increasing(freqs, "freqs_hz")
+        _store(self, times_s=times, freqs_hz=freqs, values=values, meta=copy.deepcopy(self.meta))
 
     @property
     def n_times(self) -> int:
@@ -168,8 +164,7 @@ class PSD:
     all_zero: bool = False
 
     def __post_init__(self):
-        for name in ("freqs_hz", "power"):
-            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
+        _store(self, freqs_hz=np.asarray(self.freqs_hz), power=np.asarray(self.power))
 
 
 def next_pow2(n: int) -> int:

@@ -95,6 +95,7 @@ def test_synth_flag_the_generator_does_not_take_exits_validation(tmp_path, capsy
         ({"chirp_coeffs": [1, 2, "3"]}, "synth.chirp_coeffs"),
         ({"snr_is_db": 1}, "synth.snr_is_db"),
         ({"sample_rate_hz": "320"}, "synth.sample_rate_hz"),
+        ({"chirp_coeffs": [np.nan, 1, 2]}, "synth.chirp_coeffs"),
     ],
 )
 def test_synth_config_bad_values_exit_validation(tmp_path, capsys, synth_doc, key):
@@ -129,11 +130,14 @@ def test_synth_non_finite_size_exits_validation(tmp_path, capsys, flags, config,
 
 
 @pytest.mark.parametrize("flags", [["--duration", "1e308"],
-                                   ["--rate", "1e300", "--duration", "1e10"]],
-                         ids=["duration-1e308", "rate-1e300"])
+                                   ["--rate", "1e300", "--duration", "1e10"],
+                                   ["--rate", "1e10", "--duration", "1e9"],
+                                   ["--rate", "8589934592", "--duration", "1073741824"]],
+                         ids=["duration-1e308", "rate-1e300", "1e19-samples", "2^63-samples"])
 def test_synth_overflowing_sample_count_exits_validation(tmp_path, capsys, flags):
-    """A finite rate and duration whose product overflows leave no finite
-    sample count: exit 3 naming both, not a traceback, and nothing written."""
+    """A rate and duration whose product overflows, or whose sample count
+    no array can hold (2^63 is one past the largest index), exit 3 naming
+    both, not a traceback or numpy's own message, and write nothing."""
     out = tmp_path / "out"
     assert main(["synth", "x1", "--out", str(out), *flags]) == EXIT_VALIDATION
     err = capsys.readouterr().err

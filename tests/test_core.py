@@ -39,6 +39,10 @@ def test_sampled_signal_validation():
                               (320.0, math.nan, start_name), (320.0, -math.inf, start_name)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SampledSignal(np.ones(300), rate, start)
+    # a bool is not a rate, though True compares as 1
+    for rate in (True, np.True_):
+        with pytest.raises(ValueError, match="sample_rate_hz must be finite and positive"):
+            SampledSignal(np.ones(300), rate)
 
 
 def test_sampled_signal_keeps_complex_samples():
@@ -125,7 +129,7 @@ def test_window_spec_validation():
     with pytest.raises(ValueError):
         WindowSpec("gaussian", 8, alpha=0.0)
     # an infinite alpha would make the centre sample inf * 0, a NaN window
-    for alpha in (np.inf, float("1e400"), -np.inf, np.nan):
+    for alpha in (np.inf, float("1e400"), -np.inf, np.nan, True):
         with pytest.raises(ValueError, match="alpha must be finite and positive"):
             WindowSpec("gaussian", 8, alpha=alpha)
     # a length must be an integer: a float would index frames with floats,

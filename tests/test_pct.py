@@ -64,6 +64,11 @@ def test_polynomial_kernel_basics():
         PolynomialKernel((np.nan,))
     with pytest.raises(ValueError):
         PolynomialKernel.zero(0)
+    # an order is an integer: True is not order 1, and 1.5 is no order
+    for order in (True, 1.5):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            PolynomialKernel.zero(order)
+    assert PolynomialKernel.zero(np.int64(2)).coeffs == (0.0, 0.0)
 
 
 def test_quadratic_kernel_phase_integral():
@@ -78,7 +83,7 @@ def test_pct_config_validation():
         PCTConfig(order=0)
     with pytest.raises(ValueError):
         PCTConfig(max_iterations=0)
-    for tol in (0.0, np.nan, np.inf, -np.inf):
+    for tol in (0.0, np.nan, np.inf, -np.inf, True):
         with pytest.raises(ValueError, match="convergence_tol_hz"):
             PCTConfig(convergence_tol_hz=tol)
     with pytest.raises(ValueError):
